@@ -13,6 +13,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import random
+from array import array
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
@@ -406,8 +407,11 @@ def _pollard_brent(n, rng):
 def factorize(n, max_rounds=64):
     """Full prime factorization of n > 0 as a dict {prime: exponent}.
 
-    Trial division by sieved small primes, deterministic Miller-Rabin
-    certification, and Pollard-Brent rho for the remaining cofactors.
+    Trial division by the sieved primes below 10^4.  Once a trial prime
+    exceeds the square root of the cofactor, the cofactor is 1 or prime and
+    is recorded without a primality test.  Only a cofactor that outlives
+    the whole trial-division table goes on to deterministic Miller-Rabin
+    certification and Pollard-Brent rho.
     Raises FactorError (with the partial factorization) if rho stalls.
     """
     if n <= 0:
@@ -415,15 +419,14 @@ def factorize(n, max_rounds=64):
     out: dict[int, int] = {}
     for p in small_primes():
         if p * p > n:
-            break
+            # no prime factor of n is at most its square root: 1 or prime
+            if n > 1:
+                out[n] = 1
+            return out
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-    if n == 1:
-        return out
-    if is_prime(n):
-        out[n] = out.get(n, 0) + 1
-        return out
+    # the cofactor outlived the table: certify it or split it
     rng = random.Random(0xFAC7)
     stack = [n]
     rounds = 0
@@ -444,14 +447,53 @@ def factorize(n, max_rounds=64):
 
 
 def divisors_from_factorization(fac):
+    """Ascending divisors of the integer with factorization {prime: exponent}."""
     divs = [1]
-    for p, e in sorted(fac.items()):
-        divs = [d * p**k for d in divs for k in range(e + 1)]
-    return sorted(divs)
+    for p, e in fac.items():
+        base = divs[:]
+        pk = 1
+        for _ in range(e):
+            pk *= p
+            divs += [d * pk for d in base]
+    divs.sort()
+    return divs
 
 
 def divisors(n):
     return divisors_from_factorization(factorize(n))
+
+
+class FactorTable:
+    """Smallest-prime-factor table for many factorizations below a limit.
+
+    One sieve up front, then factoring n <= limit is a chain of lookups.
+    Above the limit it falls back to `factorize`, so a table changes the
+    cost of a result, never the result.  Holds 4 bytes per entry.
+    """
+
+    def __init__(self, limit):
+        if limit < 1:
+            raise DomainError("factor table needs limit >= 1")
+        self.limit = limit
+        spf = array("I", bytes(4 * (limit + 1)))  # 0 marks 0, 1 and primes
+        # largest prime first, so each entry keeps its smallest prime factor
+        for p in reversed(_prime_sieve(isqrt(limit))):
+            spf[p * p :: p] = array("I", [p]) * len(range(p * p, limit + 1, p))
+        self._spf = spf
+
+    def factorize(self, n):
+        if not 0 < n <= self.limit:
+            return factorize(n)
+        spf = self._spf
+        out: dict[int, int] = {}
+        while n > 1:
+            p = spf[n] or n
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        return out
+
+    def divisors(self, n):
+        return divisors_from_factorization(self.factorize(n))
 
 
 def squarefree_decompose(n):

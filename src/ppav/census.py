@@ -17,11 +17,12 @@ import csv
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from fractions import Fraction
 
 from math import isqrt
 
 from . import arith, quadratic
-from .errors import DomainError
+from .errors import DomainError, InternalError
 
 @dataclass(frozen=True)
 class CensusRow:
@@ -45,26 +46,48 @@ def ordinary_traces(p):
     return [t for t in range(-s, s + 1) if t != 0 and t % p != 0]
 
 def enumerate_ec(p, threads=1):
-    """One CensusRow per ordinary trace over F_p, in ascending trace order."""
+    """One CensusRow per ordinary trace over F_p, in ascending trace order.
+
+    All class numbers share one FactorTable up to 4p/3: a reduced form of
+    discriminant d has b^2 <= |d|/3, so (b^2 - d)/4 <= |d|/3 < 4p/3.  The
+    rows are checked against the Kronecker-Hurwitz relation before return.
+    """
     if not arith.is_prime(p):
         raise DomainError(f"{p} is not prime")
     if p < 5:
         raise DomainError("census needs p >= 5")
     traces = ordinary_traces(p)
+    table = arith.FactorTable(4 * p // 3)
 
     def row(t):
         delta = t * t - 4 * p
         return CensusRow(
             t=t,
             delta=delta,
-            H=quadratic.kronecker_class_number(delta),
+            H=quadratic.kronecker_class_number(delta, table.divisors),
             normalized_trace=t / (2 * math.sqrt(p)),
         )
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(row, traces))
-    return [row(t) for t in traces]
+            rows = list(pool.map(row, traces))
+    else:
+        rows = [row(t) for t in traces]
+    supersingular = quadratic.kronecker_class_number(-4 * p, table.divisors)
+    total = sum(_hurwitz_weighted(r.delta, r.H) for r in rows)
+    total += _hurwitz_weighted(-4 * p, supersingular)
+    if total != 2 * p:
+        raise InternalError(f"Kronecker-Hurwitz sum {total} != 2p = {2 * p} at p = {p}")
+    return rows
+
+def _hurwitz_weighted(delta, big_h):
+    """H_w(delta): H(delta) with the order of discriminant -3 weighted 1/3
+    and that of -4 weighted 1/2, as an exact Fraction."""
+    for d0, off in ((3, Fraction(2, 3)), (4, Fraction(1, 2))):
+        k, r = divmod(-delta, d0)
+        if r == 0 and isqrt(k) ** 2 == k:
+            return big_h - off
+    return Fraction(big_h)
 
 def _semicircle_cdf(x):
     x = min(1.0, max(-1.0, x))
@@ -75,6 +98,8 @@ def summarize(rows, bins=40):
     distance to the semicircular law, integrated bin by bin."""
     if not rows:
         raise DomainError("census is empty")
+    if bins < 1:
+        raise DomainError(f"need at least one bin, got {bins}")
     p = (rows[0].t * rows[0].t - rows[0].delta) // 4
     total = sum(r.H for r in rows)
     # integer accumulation, with indices mirrored from |trace|, so the

@@ -17,7 +17,7 @@ import json
 import os
 import sys
 
-from . import census, measures, orders, strata, weil
+from . import census, orders, strata, weil
 from .errors import DomainError, NotWeilShape, SearchLimitError
 
 EXIT_OK = 0
@@ -123,6 +123,9 @@ def _cmd_convenient(args):
 
 
 def _cmd_measures(args):
+    # numpy is loaded only by this subcommand
+    from . import measures
+
     spec = measures.measure_spec(args.n)
     constants = {
         "n": args.n,

@@ -85,24 +85,30 @@ class QuadClassData:
 # imaginary quadratic class numbers
 
 
-def class_number_imaginary(delta):
+def class_number_imaginary(delta, divisors=None):
     """Number of primitive reduced forms (a, b, c) of discriminant delta < 0.
 
     Reduced: |b| <= a <= c with b >= 0 whenever |b| = a or a = c.
     Enumerates b, factors (b^2 - delta)/4, and splits it into a * c.
+    `divisors` maps m to its ascending divisors; None means
+    `arith.divisors`.  A caller with many discriminants passes the
+    `divisors` of one shared `arith.FactorTable`.
     """
     if delta >= 0:
         raise DomainError("need a negative discriminant")
     check_discriminant(delta)
+    if divisors is None:
+        divisors = arith.divisors
     count = 0
     b = delta % 2
     bmax = isqrt(-delta // 3)
     while b <= bmax:
         m = (b * b - delta) // 4
-        for a in arith.divisors(m):
+        amin = max(b, 1)
+        for a in divisors(m):
             if a * a > m:
                 break
-            if a < max(b, 1):
+            if a < amin:
                 continue
             c = m // a
             if gcd(gcd(a, b), c) != 1:
@@ -153,18 +159,27 @@ def class_number_by_formula(delta0, f):
     return _formula_from_h0(delta0, class_number_imaginary(delta0), f)
 
 
-def stratified_class_numbers(delta):
-    """[(f, h(f^2 delta0))] over all divisors f of the conductor of delta < 0."""
+def stratified_class_numbers(delta, divisors=None):
+    """[(f, h(f^2 delta0))] over all divisors f of the conductor of delta < 0.
+
+    `divisors` lists the divisors of the conductor and of the form
+    coefficients, as in `class_number_imaginary`.
+    """
     if delta >= 0:
         raise DomainError("need a negative discriminant")
+    if divisors is None:
+        divisors = arith.divisors
     disc = quad_discriminant(delta)
-    h0 = class_number_imaginary(disc.delta0)
-    return [(f, _formula_from_h0(disc.delta0, h0, f)) for f in arith.divisors(disc.conductor)]
+    h0 = class_number_imaginary(disc.delta0, divisors)
+    return [(f, _formula_from_h0(disc.delta0, h0, f)) for f in divisors(disc.conductor)]
 
 
-def kronecker_class_number(delta):
-    """H(delta): the sum of h(f^2 delta0) over all divisors f of the conductor."""
-    return sum(h for _, h in stratified_class_numbers(delta))
+def kronecker_class_number(delta, divisors=None):
+    """H(delta): the sum of h(f^2 delta0) over all divisors f of the conductor.
+
+    `divisors` is passed on to `class_number_imaginary`.
+    """
+    return sum(h for _, h in stratified_class_numbers(delta, divisors))
 
 
 def h_over_H_bound(delta):

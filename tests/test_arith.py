@@ -186,6 +186,53 @@ class TestFactorize:
         with pytest.raises(DomainError):
             arith.factorize(0)
 
+    def test_no_primality_test_after_trial_division_passes_root(self, monkeypatch):
+        calls = []
+        is_prime = arith.is_prime
+
+        def counting(n):
+            calls.append(n)
+            return is_prime(n)
+
+        monkeypatch.setattr(arith, "is_prime", counting)
+        assert arith.factorize(701) == {701: 1}
+        assert arith.factorize(2 * 99991) == {2: 1, 99991: 1}
+        assert arith.factorize(9973**2) == {9973: 2}
+        assert arith.factorize(9973 * 10007) == {9973: 1, 10007: 1}
+        assert calls == [10007]
+        # a cofactor beyond the trial-division table is still certified
+        assert arith.factorize(1_000_003 * 1_000_033) == {1_000_003: 1, 1_000_033: 1}
+        assert 1_000_003 in calls and 1_000_033 in calls
+
+
+class TestFactorTable:
+    def test_matches_factorize_up_to_limit(self):
+        table = arith.FactorTable(20000)
+        for n in range(1, 20001):
+            assert table.factorize(n) == arith.factorize(n)
+
+    def test_falls_back_above_limit(self):
+        table = arith.FactorTable(20000)
+        for n in (20001, 2 * 99991, 10**9 + 7, 1_000_003 * 1_000_033, 2**40 * 3):
+            assert table.factorize(n) == arith.factorize(n)
+        with pytest.raises(DomainError):
+            table.factorize(0)
+
+    def test_divisors_against_brute_force(self):
+        table = arith.FactorTable(1000)
+        for n in range(1, 2001):
+            brute = [d for d in range(1, n + 1) if n % d == 0]
+            assert table.divisors(n) == brute
+            assert arith.divisors(n) == brute
+
+    def test_tiny_limits(self):
+        for limit in (1, 2, 3, 4):
+            table = arith.FactorTable(limit)
+            for n in range(1, 10):
+                assert table.factorize(n) == arith.factorize(n)
+        with pytest.raises(DomainError):
+            arith.FactorTable(0)
+
 
 class TestSturm:
     def test_sqrt_two_in_unit_window(self):

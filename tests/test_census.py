@@ -6,7 +6,7 @@ from math import isqrt
 import pytest
 
 from ppav import census, quadratic, strata
-from ppav.errors import DomainError
+from ppav.errors import DomainError, InternalError
 
 
 class TestEnumerate:
@@ -32,6 +32,32 @@ class TestEnumerate:
 
     def test_threads_match_serial(self):
         assert census.enumerate_ec(101, threads=4) == census.enumerate_ec(101)
+
+    @pytest.mark.parametrize("p", [5, 7, 11, 101, 1009, 10007])
+    def test_kronecker_hurwitz_relation(self, p):
+        # enumerate_ec checks the relation itself; recompute it here without
+        # the shared factor table, from the rows it returns
+        rows = census.enumerate_ec(p)
+        total = sum(census._hurwitz_weighted(r.delta, r.H) for r in rows)
+        total += census._hurwitz_weighted(-4 * p, quadratic.kronecker_class_number(-4 * p))
+        assert total == 2 * p
+
+    def test_hurwitz_weights(self):
+        assert census._hurwitz_weighted(-3, 1) == Fraction(1, 3)
+        assert census._hurwitz_weighted(-12, 2) == Fraction(4, 3)
+        assert census._hurwitz_weighted(-4, 1) == Fraction(1, 2)
+        assert census._hurwitz_weighted(-16, 2) == Fraction(3, 2)
+        assert census._hurwitz_weighted(-20, 2) == 2
+
+    def test_wrong_class_number_raises(self, monkeypatch):
+        kronecker_class_number = quadratic.kronecker_class_number
+
+        def off_by_one(delta, divisors=None):
+            return kronecker_class_number(delta, divisors) + (delta == 9 - 4 * 101)
+
+        monkeypatch.setattr(quadratic, "kronecker_class_number", off_by_one)
+        with pytest.raises(InternalError):
+            census.enumerate_ec(101)
 
 
 class TestSummarize:
@@ -74,6 +100,11 @@ class TestSummarize:
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
             census.summarize([])
+
+    @pytest.mark.parametrize("bins", [0, -3])
+    def test_bins_below_one_rejected(self, bins):
+        with pytest.raises(DomainError):
+            census.summarize(census.enumerate_ec(5), bins=bins)
 
 
 class TestMinusFractionScan:

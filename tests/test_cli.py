@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -76,6 +78,14 @@ class TestEcCensus:
         assert summary["class_count"] == 40
         assert len(summary["histogram"]) == 20
 
+    @pytest.mark.parametrize("bins", ["0", "-1"])
+    def test_bins_below_one_is_domain_error(self, capsys, tmp_path, bins):
+        out = str(tmp_path / "census.csv")
+        code, _, err = run_cli(capsys, ["ec-census", "--p", "101", "--bins", bins, "--out", out])
+        assert code == 2
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+
     def test_io_failure_exit_code(self, capsys, tmp_path):
         out = str(tmp_path / "missing" / "census.csv")
         code, _, err = run_cli(capsys, ["ec-census", "--p", "101", "--out", out])
@@ -114,6 +124,16 @@ class TestMeasures:
         code, stdout, _ = run_cli(capsys, ["measures", "--n", "2", "--grid", "4"])
         assert code == 0
         assert "theta_1,theta_2,mu,nu_nominal,nu_effective" in stdout
+
+
+    def test_cli_import_does_not_load_numpy(self):
+        code = "import sys, ppav.cli; assert 'numpy' not in sys.modules, 'numpy loaded'"
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert result.returncode == 0, result.stderr
 
 
 class TestFindHeavy:

@@ -54,6 +54,14 @@ class TestImaginaryClassNumbers:
                 continue
             assert quadratic.class_number_imaginary(d) == brute_force_class_number(d)
 
+    def test_shared_factor_table_changes_nothing(self):
+        table = arith.FactorTable(20000)
+        for d in range(-20000, -2):
+            if d % 4 in (0, 1):
+                assert quadratic.class_number_imaginary(
+                    d, table.divisors
+                ) == quadratic.class_number_imaginary(d)
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(DomainError):
             quadratic.class_number_imaginary(5)
