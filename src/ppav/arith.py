@@ -344,12 +344,19 @@ def small_primes():
     return _SMALL_PRIMES
 
 
-# Deterministic Miller-Rabin witness set, valid for all n < 3.3 * 10^24
-# (covers everything below 2^64 and the tool's tested range).
+# Miller-Rabin with the first 13 primes as bases is deterministic below
+# psi_13, the least strong pseudoprime to all of them (Sorenson-Webster).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_PROVEN_BELOW = 3_317_044_064_679_887_385_961_981
 
 
 def is_prime(n):
+    """Primality of n, proven by Miller-Rabin with the bases `_MR_BASES`.
+
+    A witness proves n composite at any size.  Raises DomainError for an n
+    at or above psi_13 that no base witnesses, since it may be a strong
+    pseudoprime.
+    """
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -370,6 +377,8 @@ def is_prime(n):
                 break
         else:
             return False
+    if n >= _MR_PROVEN_BELOW:
+        raise DomainError("primality unproven above 3.3e24")
     return True
 
 
@@ -410,9 +419,10 @@ def factorize(n, max_rounds=64):
     Trial division by the sieved primes below 10^4.  Once a trial prime
     exceeds the square root of the cofactor, the cofactor is 1 or prime and
     is recorded without a primality test.  Only a cofactor that outlives
-    the whole trial-division table goes on to deterministic Miller-Rabin
-    certification and Pollard-Brent rho.
-    Raises FactorError (with the partial factorization) if rho stalls.
+    the whole trial-division table goes on to Miller-Rabin certification
+    and Pollard-Brent rho.
+    Raises FactorError (with the partial factorization) if rho stalls, and
+    DomainError if a cofactor above 3.3e24 may be prime (see `is_prime`).
     """
     if n <= 0:
         raise DomainError("factorize requires n > 0")
@@ -491,9 +501,6 @@ class FactorTable:
             out[p] = out.get(p, 0) + 1
             n //= p
         return out
-
-    def divisors(self, n):
-        return divisors_from_factorization(self.factorize(n))
 
 
 def squarefree_decompose(n):

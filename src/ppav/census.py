@@ -64,7 +64,7 @@ def enumerate_ec(p, threads=1):
         return CensusRow(
             t=t,
             delta=delta,
-            H=quadratic.kronecker_class_number(delta, table.divisors),
+            H=quadratic.kronecker_class_number(delta, table.factorize),
             normalized_trace=t / (2 * math.sqrt(p)),
         )
 
@@ -73,7 +73,7 @@ def enumerate_ec(p, threads=1):
             rows = list(pool.map(row, traces))
     else:
         rows = [row(t) for t in traces]
-    supersingular = quadratic.kronecker_class_number(-4 * p, table.divisors)
+    supersingular = quadratic.kronecker_class_number(-4 * p, table.factorize)
     total = sum(_hurwitz_weighted(r.delta, r.H) for r in rows)
     total += _hurwitz_weighted(-4 * p, supersingular)
     if total != 2 * p:
@@ -130,13 +130,17 @@ def summarize(rows, bins=40):
 
 def minus_fraction_scan(p, threads=1):
     """[(t, h/H, bound)] per ordinary trace, sorted by the exact fraction of
-    curves with minimal endomorphism ring (then by trace)."""
+    curves with minimal endomorphism ring (then by trace).
+
+    Shares one FactorTable up to 4p/3 across the traces, as `enumerate_ec`.
+    """
     if not arith.is_prime(p):
         raise DomainError(f"{p} is not prime")
     traces = ordinary_traces(p)
+    table = arith.FactorTable(4 * p // 3)
 
     def entry(t):
-        ratio, bound = quadratic.h_over_H_bound(t * t - 4 * p)
+        ratio, bound = quadratic.h_over_H_bound(t * t - 4 * p, table.factorize)
         return (t, ratio, bound)
 
     if threads > 1:

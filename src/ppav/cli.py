@@ -5,9 +5,12 @@ report), ec-census (trace distribution over F_p), convenient (certify an
 order from a JSON file), measures (density tables), find-heavy (isogeny
 classes with small h/H), examples (family sweeps with bound checks).
 
-Exit codes: 0 success, 2 domain error, 3 invalid Weil polynomial, 4 I/O
-failure.  JSON output is deterministic: keys sorted, floats in shortest
-round-trip form (at most 17 significant digits).
+Exit codes: 0 success, 2 domain error (also every other PpavError: a
+failed internal check, a rank error, or a factorization that gave up or
+met a cofactor above 3.3e24 whose primality is unproven), 3 invalid Weil
+polynomial, 4 I/O failure.  Each failure prints a one-line message.  JSON
+output is deterministic: keys sorted, floats in shortest round-trip form
+(at most 17 significant digits).
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import os
 import sys
 
 from . import census, orders, strata, weil
-from .errors import DomainError, NotWeilShape, SearchLimitError
+from .errors import DomainError, NotWeilShape, PpavError, SearchLimitError
 
 EXIT_OK = 0
 EXIT_DOMAIN = 2
@@ -256,6 +259,9 @@ def main(argv=None):
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except PpavError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
 
 
 if __name__ == "__main__":

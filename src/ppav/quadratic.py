@@ -85,39 +85,107 @@ class QuadClassData:
 # imaginary quadratic class numbers
 
 
-def class_number_imaginary(delta, divisors=None):
+# form coefficients of one discriminant are sieved this many b at a time
+_SIEVE_BLOCK = 1024
+
+
+def _form_coefficient_factors(delta, b0, kmax):
+    """Yield (b, m, {prime: exponent}) for b = b0 + 2k, 0 <= k <= kmax, where
+    m = (b^2 - delta)/4, factoring every m with one sieve over k.
+
+    An odd prime ell divides m exactly when b = +-sqrt(delta) (mod ell), so
+    each prime up to sqrt(max m) takes one square root and then visits only
+    its own residue classes of k; the parity of m has period 2 in k.  Once
+    those primes are divided out, what is left of m has no prime factor up
+    to its square root, so it is 1 or prime.
+    """
+    mmax = ((b0 + 2 * kmax) ** 2 - delta) // 4
+    progressions = [(2, k) for k in (0, 1) if ((b0 + 2 * k) ** 2 - delta) // 4 % 2 == 0]
+    for ell in arith._prime_sieve(isqrt(mmax))[1:]:
+        r = _sqrt_mod_prime(delta, ell)
+        if r is None:
+            continue
+        half = (ell + 1) // 2  # 1/2 mod ell
+        for root in {r, -r % ell}:
+            progressions.append((ell, (root - b0) * half % ell))
+    for lo in range(0, kmax + 1, _SIEVE_BLOCK):
+        size = min(_SIEVE_BLOCK, kmax + 1 - lo)
+        hits = [[] for _ in range(size)]
+        for ell, k0 in progressions:
+            for i in range((k0 - lo) % ell, size, ell):
+                hits[i].append(ell)
+        for i, primes in enumerate(hits):
+            b = b0 + 2 * (lo + i)
+            m = v = (b * b - delta) // 4
+            fac = {}
+            for ell in primes:
+                e = 0
+                while v % ell == 0:
+                    v //= ell
+                    e += 1
+                fac[ell] = e
+            if v > 1:
+                fac[v] = 1
+            yield b, m, fac
+
+
+def _count_forms(b, m, fac):
+    """Primitive reduced forms (a, +-b, c) with a c = m, where m factors as fac.
+
+    Only divisors a <= sqrt(m) are built, each prime-power chain cut off as
+    soon as it passes that bound.
+    """
+    root = isqrt(m)
+    divs = [1]
+    for p, e in fac.items():
+        new = []
+        for d in divs:
+            for _ in range(e):
+                d *= p
+                if d > root:
+                    break
+                new.append(d)
+        divs += new
+    amin = max(b, 1)
+    count = 0
+    for a in divs:
+        if a < amin:
+            continue
+        c = m // a
+        if gcd(a, b, c) != 1:
+            continue
+        if b == 0 or b == a or a == c:
+            count += 1
+        else:
+            count += 2
+    return count
+
+
+def class_number_imaginary(delta, factorize=None):
     """Number of primitive reduced forms (a, b, c) of discriminant delta < 0.
 
     Reduced: |b| <= a <= c with b >= 0 whenever |b| = a or a = c.
-    Enumerates b, factors (b^2 - delta)/4, and splits it into a * c.
-    `divisors` maps m to its ascending divisors; None means
-    `arith.divisors`.  A caller with many discriminants passes the
-    `divisors` of one shared `arith.FactorTable`.
+    Enumerates b, factors m = (b^2 - delta)/4, and splits it into a * c
+    with a <= sqrt(m).  `factorize` maps m to {prime: exponent}.  None
+    means one sieve over this discriminant's form coefficients: each prime
+    up to sqrt(max m) is divided out where it divides, so the leftover of
+    m has no prime factor up to its own square root and is 1 or prime,
+    with no primality test.  A caller with many discriminants under one
+    bound passes the `factorize` of one shared `arith.FactorTable`.
     """
     if delta >= 0:
         raise DomainError("need a negative discriminant")
     check_discriminant(delta)
-    if divisors is None:
-        divisors = arith.divisors
+    b0 = delta % 2
+    kmax = (isqrt(-delta // 3) - b0) // 2
     count = 0
-    b = delta % 2
-    bmax = isqrt(-delta // 3)
-    while b <= bmax:
-        m = (b * b - delta) // 4
-        amin = max(b, 1)
-        for a in divisors(m):
-            if a * a > m:
-                break
-            if a < amin:
-                continue
-            c = m // a
-            if gcd(gcd(a, b), c) != 1:
-                continue
-            if b == 0 or b == a or a == c:
-                count += 1
-            else:
-                count += 2
-        b += 2
+    if factorize is None:
+        for b, m, fac in _form_coefficient_factors(delta, b0, kmax):
+            count += _count_forms(b, m, fac)
+    else:
+        for b in range(b0, b0 + 2 * kmax + 1, 2):
+            m = (b * b - delta) // 4
+            count += _count_forms(b, m, factorize(m))
     return count
 
 
@@ -159,41 +227,49 @@ def class_number_by_formula(delta0, f):
     return _formula_from_h0(delta0, class_number_imaginary(delta0), f)
 
 
-def stratified_class_numbers(delta, divisors=None):
+def stratified_class_numbers(delta, factorize=None):
     """[(f, h(f^2 delta0))] over all divisors f of the conductor of delta < 0.
 
-    `divisors` lists the divisors of the conductor and of the form
-    coefficients, as in `class_number_imaginary`.
+    `factorize` factors the form coefficients, as in
+    `class_number_imaginary`, and the conductor (None: `arith.factorize`).
     """
     if delta >= 0:
         raise DomainError("need a negative discriminant")
-    if divisors is None:
-        divisors = arith.divisors
     disc = quad_discriminant(delta)
-    h0 = class_number_imaginary(disc.delta0, divisors)
-    return [(f, _formula_from_h0(disc.delta0, h0, f)) for f in divisors(disc.conductor)]
+    h0 = class_number_imaginary(disc.delta0, factorize)
+    conductor = (factorize or arith.factorize)(disc.conductor)
+    return [
+        (f, _formula_from_h0(disc.delta0, h0, f))
+        for f in arith.divisors_from_factorization(conductor)
+    ]
 
 
-def kronecker_class_number(delta, divisors=None):
+def kronecker_class_number(delta, factorize=None):
     """H(delta): the sum of h(f^2 delta0) over all divisors f of the conductor.
 
-    `divisors` is passed on to `class_number_imaginary`.
+    `factorize` is passed on to `stratified_class_numbers`.
     """
-    return sum(h for _, h in stratified_class_numbers(delta, divisors))
+    return sum(h for _, h in stratified_class_numbers(delta, factorize))
 
 
-def h_over_H_bound(delta):
+def h_over_H_bound(delta, factorize=None):
     """(h(delta)/H(delta), prod_{p | F} (p+1)/(p+2)) as exact Fractions.
 
-    The ratio is at most the bound whenever delta0 < -4.
+    The ratio is at most the bound whenever delta0 < -4.  `factorize`
+    serves the form coefficients and the conductor, as in
+    `stratified_class_numbers`.
     """
     disc = quad_discriminant(delta)
-    h0 = class_number_imaginary(disc.delta0)
+    h0 = class_number_imaginary(disc.delta0, factorize)
+    conductor = (factorize or arith.factorize)(disc.conductor)
     h = _formula_from_h0(disc.delta0, h0, disc.conductor)
-    big_h = sum(_formula_from_h0(disc.delta0, h0, f) for f in arith.divisors(disc.conductor))
+    big_h = sum(
+        _formula_from_h0(disc.delta0, h0, f)
+        for f in arith.divisors_from_factorization(conductor)
+    )
     ratio = Fraction(h, big_h)
     bound = Fraction(1)
-    for p in arith.factorize(disc.conductor):
+    for p in conductor:
         bound *= Fraction(p + 1, p + 2)
     if disc.delta0 < -4 and ratio > bound:
         raise InternalError(f"h/H bound violated at delta={delta}")

@@ -205,6 +205,24 @@ class TestFactorize:
         assert 1_000_003 in calls and 1_000_033 in calls
 
 
+class TestPrimalityBound:
+    PSI_13 = 3_317_044_064_679_887_385_961_981
+
+    def test_below_bound_is_decided(self):
+        assert arith.is_prime(self.PSI_13 - 2) is False
+
+    def test_composite_above_bound(self):
+        assert arith.is_prime((2**61 - 1) * (2**31 - 1)) is False
+        assert arith.is_prime(3 * (2**89 - 1)) is False
+
+    def test_prime_above_bound_is_unproven(self):
+        with pytest.raises(DomainError):
+            arith.is_prime(2**89 - 1)
+        # psi_13 itself is composite yet passes every base
+        with pytest.raises(DomainError):
+            arith.is_prime(self.PSI_13)
+
+
 class TestFactorTable:
     def test_matches_factorize_up_to_limit(self):
         table = arith.FactorTable(20000)
@@ -222,7 +240,7 @@ class TestFactorTable:
         table = arith.FactorTable(1000)
         for n in range(1, 2001):
             brute = [d for d in range(1, n + 1) if n % d == 0]
-            assert table.divisors(n) == brute
+            assert arith.divisors_from_factorization(table.factorize(n)) == brute
             assert arith.divisors(n) == brute
 
     def test_tiny_limits(self):

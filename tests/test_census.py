@@ -52,8 +52,8 @@ class TestEnumerate:
     def test_wrong_class_number_raises(self, monkeypatch):
         kronecker_class_number = quadratic.kronecker_class_number
 
-        def off_by_one(delta, divisors=None):
-            return kronecker_class_number(delta, divisors) + (delta == 9 - 4 * 101)
+        def off_by_one(delta, factorize=None):
+            return kronecker_class_number(delta, factorize) + (delta == 9 - 4 * 101)
 
         monkeypatch.setattr(quadratic, "kronecker_class_number", off_by_one)
         with pytest.raises(InternalError):
@@ -123,6 +123,13 @@ class TestMinusFractionScan:
         scan = census.minus_fraction_scan(101)
         ratios = [ratio for _, ratio, _ in scan]
         assert ratios == sorted(ratios)
+
+    def test_shared_table_matches_per_trace_bound(self):
+        per_trace = [
+            (t, *quadratic.h_over_H_bound(t * t - 4 * 1009)) for t in census.ordinary_traces(1009)
+        ]
+        expected = sorted(per_trace, key=lambda e: (e[1], e[0]))
+        assert census.minus_fraction_scan(1009) == expected
 
     def test_p10007_golden_minimum(self):
         scan = census.minus_fraction_scan(10007)

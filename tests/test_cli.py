@@ -5,7 +5,8 @@ import sys
 
 import pytest
 
-from ppav import cli, orders, strata
+from ppav import census, cli, orders, quadratic, strata
+from ppav.errors import FactorError
 
 
 def run_cli(capsys, argv):
@@ -85,6 +86,29 @@ class TestEcCensus:
         assert code == 2
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
         assert "Traceback" not in err
+
+    def test_failed_internal_check_is_exit_two(self, capsys, tmp_path, monkeypatch):
+        kronecker_class_number = quadratic.kronecker_class_number
+
+        def off_by_one(delta, factorize=None):
+            return kronecker_class_number(delta, factorize) + (delta == 9 - 4 * 101)
+
+        monkeypatch.setattr(quadratic, "kronecker_class_number", off_by_one)
+        out = str(tmp_path / "census.csv")
+        code, _, err = run_cli(capsys, ["ec-census", "--p", "101", "--out", out])
+        assert code == 2
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+
+    def test_factor_error_is_exit_two(self, capsys, tmp_path, monkeypatch):
+        def stalled(p, threads=1):
+            raise FactorError("factorization stalled at cofactor 91", partial={7: 1})
+
+        monkeypatch.setattr(census, "enumerate_ec", stalled)
+        out = str(tmp_path / "census.csv")
+        code, _, err = run_cli(capsys, ["ec-census", "--p", "101", "--out", out])
+        assert code == 2
+        assert err.strip() == "error: factorization stalled at cofactor 91"
 
     def test_io_failure_exit_code(self, capsys, tmp_path):
         out = str(tmp_path / "missing" / "census.csv")

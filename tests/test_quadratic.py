@@ -47,20 +47,37 @@ class TestImaginaryClassNumbers:
         assert quadratic.class_number_by_formula(-7, 4) == 2
 
     def test_against_brute_force(self):
-        rng = random.Random(17)
-        for _ in range(150):
-            d = -rng.randrange(3, 4000)
-            if d % 4 not in (0, 1):
-                continue
-            assert quadratic.class_number_imaginary(d) == brute_force_class_number(d)
+        for d in range(-4000, -2):
+            if d % 4 in (0, 1):
+                assert quadratic.class_number_imaginary(d) == brute_force_class_number(d)
 
     def test_shared_factor_table_changes_nothing(self):
+        # the census's shared table against the per-discriminant sieve
         table = arith.FactorTable(20000)
         for d in range(-20000, -2):
             if d % 4 in (0, 1):
                 assert quadratic.class_number_imaginary(
-                    d, table.divisors
+                    d, table.factorize
                 ) == quadratic.class_number_imaginary(d)
+
+    def test_sieve_across_block_boundaries(self):
+        # kmax > 1024 here, so the sieve runs over more than one block
+        rng = random.Random(23)
+        done = 0
+        while done < 20:
+            d = -rng.randrange(13 * 10**6, 15 * 10**6)
+            if d % 4 not in (0, 1):
+                continue
+            assert (isqrt(-d // 3) - d % 2) // 2 > quadratic._SIEVE_BLOCK
+            assert quadratic.class_number_imaginary(d) == quadratic.class_number_imaginary(
+                d, arith.factorize
+            )
+            done += 1
+
+    def test_pinned_large_discriminants(self):
+        # values computed by the per-form factorization before the sieve
+        assert quadratic.class_number_imaginary(-390935380) == 5856
+        assert quadratic.class_number_imaginary(-4000012) == 315
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(DomainError):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from ppav import orders, quadratic, strata, weil
+from ppav import arith, orders, quadratic, strata, weil
 from ppav.errors import DomainError, SearchLimitError
 
 F23 = [529, -138, 32, -6, 1]
@@ -92,6 +92,21 @@ class TestEcStrata:
             total = sum(h for _, h in strata.ec_stratum_counts(t, q))
             assert total == quadratic.kronecker_class_number(t * t - 4 * q)
             done += 1
+
+    def test_sieve_needs_no_factorization_per_form(self, monkeypatch):
+        # delta = -390935380: about 5700 form coefficients, all sieved
+        calls = {"factorize": 0, "is_prime": 0}
+        for name in calls:
+            original = getattr(arith, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(arith, name, counting)
+        assert strata.ec_stratum_counts(4256, 102262229) == [(1, 5856)]
+        assert calls["factorize"] <= 5
+        assert calls["is_prime"] == 0
 
     def test_rejects_non_ordinary(self):
         with pytest.raises(DomainError):
