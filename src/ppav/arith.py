@@ -4,6 +4,9 @@ Conventions used throughout the package:
 
 * integer polynomials are lists/tuples of ``int`` coefficients in ascending
   degree, with a nonzero leading coefficient unless the polynomial is zero;
+* polynomial gcds, Yun decompositions and Sturm chains stay integer, and
+  real-root counting and bisection evaluate integer forms at n / d; a
+  ``Fraction`` appears only at the API edge (interval endpoints in and out);
 * rational matrices are lists of rows of ``fractions.Fraction``;
 * the Hermite normal form is row-style: upper echelon, positive pivots,
   and entries above each pivot reduced into ``[0, pivot)``.  Two generator
@@ -119,15 +122,18 @@ def poly_primitive(a):
 
 
 def _pseudo_rem(a, b):
-    """Remainder of a by b up to powers of lc(b); stays over the integers."""
+    """Remainder of a by b times a power of |lc(b)|; stays over the integers.
+
+    The multiplier is positive, so the result has the sign of the true
+    remainder, as Sturm chains need.
+    """
     r = poly_trim(a)
     db = len(b) - 1
-    lb = b[-1]
+    lb = abs(b[-1])
+    sb = 1 if b[-1] > 0 else -1
     while r and len(r) - 1 >= db:
         shift = len(r) - 1 - db
-        lead = r[-1]
-        r = poly_sub(poly_scale(r, lb), poly_scale([0] * shift + list(b), lead))
-        r = poly_trim(r)
+        r = poly_sub(poly_scale(r, lb), poly_scale([0] * shift + list(b), sb * r[-1]))
     return r
 
 
@@ -158,81 +164,32 @@ def poly_squarefree_part(a):
 
 
 def poly_squarefree_decomposition(a):
-    """Yun decomposition [(factor, multiplicity)] with a ~ prod f_i^i."""
+    """Yun decomposition [(factor, multiplicity)] with a ~ prod f_i^i.
+
+    Runs over the integers: every division is by a primitive gcd, so by
+    Gauss's lemma each quotient is integral, and w and y stay scaled alike.
+    """
     a = poly_primitive(a)
     if len(a) <= 2:
         return [(a, 1)] if len(a) == 2 else []
-    fa = [Fraction(c) for c in a]
-    g = _fgcd(fa, _fder(fa))
+    da = poly_derivative(a)
+    g = poly_gcd(a, da)
     if len(g) <= 1:
         return [(a, 1)]
     out = []
-    w, _ = _fdivmod(fa, g)
-    y, _ = _fdivmod(_fder(fa), g)
-    z = _fsub(y, _fder(w))
+    w, _ = poly_divmod_exact(a, g)
+    y, _ = poly_divmod_exact(da, g)
+    z = poly_sub(y, poly_derivative(w))
     i = 1
     while len(w) > 1:
-        h = _fgcd(w, z)
+        h = poly_gcd(w, z)
         if len(h) > 1:
-            out.append((_frac_poly_to_int(h), i))
-        w, _ = _fdivmod(w, h)
-        y, _ = _fdivmod(z, h)
-        z = _fsub(y, _fder(w))
+            out.append((h, i))
+        w, _ = poly_divmod_exact(w, h)
+        y, _ = poly_divmod_exact(z, h)
+        z = poly_sub(y, poly_derivative(w))
         i += 1
     return out
-
-
-# --- small helpers over Fraction coefficient lists
-
-
-def _ftrim(c):
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _fadd(a, b):
-    n = max(len(a), len(b))
-    return _ftrim(
-        [(a[i] if i < len(a) else Fraction(0)) + (b[i] if i < len(b) else Fraction(0)) for i in range(n)]
-    )
-
-
-def _fsub(a, b):
-    return _fadd(a, [-x for x in b])
-
-
-def _fder(a):
-    return _ftrim([i * c for i, c in enumerate(a)][1:])
-
-
-def _fdivmod(a, b):
-    q, r = [], list(a)
-    db = len(b) - 1
-    while r and len(r) - 1 >= db:
-        c = r[-1] / b[-1]
-        shift = len(r) - 1 - db
-        q = _fadd(q, [Fraction(0)] * shift + [c])
-        r = _fsub(r, [Fraction(0)] * shift + [c * x for x in b])
-    return q, r
-
-
-def _fgcd(a, b):
-    a, b = _ftrim(list(a)), _ftrim(list(b))
-    while b:
-        _, r = _fdivmod(a, b)
-        a, b = b, _ftrim(r)
-    if a:
-        lead = a[-1]
-        a = [x / lead for x in a]
-    return a
-
-
-def _frac_poly_to_int(c):
-    den = 1
-    for x in c:
-        den = lcm(den, x.denominator)
-    return poly_primitive([int(x * den) for x in c])
 
 
 # ---------------------------------------------------------------------------
@@ -528,27 +485,58 @@ def is_prime_power(q):
 # Sturm chains and exact real-root counting
 
 
+def _positive_part(a):
+    """a divided by its content, keeping the sign of every coefficient."""
+    g = poly_content(a)
+    return [c // g for c in a] if g > 1 else a
+
+
 def sturm_chain(a):
-    chain = [[Fraction(c) for c in a]]
-    chain.append(_fder(chain[0]))
+    """Integer Sturm chain of a, each term a positive multiple of the classical one.
+
+    The classical chain is a, a', -rem(a, a'), ...; here each remainder is a
+    pseudo-remainder scaled by a power of |lc|, reduced by its positive
+    content, so every sign count is the classical one.
+    """
+    chain = [poly_trim(a)]
+    chain.append(_positive_part(poly_derivative(chain[0])))
     while len(chain[-1]) > 1:
-        _, r = _fdivmod(chain[-2], chain[-1])
-        r = _ftrim(r)
+        r = _pseudo_rem(chain[-2], chain[-1])
         if not r:
             break
-        chain.append([-x for x in r])
+        chain.append(_positive_part(poly_neg(r)))
     return chain
 
 
-def _sign_variations(chain, x):
-    signs = []
+def _sign_at(p, n, d):
+    """Sign of p(n/d) for d > 0, from the form sum c_i n^i d^(deg - i)."""
+    acc = 0
+    dp = 1
+    for c in reversed(p):
+        acc = acc * n + c * dp
+        dp *= d
+    return (acc > 0) - (acc < 0)
+
+
+def _sign_variations(chain, n, d=1):
+    """Sign changes along the chain at x = n/d (d > 0), zeros skipped."""
+    variations = 0
+    last = 0
     for p in chain:
-        v = poly_eval(p, x)
-        if v > 0:
-            signs.append(1)
-        elif v < 0:
-            signs.append(-1)
-    return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
+        s = _sign_at(p, n, d)
+        if s:
+            if last and s != last:
+                variations += 1
+            last = s
+    return variations
+
+
+def _roots_between(chain, lo, hi):
+    """Roots of the chain's squarefree head in (lo, hi], for rationals lo < hi."""
+    lo, hi = Fraction(lo), Fraction(hi)
+    return _sign_variations(chain, lo.numerator, lo.denominator) - _sign_variations(
+        chain, hi.numerator, hi.denominator
+    )
 
 
 def sturm_count(a, lo, hi):
@@ -559,11 +547,9 @@ def sturm_count(a, lo, hi):
     g = poly_gcd(a, poly_derivative(a))
     if len(g) != 1:
         raise DomainError("polynomial is not squarefree; deflate first")
-    lo, hi = Fraction(lo), Fraction(hi)
-    if not lo < hi:
+    if not Fraction(lo) < Fraction(hi):
         raise DomainError("need lo < hi")
-    chain = sturm_chain(a)
-    return _sign_variations(chain, lo) - _sign_variations(chain, hi)
+    return _roots_between(sturm_chain(a), lo, hi)
 
 
 def cauchy_root_bound(a):
@@ -576,26 +562,21 @@ def cauchy_root_bound(a):
 
 def isolate_real_roots(a, chain=None):
     """Disjoint rational intervals (lo, hi], each holding one root of squarefree a."""
-    b = Fraction(cauchy_root_bound(a))
+    b = cauchy_root_bound(a)
     if chain is None:
         chain = sturm_chain(a)
-
-    def count(lo, hi):
-        return _sign_variations(chain, lo) - _sign_variations(chain, hi)
-
     out = []
-    stack = [(-b, b, count(-b, b))]
+    # intervals (lo / 2^k, hi / 2^k] with their root counts
+    stack = [(-b, b, 0, _sign_variations(chain, -b) - _sign_variations(chain, b))]
     while stack:
-        lo, hi, c = stack.pop()
-        if c == 0:
-            continue
+        lo, hi, k, c = stack.pop()
         if c == 1:
-            out.append((lo, hi))
-            continue
-        mid = (lo + hi) / 2
-        cl = count(lo, mid)
-        stack.append((lo, mid, cl))
-        stack.append((mid, hi, c - cl))
+            out.append((Fraction(lo, 1 << k), Fraction(hi, 1 << k)))
+        elif c > 1:
+            lo, mid, hi, d = 2 * lo, lo + hi, 2 * hi, 2 << k
+            cl = _sign_variations(chain, lo, d) - _sign_variations(chain, mid, d)
+            stack.append((lo, mid, k + 1, cl))
+            stack.append((mid, hi, k + 1, c - cl))
     return sorted(out)
 
 
@@ -603,35 +584,40 @@ def refine_root(a, lo, hi, bits=80, chain=None):
     """Dyadic bisection of an isolating interval of squarefree a.
 
     Returns a Fraction within 2^-bits of the initial width from the root.
+    The bracket is kept as an integer numerator n over a denominator d that
+    doubles each step, with hi - lo = w / d throughout.
     """
-    fa = [Fraction(c) for c in a]
-    flo = poly_eval(fa, lo)
-    fhi = poly_eval(fa, hi)
-    if fhi == 0:
+    lo, hi = Fraction(lo), Fraction(hi)
+    d = lcm(lo.denominator, hi.denominator)
+    n = lo.numerator * (d // lo.denominator)
+    w = hi.numerator * (d // hi.denominator) - n
+    s_hi = _sign_at(a, n + w, d)
+    if s_hi == 0:
         return hi
-    while flo == 0:
+    if _sign_at(a, n, d) == 0:
         # lo is a different root of a sitting on the excluded boundary;
         # shrink with Sturm counts until the bracket has clean signs
         if chain is None:
             chain = sturm_chain(a)
-        mid = (lo + hi) / 2
-        fm = poly_eval(fa, mid)
-        if fm == 0:
-            return mid
-        if _sign_variations(chain, lo) - _sign_variations(chain, mid) == 1:
-            hi, fhi = mid, fm
-        else:
-            lo, flo = mid, fm
+        while True:
+            n, d = 2 * n, 2 * d
+            mid = n + w
+            s_mid = _sign_at(a, mid, d)
+            if s_mid == 0:
+                return Fraction(mid, d)
+            if _sign_variations(chain, n, d) - _sign_variations(chain, mid, d) != 1:
+                n = mid
+                break
+            s_hi = s_mid
     for _ in range(bits):
-        mid = (lo + hi) / 2
-        fm = poly_eval(fa, mid)
-        if fm == 0:
-            return mid
-        if (fm > 0) == (fhi > 0):
-            hi, fhi = mid, fm
-        else:
-            lo, flo = mid, fm
-    return (lo + hi) / 2
+        n, d = 2 * n, 2 * d
+        mid = n + w
+        s_mid = _sign_at(a, mid, d)
+        if s_mid == 0:
+            return Fraction(mid, d)
+        if s_mid != s_hi:
+            n = mid
+    return Fraction(2 * n + w, 2 * d)
 
 
 def real_roots(a, bits=80):

@@ -215,10 +215,6 @@ def lattice_from_generators(ctx, gen_rows):
     return Lattice(ctx=ctx, den=den, rows=rows)
 
 
-def standard_lattice(ctx):
-    return lattice_from_generators(ctx, arith.mat_identity(ctx.dim))
-
-
 def scale_lattice(lat, c):
     c = Fraction(c)
     if c == 0:
@@ -458,18 +454,46 @@ def lattice_to_json(lat):
     }
 
 
+def _int_list(value, what):
+    if not isinstance(value, list) or not all(type(x) is int for x in value):
+        raise DomainError(f"order file: {what} must be a list of integers")
+    return value
+
+
 def lattice_from_json(data, ctx=None):
-    f = [int(c) for c in data["f"]]
-    q = int(data["q"])
+    """Lattice from the object `lattice_to_json` writes.
+
+    Raises DomainError for a missing key, a non-integer entry, den <= 0 or
+    a basis row whose length is not the degree of f.
+    """
+    if not isinstance(data, dict):
+        raise DomainError("order file must hold a JSON object")
+    missing = [key for key in ("f", "q", "den", "basis") if key not in data]
+    if missing:
+        raise DomainError(f"order file lacks {', '.join(missing)}")
+    f = _int_list(data["f"], "f")
+    q, den = data["q"], data["den"]
+    if type(q) is not int or type(den) is not int:
+        raise DomainError("order file: q and den must be integers")
+    if den <= 0:
+        raise DomainError(f"order file: den must be positive, got {den}")
+    if not isinstance(data["basis"], list):
+        raise DomainError("order file: basis must be a list of rows")
+    rows = [_int_list(row, "each basis row") for row in data["basis"]]
     if ctx is None:
         ctx = FieldContext(f, q)
     elif list(ctx.poly) != f or ctx.q != q:
         raise DomainError("order file belongs to a different field")
-    den = int(data["den"])
-    rows = [[Fraction(int(x), den) for x in row] for row in data["basis"]]
-    return ctx, lattice_from_generators(ctx, rows)
+    if any(len(row) != ctx.dim for row in rows):
+        raise DomainError(f"order file: every basis row needs {ctx.dim} entries")
+    return ctx, lattice_from_generators(ctx, [[Fraction(x, den) for x in row] for row in rows])
 
 
 def load_order_file(path):
+    """Context and lattice from a JSON order file; DomainError if malformed."""
     with open(path) as handle:
-        return lattice_from_json(json.load(handle))
+        try:
+            data = json.load(handle)
+        except ValueError as exc:  # JSONDecodeError, or bytes that are not text
+            raise DomainError(f"order file is not JSON: {exc}") from exc
+    return lattice_from_json(data)

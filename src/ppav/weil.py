@@ -88,25 +88,28 @@ def _sign_plus_root(a, b, q):
     return -1 if big_is_a else 1
 
 
-def _rational_bracket(poly, q, negative):
-    """Rational (lo, hi) with lo < +-2 sqrt(q) < hi and no root of poly inside.
+def _rational_bracket(chain, q, negative):
+    """Rational (lo, hi) with lo < +-2 sqrt(q) < hi and no root inside.
 
-    Assumes poly has no root exactly at +-2 sqrt(q).
+    The roots are those of the polynomial heading the Sturm chain, which
+    must have none exactly at +-2 sqrt(q).  The bracket is bisected as
+    (lo / 2^k, hi / 2^k) with integer lo and hi.
     """
     s = isqrt(4 * q)
-    lo, hi = Fraction(s), Fraction(s + 1)
+    lo, hi, k = s, s + 1, 0
     if negative:
         lo, hi = -hi, -lo
-    chain = arith.sturm_chain(poly)
-    while arith._sign_variations(chain, lo) - arith._sign_variations(chain, hi) > 0:
-        mid = (lo + hi) / 2
-        # mid > 2 sqrt(q) iff mid^2 > 4q (sign-aware for the negative bracket)
-        above = mid * mid > 4 * q if not negative else mid * mid < 4 * q
+    while arith._sign_variations(chain, lo, 1 << k) - arith._sign_variations(chain, hi, 1 << k) > 0:
+        mid = lo + hi
+        lo, hi, k = 2 * lo, 2 * hi, k + 1
+        # mid / 2^k > 2 sqrt(q) iff mid^2 > 4q 4^k (sign-aware for the negative bracket)
+        square, target = mid * mid, (4 * q) << (2 * k)
+        above = square > target if not negative else square < target
         if above:
             hi = mid
         else:
             lo = mid
-    return lo, hi
+    return Fraction(lo, 1 << k), Fraction(hi, 1 << k)
 
 
 def is_weil(f, q):
@@ -133,14 +136,14 @@ def is_weil(f, q):
             g = quot
     if len(g) <= 1:
         return True
-    bound = Fraction(arith.cauchy_root_bound(g))
-    total = arith.sturm_count(g, -bound, bound)
-    if total != len(g) - 1:
+    # g is squarefree, so one chain serves every count below
+    chain = arith.sturm_chain(g)
+    bound = arith.cauchy_root_bound(g)
+    if arith._roots_between(chain, -bound, bound) != len(g) - 1:
         return False
-    _, neg_hi = _rational_bracket(g, q, negative=True)
-    pos_lo, _ = _rational_bracket(g, q, negative=False)
-    inside = arith.sturm_count(g, neg_hi, pos_lo)
-    return inside == len(g) - 1
+    _, neg_hi = _rational_bracket(chain, q, negative=True)
+    pos_lo, _ = _rational_bracket(chain, q, negative=False)
+    return arith._roots_between(chain, neg_hi, pos_lo) == len(g) - 1
 
 
 def _try_divide(a, b):

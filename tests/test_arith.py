@@ -22,6 +22,71 @@ def trial_division(n):
     return out
 
 
+def frac_eval(poly, x):
+    acc = Fraction(0)
+    for c in reversed(poly):
+        acc = acc * x + c
+    return acc
+
+
+def classical_sturm_chain(poly):
+    """a, a', -rem(a, a'), ... by long division over Fractions."""
+    chain = [[Fraction(c) for c in poly]]
+    chain.append([i * c for i, c in enumerate(chain[0])][1:])
+    while len(chain[-1]) > 1:
+        r, b = list(chain[-2]), chain[-1]
+        while len(r) >= len(b):
+            c, shift = r[-1] / b[-1], len(r) - len(b)
+            for i, x in enumerate(b):
+                r[shift + i] -= c * x
+            while r and r[-1] == 0:
+                r.pop()
+        if not r:
+            break
+        chain.append([-x for x in r])
+    return chain
+
+
+def frac_variations(chain, x):
+    signs = [v > 0 for v in (frac_eval(p, x) for p in chain) if v != 0]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
+def bisection_oracle(poly, lo, hi, bits):
+    """Fraction bisection of an isolating interval (lo, hi] of squarefree poly."""
+    chain, lo, hi = classical_sturm_chain(poly), Fraction(lo), Fraction(hi)
+    if frac_eval(poly, hi) == 0:
+        return hi
+    while frac_eval(poly, lo) == 0:
+        mid = (lo + hi) / 2
+        if frac_eval(poly, mid) == 0:
+            return mid
+        if frac_variations(chain, lo) - frac_variations(chain, mid) == 1:
+            hi = mid
+        else:
+            lo = mid
+    for _ in range(bits):
+        mid = (lo + hi) / 2
+        fm = frac_eval(poly, mid)
+        if fm == 0:
+            return mid
+        if (fm > 0) == (frac_eval(poly, hi) > 0):
+            hi = mid
+        else:
+            lo = mid
+    return (lo + hi) / 2
+
+
+def random_squarefree(rng, lo_deg, hi_deg):
+    """Primitive squarefree integer polynomial, leading coefficient of either sign."""
+    while True:
+        deg = rng.randrange(lo_deg, hi_deg + 1)
+        lead = rng.choice([-3, -2, -1, 1, 2, 3])
+        poly = [rng.randrange(-9, 10) for _ in range(deg)] + [lead]
+        if len(arith.poly_gcd(poly, arith.poly_derivative(poly))) == 1:
+            return poly
+
+
 class TestHnf:
     def test_identity(self):
         assert arith.hnf([[1, 0], [0, 1]]) == [[1, 0], [0, 1]]
@@ -284,8 +349,16 @@ class TestSturm:
             bound = arith.cauchy_root_bound(poly)
             # oracle: sign changes on a fine grid, refined to rule out misses
             steps = 4096
-            xs = [Fraction(-bound) + Fraction(2 * bound * i, steps) for i in range(steps + 1)]
-            vals = [arith.poly_eval(poly, x) for x in xs]
+            # x_i = -bound + 2 bound i / steps = n_i / steps; steps^deg * poly(x_i)
+            # is the integer sum of c_j n_i^j steps^(deg - j), with the same sign
+            scaled = [c * steps ** (len(poly) - 1 - j) for j, c in enumerate(poly)]
+            vals = []
+            for i in range(steps + 1):
+                n = bound * (2 * i - steps)
+                acc = 0
+                for c in reversed(scaled):
+                    acc = acc * n + c
+                vals.append(acc)
             oracle = 0
             for a, b in zip(vals, vals[1:]):
                 if a == 0:
@@ -305,6 +378,54 @@ class TestSturm:
         assert len(roots) == 2
         assert abs(float(roots[0]) + 2**0.5) < 1e-15
         assert abs(float(roots[1]) - 2**0.5) < 1e-15
+
+    def test_chain_terms_are_positive_multiples_of_classical(self):
+        rng = random.Random(21)
+        for _ in range(150):
+            poly = random_squarefree(rng, 2, 6)
+            chain, classical = arith.sturm_chain(poly), classical_sturm_chain(poly)
+            assert len(chain) == len(classical)
+            for term, ref in zip(chain, classical):
+                assert len(term) == len(ref)
+                assert all(type(c) is int for c in term)
+                ratio = Fraction(term[-1]) / ref[-1]
+                assert ratio > 0
+                assert all(c == ratio * r for c, r in zip(term, ref))
+
+    def test_refinement_equals_fraction_bisection(self):
+        rng = random.Random(22)
+        for _ in range(60):
+            poly = random_squarefree(rng, 2, 6)
+            # rational roots make the bisection land on a root now and then
+            if rng.random() < 0.3:
+                poly = arith.poly_mul(poly, [rng.randrange(-6, 7), rng.choice([1, 2])])
+                if len(arith.poly_gcd(poly, arith.poly_derivative(poly))) != 1:
+                    continue
+            bits = rng.choice([0, 1, 5, 40, 80])
+            intervals = arith.isolate_real_roots(poly)
+            bound = arith.cauchy_root_bound(poly)
+            chain = classical_sturm_chain(poly)
+            assert len(intervals) == frac_variations(chain, -bound) - frac_variations(chain, bound)
+            oracle = [bisection_oracle(poly, lo, hi, bits) for lo, hi in intervals]
+            for (lo, hi), want in zip(intervals, oracle):
+                assert frac_variations(chain, lo) - frac_variations(chain, hi) == 1
+                got = arith.refine_root(poly, lo, hi, bits)
+                assert type(got) is Fraction and got == want
+            assert arith.real_roots(poly, bits) == oracle
+
+    @pytest.mark.parametrize(
+        "poly, lo, hi",
+        [
+            ([-4, 0, 1], -2, 3),  # lower endpoint is the root -2
+            ([-4, 0, 1], -2, 6),  # first midpoint is the root 2
+            ([-2, 1, 1], -2, 30),  # roots -2 and 1: the bracket shrinks from above first
+            ([-4, 0, 1], Fraction(1, 3), Fraction(7, 3)),  # endpoints that are not dyadic
+        ],
+    )
+    def test_refinement_from_a_root_endpoint(self, poly, lo, hi):
+        want = bisection_oracle(poly, lo, hi, 80)
+        assert arith.refine_root(poly, lo, hi) == want
+        assert arith.refine_root(poly, lo, hi, chain=arith.sturm_chain(poly)) == want
 
 
 class TestPolyHelpers:
@@ -329,6 +450,30 @@ class TestPolyHelpers:
     def test_squarefree_decomposition_triple(self):
         poly = arith.poly_mul(arith.poly_mul([-1, 1], [-1, 1]), [-1, 1])
         assert arith.poly_squarefree_decomposition(poly) == [([-1, 1], 3)]
+
+    def test_squarefree_decomposition_identities(self):
+        rng = random.Random(23)
+        for _ in range(80):
+            poly = [rng.choice([-6, -2, 3, 5])]  # a content to strip
+            for _ in range(rng.randrange(1, 4)):
+                factor = [rng.randrange(-4, 5) for _ in range(rng.randrange(1, 3))] + [
+                    rng.choice([-2, -1, 1, 3])
+                ]
+                for _ in range(rng.randrange(1, 4)):
+                    poly = arith.poly_mul(poly, factor)
+            decomposition = arith.poly_squarefree_decomposition(poly)
+            product = [1]
+            for factor, mult in decomposition:
+                assert factor == arith.poly_primitive(factor) and len(factor) > 1
+                assert arith.poly_gcd(factor, arith.poly_derivative(factor)) == [1]
+                for _ in range(mult):
+                    product = arith.poly_mul(product, factor)
+            assert product == arith.poly_primitive(poly)
+            mults = [m for _, m in decomposition]
+            assert mults == sorted(set(mults))
+            for i, (f, _) in enumerate(decomposition):
+                for g, _ in decomposition[i + 1 :]:
+                    assert arith.poly_gcd(f, g) == [1]
 
     def test_divmod_exact(self):
         q, r = arith.poly_divmod_exact([-4, 0, 1], [-2, 1])

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -133,6 +134,65 @@ class TestConvenient:
         code, _, _ = run_cli(capsys, ["convenient", "--order-file", str(tmp_path / "no.json")])
         assert code == 4
 
+    @staticmethod
+    def _bad_order_file(capsys, tmp_path, text):
+        path = tmp_path / "order.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, ["convenient", "--order-file", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        return err
+
+    @staticmethod
+    def _order_payload():
+        _, lattice = strata.inconvenient_example_order()
+        return orders.lattice_to_json(lattice)
+
+    def test_non_json_order_file(self, capsys, tmp_path):
+        err = self._bad_order_file(capsys, tmp_path, "den: 2\n")
+        assert "not JSON" in err
+
+    @pytest.mark.parametrize("key", ["f", "q", "den", "basis"])
+    def test_order_file_missing_key(self, capsys, tmp_path, key):
+        payload = self._order_payload()
+        del payload[key]
+        err = self._bad_order_file(capsys, tmp_path, json.dumps(payload))
+        assert f"lacks {key}" in err
+
+    @pytest.mark.parametrize("entry", [1.5, "x"])
+    def test_order_file_non_integer_entry(self, capsys, tmp_path, entry):
+        payload = self._order_payload()
+        payload["basis"][0][0] = entry
+        err = self._bad_order_file(capsys, tmp_path, json.dumps(payload))
+        assert "list of integers" in err
+
+    @pytest.mark.parametrize("den", [0, -1])
+    def test_order_file_den_not_positive(self, capsys, tmp_path, den):
+        payload = self._order_payload()
+        payload["den"] = den
+        err = self._bad_order_file(capsys, tmp_path, json.dumps(payload))
+        assert "den must be positive" in err
+
+    @pytest.mark.parametrize(
+        "reshape, message",
+        [
+            (lambda basis: basis[1].pop(), "4 entries"),
+            (lambda basis: basis[1].append(0), "4 entries"),
+            (lambda basis: basis.__setitem__(1, 3), "list of integers"),
+        ],
+        ids=["short", "long", "scalar"],
+    )
+    def test_order_file_wrongly_shaped_row(self, capsys, tmp_path, reshape, message):
+        payload = self._order_payload()
+        reshape(payload["basis"])
+        err = self._bad_order_file(capsys, tmp_path, json.dumps(payload))
+        assert message in err
+
+    def test_order_file_not_an_object(self, capsys, tmp_path):
+        err = self._bad_order_file(capsys, tmp_path, "[1, 2]")
+        assert "JSON object" in err
+
 
 class TestMeasures:
     def test_constants_and_table(self, capsys, tmp_path):
@@ -206,3 +266,50 @@ class TestExamples:
         parser = cli.build_parser()
         args = parser.parse_args(["examples", "--family", "small", "--pmax", "50"])
         assert args.threads == 2
+
+
+# (q, a, b) for the surface class x^4 + a x^3 + b x^2 + a q x + q^2: 44 from
+# weil.random_surface_spec, then prime-power fields and the q = 23 golden class
+GOLDEN_SURFACES = [
+    (6563, 94, 8511), (419, 46, 1225), (10853, 251, 36109), (103, -5, 78),
+    (3299, 24, 1135), (47, 5, -11), (347, -22, 314), (443, 1, 746),
+    (4903, -9, 8833), (277, 37, 717), (71, 7, 7), (173, 17, 273),
+    (41, -8, 31), (457, 63, 1841), (31, 6, 43), (19, 5, 12),
+    (103, -18, 168), (13721, -163, 15895), (3259, -144, 10156), (251, 38, 781),
+    (647, 34, 591), (17, 4, 26), (7, 0, -3), (457, 7, 640),
+    (379, -2, -357), (47, 13, 126), (29, -3, 5), (2789, 30, -1618),
+    (349, -30, 747), (599, -79, 2681), (9311, -236, 30717), (2393, 59, 4356),
+    (181, 20, 252), (4909, -37, 1163), (11, -1, 1), (16427, 206, 35193),
+    (41, 6, 36), (3343, -83, 6744), (883, -21, 961), (3041, 106, 7258),
+    (10391, -6, -17288), (1481, -22, 1889), (281, 44, 976), (67, -4, -28),
+    (4, -2, 7), (8, 0, 11), (9, -3, 13), (25, 0, 24),
+    (27, -2, 35), (49, -6, 95), (121, 6, 89), (1024, -22, 1075),
+    (23, -6, 32),
+]
+
+
+class TestGoldenDigests:
+    """Output pinned byte for byte: any change in the angles shows here."""
+
+    @pytest.mark.parametrize(
+        "family, digest",
+        [
+            ("small", "e895a08a1516699f0d2582a5e435538f481ab83642c415104f795dff66654a45"),
+            ("smaller", "55827167eaf8f4cd6cf2b457aca2ea9c7403d4e52f85c0800097badc697d971e"),
+            ("smallest", "59c59f1e8cb295427a2148e513db2963536cb4aec1e5c83bb53ac596dc89618e"),
+        ],
+    )
+    def test_examples_sweep(self, capsys, family, digest):
+        code, out, _ = run_cli(capsys, ["examples", "--family", family, "--pmax", "2000"])
+        assert code == 0
+        assert len(out.splitlines()) == 78
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_analyze_corpus(self, capsys):
+        h = hashlib.sha256()
+        for q, a, b in GOLDEN_SURFACES:
+            weil = f"{q * q},{a * q},{b},{a},1"
+            code, out, _ = run_cli(capsys, ["analyze", "--weil", weil, "--q", str(q), "--json"])
+            assert code == 0
+            h.update(out.encode())
+        assert h.hexdigest() == "af89ad3cda8e26fa1085b00a7351ff1d22c843ddc1ddff5fe7a3d315d7c6146c"
