@@ -7,7 +7,10 @@ Conventions used throughout the package:
 * polynomial gcds, Yun decompositions and Sturm chains stay integer, and
   real-root counting and bisection evaluate integer forms at n / d; a
   ``Fraction`` appears only at the API edge (interval endpoints in and out);
-* rational matrices are lists of rows of ``fractions.Fraction``;
+* a rational matrix is a pair (den, integer rows) standing for rows / den;
+  ``Fraction`` entries are accepted only at the API edge (`integer_rows`,
+  `lattice_hnf`), and every determinant, rank and inverse comes from one
+  fraction-free elimination, `echelon`;
 * the Hermite normal form is row-style: upper echelon, positive pivots,
   and entries above each pivot reduced into ``[0, pivot)``.  Two generator
   sets span the same lattice iff their HNFs are identical.
@@ -193,30 +196,82 @@ def poly_squarefree_decomposition(a):
 
 
 # ---------------------------------------------------------------------------
-# resultants via fraction-free (Bareiss) determinant of the Sylvester matrix
+# fraction-free (Bareiss) elimination: determinants, pivots, inverses
 
 
-def _bareiss_det(m):
-    """Exact determinant of a square integer matrix, fraction-free."""
-    m = [row[:] for row in m]
-    n = len(m)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+def echelon(rows):
+    """Fraction-free row echelon form of an integer matrix (Cohen, GTM 138, 2.2).
+
+    Returns (m, pivots, sign): m is upper echelon with its leading entries in
+    the columns `pivots`, and sign is the parity of the row swaps.  After k
+    pivots, every entry of the rows below them is a minor of order k + 1 of
+    the row-swapped input, so every division is exact and the last pivot of
+    a nonsingular square input is sign * det.
+    """
+    m = [list(row) for row in rows]
+    nrows, ncols = len(m), len(m[0]) if m else 0
+    pivots = []
+    sign, prev, r = 1, 1, 0
+    for c in range(ncols):
+        for i in range(r, nrows):
+            if m[i][c]:
+                break
+        else:
+            continue
+        if i != r:
+            m[r], m[i] = m[i], m[r]
+            sign = -sign
+        top = m[r]
+        p = top[c]
+        trailing = range(c + 1, ncols)
+        for row in m[r + 1 :]:
+            x = row[c]
+            if x:
+                for j in trailing:
+                    row[j] = (p * row[j] - x * top[j]) // prev
+                row[c] = 0
+            elif p != prev:
+                for j in trailing:
+                    row[j] = p * row[j] // prev
+        prev = p
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return m, pivots, sign
+
+
+def det(rows):
+    """Determinant of a square integer matrix."""
+    m, pivots, sign = echelon(rows)
+    return sign * m[-1][-1] if len(pivots) == len(m) else 0
+
+
+def inverse(rows):
+    """(d, X) with rows @ X == d * I and d = det(rows), for a nonsingular integer matrix.
+
+    X is the adjugate.  Back-substitution through the echelon form of
+    [rows | I] is exact, since the solution is integral.  Raises RankError
+    when the matrix is singular.
+    """
+    n = len(rows)
+    augmented = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    m, pivots, sign = echelon(augmented)
+    if pivots[-1] >= n:
+        raise RankError("singular matrix")
+    d = sign * m[-1][n - 1]
+    x = [None] * n
+    for k in reversed(range(n)):
+        row = m[k]
+        x[k] = [
+            (d * row[n + j] - sum(row[i] * x[i][j] for i in range(k + 1, n))) // row[k]
+            for j in range(n)
+        ]
+    return d, x
+
+
+# ---------------------------------------------------------------------------
+# resultants via the determinant of the Sylvester matrix
 
 
 def resultant(a, b):
@@ -240,7 +295,7 @@ def resultant(a, b):
         rows.append([0] * i + ar + [0] * (db - 1 - i))
     for i in range(da):
         rows.append([0] * i + br + [0] * (da - 1 - i))
-    return _bareiss_det(rows)
+    return det(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -544,12 +599,21 @@ def sturm_count(a, lo, hi):
     a = poly_trim(a)
     if len(a) <= 1:
         raise DomainError("root counting needs a nonconstant polynomial")
-    g = poly_gcd(a, poly_derivative(a))
-    if len(g) != 1:
-        raise DomainError("polynomial is not squarefree; deflate first")
     if not Fraction(lo) < Fraction(hi):
         raise DomainError("need lo < hi")
-    return _roots_between(sturm_chain(a), lo, hi)
+    return _roots_between(_squarefree_chain(a), lo, hi)
+
+
+def _squarefree_chain(a):
+    """Sturm chain of a, or DomainError if a has a repeated root.
+
+    The last term is gcd(a, a') up to a positive factor, so a is squarefree
+    iff it is a constant.
+    """
+    chain = sturm_chain(a)
+    if len(chain[-1]) > 1:
+        raise DomainError("polynomial is not squarefree; deflate first")
+    return chain
 
 
 def cauchy_root_bound(a):
@@ -561,10 +625,13 @@ def cauchy_root_bound(a):
 
 
 def isolate_real_roots(a, chain=None):
-    """Disjoint rational intervals (lo, hi], each holding one root of squarefree a."""
+    """Disjoint rational intervals (lo, hi], each holding one root of squarefree a.
+
+    Raises DomainError if a has a repeated root (unless a chain is passed).
+    """
     b = cauchy_root_bound(a)
     if chain is None:
-        chain = sturm_chain(a)
+        chain = _squarefree_chain(a)
     out = []
     # intervals (lo / 2^k, hi / 2^k] with their root counts
     stack = [(-b, b, 0, _sign_variations(chain, -b) - _sign_variations(chain, b))]
@@ -621,17 +688,25 @@ def refine_root(a, lo, hi, bits=80, chain=None):
 
 
 def real_roots(a, bits=80):
-    """Refined real roots of a squarefree integer polynomial, ascending."""
-    chain = sturm_chain(a)
+    """Refined real roots of a squarefree integer polynomial, ascending.
+
+    Raises DomainError if a has a repeated root.
+    """
+    chain = _squarefree_chain(a)
     return [refine_root(a, lo, hi, bits, chain) for (lo, hi) in isolate_real_roots(a, chain)]
 
 
 # ---------------------------------------------------------------------------
-# rational matrices and Hermite normal form
+# integer matrices and Hermite normal form
 
 
-def mat_fractions(rows):
-    return [[Fraction(x) for x in row] for row in rows]
+def integer_rows(rows):
+    """(den, integer rows) with rows == integer rows / den, den the least such.
+
+    Entries may be ints or Fractions; this is where rational matrices enter.
+    """
+    den = lcm(*(x.denominator for row in rows for x in row))
+    return den, [[x.numerator * (den // x.denominator) for x in row] for row in rows]
 
 
 def hnf_int(rows, transform=False):
@@ -684,45 +759,19 @@ def hnf_int(rows, transform=False):
     return m, r
 
 
-def hnf(rows):
-    """Canonical HNF of a full-row-rank rational matrix, as Fractions.
+def lattice_hnf(rows, dim, den=1):
+    """Canonical (den, rows) pair for the lattice spanned by rows / den.
 
-    Raises RankError when the rows are dependent, so equality of outputs is
-    equivalent to equality of the generated lattices.
+    Rows hold ints or Fractions, den is a nonzero integer; the span must
+    have full rank `dim`, and redundant generators are fine.
     """
-    rows = mat_fractions(rows)
-    if not rows:
-        raise RankError("empty matrix")
-    den = 1
-    for row in rows:
-        for x in row:
-            den = lcm(den, x.denominator)
-    int_rows = [[int(x * den) for x in row] for row in rows]
-    h, rank = hnf_int(int_rows)
-    if rank < len(rows):
-        raise RankError("rank-deficient input")
-    return [[Fraction(x, den) for x in row] for row in h[:rank]]
-
-
-def lattice_hnf(rows, dim):
-    """Canonical (den, rows) pair for the lattice spanned by rational rows.
-
-    The span must have full rank `dim`; redundant generators are fine.
-    """
-    rows = mat_fractions(rows)
-    den = 1
-    for row in rows:
-        for x in row:
-            den = lcm(den, x.denominator)
-    int_rows = [[int(x * den) for x in row] for row in rows]
+    d, int_rows = integer_rows(rows)
     h, rank = hnf_int(int_rows)
     if rank < dim:
         raise RankError(f"generators span rank {rank} < {dim}")
     h = h[:rank]
-    g = den
-    for row in h:
-        for x in row:
-            g = gcd(g, x)
+    den = abs(den * d)  # a lattice is its own negative
+    g = gcd(den, *(x for row in h for x in row))
     if g > 1:
         den //= g
         h = [[x // g for x in row] for row in h]
@@ -737,7 +786,7 @@ def left_kernel_int(rows):
 
 def mat_mul(a, b):
     n, k, m = len(a), len(b), len(b[0])
-    out = [[Fraction(0)] * m for _ in range(n)]
+    out = [[0] * m for _ in range(n)]
     for i in range(n):
         ai = a[i]
         oi = out[i]
@@ -749,52 +798,6 @@ def mat_mul(a, b):
             for j in range(m):
                 oi[j] += x * bt[j]
     return out
-
-
-def mat_identity(n):
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-
-
-def mat_inverse(a):
-    """Exact inverse of a square rational matrix by Gauss-Jordan."""
-    n = len(a)
-    m = [
-        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-        for i, row in enumerate(a)
-    ]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if m[i][col] != 0), None)
-        if piv is None:
-            raise RankError("singular matrix")
-        m[col], m[piv] = m[piv], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for i in range(n):
-            if i != col and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [x - f * y for x, y in zip(m[i], m[col])]
-    return [row[n:] for row in m]
-
-
-def mat_det(a):
-    """Exact determinant of a square rational matrix."""
-    n = len(a)
-    m = [[Fraction(x) for x in row] for row in a]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((i for i in range(col, n) if m[i][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for i in range(col + 1, n):
-            if m[i][col] != 0:
-                f = m[i][col] * inv
-                m[i] = [x - f * y for x, y in zip(m[i], m[col])]
-    return det
 
 
 def mat_transpose(a):

@@ -15,7 +15,6 @@ from __future__ import annotations
 import csv
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -45,7 +44,7 @@ def ordinary_traces(p):
     s = isqrt(4 * p)
     return [t for t in range(-s, s + 1) if t != 0 and t % p != 0]
 
-def enumerate_ec(p, threads=1):
+def enumerate_ec(p):
     """One CensusRow per ordinary trace over F_p, in ascending trace order.
 
     All class numbers share one FactorTable up to 4p/3: a reduced form of
@@ -68,11 +67,7 @@ def enumerate_ec(p, threads=1):
             normalized_trace=t / (2 * math.sqrt(p)),
         )
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(row, traces))
-    else:
-        rows = [row(t) for t in traces]
+    rows = [row(t) for t in traces]
     supersingular = quadratic.kronecker_class_number(-4 * p, table.factorize)
     total = sum(_hurwitz_weighted(r.delta, r.H) for r in rows)
     total += _hurwitz_weighted(-4 * p, supersingular)
@@ -128,7 +123,7 @@ def summarize(rows, bins=40):
         predicted_class_count=predicted,
     )
 
-def minus_fraction_scan(p, threads=1):
+def minus_fraction_scan(p):
     """[(t, h/H, bound)] per ordinary trace, sorted by the exact fraction of
     curves with minimal endomorphism ring (then by trace).
 
@@ -143,11 +138,7 @@ def minus_fraction_scan(p, threads=1):
         ratio, bound = quadratic.h_over_H_bound(t * t - 4 * p, table.factorize)
         return (t, ratio, bound)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            out = list(pool.map(entry, traces))
-    else:
-        out = [entry(t) for t in traces]
+    out = [entry(t) for t in traces]
     return sorted(out, key=lambda e: (e[1], e[0]))
 
 def write_census_csv(rows, handle):

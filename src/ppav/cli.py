@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import census, orders, strata, weil
@@ -93,7 +92,7 @@ def _cmd_analyze(args):
 
 
 def _cmd_ec_census(args):
-    rows = census.enumerate_ec(args.p, threads=args.threads)
+    rows = census.enumerate_ec(args.p)
     summary = census.summarize(rows, bins=args.bins)
     with open(args.out, "w", newline="") as handle:
         census.write_census_csv(rows, handle)
@@ -169,17 +168,7 @@ def _cmd_examples(args):
     if not primes:
         raise DomainError(f"no primes congruent to 7 mod 8 below {args.pmax}")
 
-    def run(p):
-        _, report = strata.example_family(args.family, p)
-        return report
-
-    if args.threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            reports = list(pool.map(run, primes))
-    else:
-        reports = [run(p) for p in primes]
+    reports = [strata.example_family(args.family, p)[1] for p in primes]
     for report in reports:
         print(
             _dumps(
@@ -200,12 +189,8 @@ def build_parser():
         description="Exact analysis of simple ordinary isogeny classes: convenient "
         "orders, principally polarized counts per stratum, and angle distributions.",
     )
-    default_threads = int(os.environ.get("PPAV_THREADS", "1"))
     parser.add_argument(
-        "--threads",
-        type=int,
-        default=default_threads,
-        help="parallelism cap for sweeps (default: PPAV_THREADS or 1)",
+        "--threads", type=int, default=1, help="accepted and ignored; ppav runs single-threaded"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

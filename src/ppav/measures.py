@@ -192,6 +192,8 @@ def isogeny_class_count_estimate(n, q):
 
 def simplex_grid(n, points):
     """Ascending n-tuples from a regular grid on [0, pi]."""
+    if points < 0:
+        raise DomainError(f"grid needs a nonnegative number of points, got {points}")
     axis = np.linspace(0.0, math.pi, points)
     return [tuple(axis[i] for i in idx) for idx in combinations_with_replacement(range(points), n)]
 

@@ -1,10 +1,13 @@
 """Exact lattice and order arithmetic inside K = Q[x]/(f).
 
 Elements are coordinate row vectors over the power basis of pi (the class
-of x); lattices are full-rank Z-modules stored in canonical Hermite normal
-form, so lattice equality is plain equality of (denominator, basis).  The
-CM structure enters through the conjugation pi -> q/pi, whose fixed and
-negated subspaces carve out real subrings and pure imaginary parts.
+of x); lattices are full-rank Z-modules stored as (den, integer rows) in
+canonical Hermite normal form, so lattice equality is plain equality of
+(denominator, basis).  The lattice algebra runs on integer rows throughout;
+``Fraction`` appears only at the edge: `Lattice.basis`, element tuples and
+rational generators passed to `lattice_from_generators`.  The CM structure
+enters through the conjugation pi -> q/pi, whose fixed and negated
+subspaces carve out real subrings and pure imaginary parts.
 
 Deliberately not implemented: the norm map on invertible ideals down to
 the real subring (it exists and is unique, constructed prime by prime
@@ -21,7 +24,6 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 
 from . import arith
 from .errors import DomainError, InternalError, RankError
@@ -58,29 +60,15 @@ class RingContext:
         self.poly = tuple(poly)
         self.dim = len(poly) - 1
         m = self.dim
-        # x^k mod poly for k = 0 .. 2m-2
-        rows = [[0] * m for _ in range(2 * m - 1)]
-        for k in range(min(m, 2 * m - 1)):
-            rows[k][k] = 1
-        for k in range(m, 2 * m - 1):
-            prev = rows[k - 1]
-            shifted = [0] + list(prev[: m - 1])
-            top = prev[m - 1]
-            rows[k] = [s - top * c for s, c in zip(shifted, poly[:m])]
-        self._pow = [tuple(r) for r in rows]
         sums = _newton_power_sums(list(poly), 2 * m - 1)
         self.trace_gram = [[sums[i + j] for j in range(m)] for i in range(m)]
-        self.trace_det = int(arith.mat_det(self.trace_gram))
+        self.trace_det = arith.det(self.trace_gram)
         if self.trace_det == 0:
             raise InternalError("degenerate trace form on a separable algebra")
 
     @property
     def one(self):
         return tuple([Fraction(1)] + [Fraction(0)] * (self.dim - 1))
-
-    @property
-    def x(self):
-        return self.element([0, 1]) if self.dim >= 2 else self.element([Fraction(-self.poly[0])])
 
     def element(self, coords):
         coords = [Fraction(c) for c in coords]
@@ -90,38 +78,15 @@ class RingContext:
         return tuple(coords)
 
     def mul(self, u, v):
-        m = self.dim
-        conv = [Fraction(0)] * (2 * m - 1)
-        for i, a in enumerate(u):
-            if a == 0:
-                continue
-            for j, b in enumerate(v):
-                if b != 0:
-                    conv[i + j] += a * b
-        out = list(conv[:m])
-        for k in range(m, 2 * m - 1):
-            c = conv[k]
-            if c != 0:
-                row = self._pow[k]
-                for j in range(m):
-                    if row[j]:
-                        out[j] += c * row[j]
-        return tuple(out)
-
-    def power(self, u, k):
-        acc = self.one
-        for _ in range(k):
-            acc = self.mul(acc, u)
-        return acc
+        return tuple(Fraction(c) for c in arith.mat_mul([u], self.element_matrix(v))[0])
 
     def element_matrix(self, u):
-        """Rows i = coordinates of x^i * u, so that y*u = y @ M."""
-        rows = []
-        cur = self.element(u)
-        xgen = self.x
-        for _ in range(self.dim):
-            rows.append(list(cur))
-            cur = self.mul(cur, xgen)
+        """Rows i = coordinates of x^i * u, so that y*u = y @ M; integral for integral u."""
+        rows = [list(u)]
+        for _ in range(1, self.dim):
+            prev = rows[-1]
+            top = prev[-1]
+            rows.append([s - top * c for s, c in zip([0] + prev[:-1], self.poly)])
         return rows
 
     def trace(self, u):
@@ -129,8 +94,9 @@ class RingContext:
 
     def inverse(self, u):
         """Multiplicative inverse of a unit u, via its multiplication matrix."""
-        m = arith.mat_inverse(self.element_matrix(u))
-        return tuple(m[0])
+        den, (w,) = arith.integer_rows([u])
+        d, x = arith.inverse(self.element_matrix(w))
+        return tuple(Fraction(den * c, d) for c in x[0])
 
 
 class FieldContext(RingContext):
@@ -145,37 +111,31 @@ class FieldContext(RingContext):
         self.q = q
         self.n = self.dim // 2
         self.g = tuple(real_weil_polynomial(list(self.poly), q))
-        a = self.poly
-        # pi^-1 = -(a1 + a2 pi + ... + pi^(m-1)) / a0 from f(pi) = 0
-        inv = [Fraction(-a[i + 1], a[0]) for i in range(self.dim)]
+        # a0 pibar = q a0 / pi = -q (a1 + a2 pi + ... + pi^(m-1)) from f(pi) = 0,
+        # and a0 = q^n > 0 by the functional equation
+        a0 = self.poly[0]
+        pibar = [-q * c for c in self.poly[1:]]
         self.pi = self.element([0, 1])
-        self.pibar = tuple(q * c for c in inv)
-        rows = []
-        cur = self.one
-        for _ in range(self.dim):
-            rows.append(list(cur))
-            cur = self.mul(cur, self.pibar)
-        self.conj_matrix = rows
-        if arith.mat_mul(rows, rows) != arith.mat_identity(self.dim):
+        self.pibar = tuple(Fraction(c, a0) for c in pibar)
+        # the conjugation matrix (row i = pibar^i) as (den, integer rows)
+        den, c = self._powers(pibar, a0, self.dim)
+        self.conj_int = (den, c)
+        self.conj_matrix = [[Fraction(x, den) for x in row] for row in c]
+        square = [[den * den * (i == j) for j in range(self.dim)] for i in range(self.dim)]
+        if arith.mat_mul(c, c) != square:
             raise InternalError("conjugation is not an involution")
         self.alpha = tuple(u + v for u, v in zip(self.pi, self.pibar))
         self.real_ctx = RingContext(self.g)
-        powers = []
-        cur = self.one
-        for _ in range(self.n):
-            powers.append(list(cur))
-            cur = self.mul(cur, self.alpha)
-        self.alpha_powers = powers  # n x 2n, rows = coordinates of alpha^k
+        alpha = [x + a0 * (i == 1) for i, x in enumerate(pibar)]
+        self.alpha_powers = self._powers(alpha, a0, self.n)  # alpha^k, k < n, as (den, rows)
 
-    def conj(self, u):
-        out = [Fraction(0)] * self.dim
-        for i, c in enumerate(u):
-            if c != 0:
-                row = self.conj_matrix[i]
-                for j in range(self.dim):
-                    if row[j]:
-                        out[j] += c * row[j]
-        return tuple(out)
+    def _powers(self, num, den, count):
+        """(den^(count-1), rows): row k = (num / den)^k scaled by den^(count-1), k < count."""
+        rows = [[den ** (count - 1) * (j == 0) for j in range(self.dim)]]
+        step = self.element_matrix(num)
+        for _ in range(1, count):
+            rows.append([x // den for x in arith.mat_mul(rows[-1:], step)[0]])
+        return den ** (count - 1), rows
 
 
 @dataclass(frozen=True)
@@ -194,24 +154,39 @@ class Lattice:
     def basis(self):
         return [[Fraction(x, self.den) for x in row] for row in self.rows]
 
-    @cached_property
-    def _basis_inverse(self):
-        return arith.mat_inverse(self.basis)
-
     def det(self):
         d = Fraction(1)
         for i, row in enumerate(self.rows):
             d *= Fraction(row[i], self.den)
         return d
 
-    def contains(self, coords):
-        sol = arith.mat_mul([list(coords)], self._basis_inverse)[0]
-        return all(c.denominator == 1 for c in sol)
+    def contains(self, coords, den=1):
+        """Whether coords / den lies in the lattice (coords ints or Fractions).
+
+        Solved by substitution down the triangular HNF rows, whose pivots
+        sit on the diagonal.
+        """
+        v = []
+        for x in coords:
+            y, r = divmod(x * self.den, den)
+            if r:
+                return False
+            v.append(y)
+        for j, row in enumerate(self.rows):
+            c, r = divmod(v[j], row[j])
+            if r:
+                return False
+            if c:
+                v = [a - c * b for a, b in zip(v, row)]
+        return True
 
 
-def lattice_from_generators(ctx, gen_rows):
-    """Canonical lattice spanned by rational generator rows (full rank required)."""
-    den, rows = arith.lattice_hnf(gen_rows, ctx.dim)
+def lattice_from_generators(ctx, gen_rows, den=1):
+    """Canonical lattice spanned by generator rows / den (full rank required).
+
+    Rows hold ints or Fractions; den is a nonzero integer.
+    """
+    den, rows = arith.lattice_hnf(gen_rows, ctx.dim, den)
     return Lattice(ctx=ctx, den=den, rows=rows)
 
 
@@ -219,20 +194,24 @@ def scale_lattice(lat, c):
     c = Fraction(c)
     if c == 0:
         raise DomainError("cannot scale a lattice by zero")
-    return lattice_from_generators(lat.ctx, [[c * x for x in row] for row in lat.basis])
+    rows = [[c.numerator * x for x in row] for row in lat.rows]
+    return lattice_from_generators(lat.ctx, rows, lat.den * c.denominator)
 
 
 def conj_lattice(lat):
-    ctx = lat.ctx
-    return lattice_from_generators(ctx, [list(ctx.conj(row)) for row in lat.basis])
+    den, c = lat.ctx.conj_int
+    return lattice_from_generators(lat.ctx, arith.mat_mul(lat.rows, c), lat.den * den)
+
+
+def _products(ctx, a_rows, b_rows):
+    """Integer rows u * v for u in a_rows, v in b_rows; integral since f is monic."""
+    return [w for v in b_rows for w in arith.mat_mul(a_rows, ctx.element_matrix(v))]
 
 
 def product(a, b):
     if a.ctx is not b.ctx:
         raise DomainError("lattices live in different contexts")
-    ctx = a.ctx
-    gens = [list(ctx.mul(ctx.element(ra), ctx.element(rb))) for ra in a.basis for rb in b.basis]
-    return lattice_from_generators(ctx, gens)
+    return lattice_from_generators(a.ctx, _products(a.ctx, a.rows, b.rows), a.den * b.den)
 
 
 def colon(a, b):
@@ -240,15 +219,19 @@ def colon(a, b):
     if a.ctx is not b.ctx:
         raise DomainError("lattices live in different contexts")
     ctx = a.ctx
-    a_inv = a._basis_inverse
+    # with a.rows @ xa = ea I, x (b.rows[i] / b.den) lies in a iff x pairs
+    # integrally with s = a.den / (b.den ea) times each column of
+    # M(b.rows[i]) xa; (a : b) is the dual of the lattice those columns span
+    ea, xa = arith.inverse(a.rows)
     functionals = []
-    for row in b.basis:
-        m = arith.mat_mul(ctx.element_matrix(row), a_inv)
-        functionals.extend(arith.mat_transpose(m))
-    den, h = arith.lattice_hnf(functionals, ctx.dim)
-    g = [[Fraction(x, den) for x in row] for row in h]
-    dual = arith.mat_inverse(arith.mat_transpose(g))
-    return lattice_from_generators(ctx, dual)
+    for row in b.rows:
+        functionals.extend(arith.mat_transpose(arith.mat_mul(ctx.element_matrix(row), xa)))
+    fden, h = arith.lattice_hnf(functionals, ctx.dim)
+    # the dual of s h / fden is spanned by the rows of (fden / s) (h^T)^-1 = (fden / s) y^T / g
+    g, y = arith.inverse(h)
+    scale = Fraction(fden * b.den * ea, a.den * g)
+    rows = [[scale.numerator * v for v in row] for row in arith.mat_transpose(y)]
+    return lattice_from_generators(ctx, rows, scale.denominator)
 
 
 def multiplier_ring(lat):
@@ -258,11 +241,10 @@ def multiplier_ring(lat):
 
 def trace_dual(lat):
     """{x in K : Tr(x L) <= Z}."""
-    ctx = lat.ctx
-    b = lat.basis
-    gram = arith.mat_mul(arith.mat_mul(b, arith.mat_fractions(ctx.trace_gram)), arith.mat_transpose(b))
-    dual_rows = arith.mat_mul(arith.mat_inverse(gram), b)
-    return lattice_from_generators(ctx, dual_rows)
+    # Tr(x H_i / d) is integral for every row H_i iff x (T H^T) lies in
+    # d Z^n, T the trace form, so the dual is spanned by d (T H^T)^-1
+    g, y = arith.inverse(arith.mat_mul(lat.ctx.trace_gram, arith.mat_transpose(lat.rows)))
+    return lattice_from_generators(lat.ctx, [[lat.den * v for v in row] for row in y], g)
 
 
 def lattice_discriminant(lat):
@@ -274,13 +256,7 @@ def lattice_discriminant(lat):
 def is_ring(lat):
     if not lat.contains(lat.ctx.one):
         return False
-    rows = lat.basis
-    for i, u in enumerate(rows):
-        eu = lat.ctx.element(u)
-        for v in rows[i:]:
-            if not lat.contains(lat.ctx.mul(eu, lat.ctx.element(v))):
-                return False
-    return True
+    return all(lat.contains(w, lat.den * lat.den) for w in _products(lat.ctx, lat.rows, lat.rows))
 
 
 def is_invertible_over(a, ring):
@@ -303,39 +279,23 @@ def index_in(sub, sup):
 
 
 def eigen_sublattice(lat, sign):
-    """Generator rows (rank n) of {x in L : conj(x) = sign * x}."""
-    ctx = lat.ctx
-    b = lat.basis
-    cm = [
-        [ctx.conj_matrix[i][j] - (sign if i == j else 0) for j in range(ctx.dim)]
-        for i in range(ctx.dim)
-    ]
-    m = arith.mat_mul(b, arith.mat_fractions(cm))
-    den = 1
-    for row in m:
-        for x in row:
-            den = lcm(den, x.denominator)
-    m_int = [[int(x * den) for x in row] for row in m]
-    kernel = arith.left_kernel_int(m_int)
-    return [arith.mat_mul([[Fraction(c) for c in coeffs]], b)[0] for coeffs in kernel]
+    """Integer rows, over lat.den, spanning {x in L : conj(x) = sign * x} (rank n)."""
+    den, c = lat.ctx.conj_int
+    shifted = [[x - sign * den * (i == j) for j, x in enumerate(row)] for i, row in enumerate(c)]
+    kernel = arith.left_kernel_int(arith.mat_mul(lat.rows, shifted))
+    return arith.mat_mul(kernel, lat.rows)
 
 
 def minimal_order(ctx):
     """The order generated by pi and conj(pi): Z[pi, pibar] in HNF.
 
     A Z-basis is 1, pi, pibar, pi^2, pibar^2, ..., pi^(n-1), pibar^(n-1), pi^n.
+    Since n < 2n, pi^k is the k-th unit vector, and pibar^k = conj(pi^k) is
+    row k of the conjugation matrix.
     """
-    n = ctx.n
-    gens = [list(ctx.one)]
-    pi_pow = ctx.one
-    pibar_pow = ctx.one
-    for _ in range(1, n):
-        pi_pow = ctx.mul(pi_pow, ctx.pi)
-        pibar_pow = ctx.mul(pibar_pow, ctx.pibar)
-        gens.append(list(pi_pow))
-        gens.append(list(pibar_pow))
-    gens.append(list(ctx.power(ctx.pi, n)))
-    return lattice_from_generators(ctx, gens)
+    den, c = ctx.conj_int
+    powers = [[den * (i == k) for i in range(ctx.dim)] for k in range(ctx.n + 1)]
+    return lattice_from_generators(ctx, powers + c[1 : ctx.n], den)
 
 
 def real_subring(ring):
@@ -348,50 +308,17 @@ def real_subring(ring):
     gens = eigen_sublattice(ring, +1)
     if len(gens) != ctx.n:
         raise InternalError("fixed sublattice has unexpected rank")
-    p = arith.mat_fractions(ctx.alpha_powers)
-    cols = _independent_columns(p)
-    p_sq_inv = arith.mat_inverse([[row[j] for j in cols] for row in p])
-    rows = []
-    for y in gens:
-        x = arith.mat_mul([[y[j] for j in cols]], p_sq_inv)[0]
-        if arith.mat_mul([x], p)[0] != list(y):
-            raise InternalError("fixed vector is not in the real subfield")
-        rows.append(x)
-    return lattice_from_generators(ctx.real_ctx, rows)
-
-
-def _independent_columns(p):
-    nrows = len(p)
-    chosen = []
-    work = []
-    for j in range(len(p[0])):
-        candidate = work + [[row[j] for row in p]]
-        if _rank(candidate) == len(candidate):
-            chosen.append(j)
-            work = candidate
-        if len(chosen) == nrows:
-            break
-    if len(chosen) < nrows:
+    # alpha^k = p[k] / pden; solve on the pivot columns S of p, where p_S x = e I
+    pden, p = ctx.alpha_powers
+    _, cols, _ = arith.echelon(p)
+    if len(cols) < ctx.n:
         raise RankError("matrix has deficient row rank")
-    return chosen
-
-
-def _rank(rows):
-    m = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    for col in range(len(m[0])):
-        piv = next((i for i in range(rank, len(m)) if m[i][col] != 0), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = 1 / m[rank][col]
-        m[rank] = [x * inv for x in m[rank]]
-        for i in range(len(m)):
-            if i != rank and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [x - f * y for x, y in zip(m[i], m[rank])]
-        rank += 1
-    return rank
+    e, x = arith.inverse([[row[j] for j in cols] for row in p])
+    rows = arith.mat_mul([[y[j] for j in cols] for y in gens], x)
+    if arith.mat_mul(rows, p) != [[e * v for v in y] for y in gens]:
+        raise InternalError("fixed vector is not in the real subfield")
+    rows = [[pden * v for v in row] for row in rows]
+    return lattice_from_generators(ctx.real_ctx, rows, ring.den * e)
 
 
 @dataclass(frozen=True)
@@ -405,14 +332,11 @@ class ConvenienceCertificate:
 def pure_imaginary_index(ring):
     """Index in the trace dual of the ideal its pure imaginary part generates."""
     dual = trace_dual(ring)
-    imag_gens = eigen_sublattice(dual, -1)
-    ctx = ring.ctx
-    gens = [
-        list(ctx.mul(ctx.element(r), ctx.element(m))) for r in ring.basis for m in imag_gens
-    ]
-    generated = lattice_from_generators(ctx, gens)
-    for row in generated.basis:
-        if not dual.contains(row):
+    imag = eigen_sublattice(dual, -1)
+    gens = _products(ring.ctx, ring.rows, imag)
+    generated = lattice_from_generators(ring.ctx, gens, ring.den * dual.den)
+    for row in generated.rows:
+        if not dual.contains(row, generated.den):
             raise InternalError("generated ideal escapes the trace dual")
     return index_in(generated, dual)
 
@@ -486,7 +410,7 @@ def lattice_from_json(data, ctx=None):
         raise DomainError("order file belongs to a different field")
     if any(len(row) != ctx.dim for row in rows):
         raise DomainError(f"order file: every basis row needs {ctx.dim} entries")
-    return ctx, lattice_from_generators(ctx, [[Fraction(x, den) for x in row] for row in rows])
+    return ctx, lattice_from_generators(ctx, rows, den)
 
 
 def load_order_file(path):

@@ -1,10 +1,11 @@
+import itertools
 import random
 from fractions import Fraction
 from math import gcd, isqrt
 
 import pytest
 
-from ppav import arith
+from ppav import arith, orders
 from ppav.errors import DomainError, FactorError, RankError
 
 
@@ -87,12 +88,17 @@ def random_squarefree(rng, lo_deg, hi_deg):
             return poly
 
 
+def lattice_basis(lattice):
+    den, rows = lattice
+    return [[Fraction(x, den) for x in row] for row in rows]
+
+
 class TestHnf:
     def test_identity(self):
-        assert arith.hnf([[1, 0], [0, 1]]) == [[1, 0], [0, 1]]
+        assert lattice_basis(arith.lattice_hnf([[1, 0], [0, 1]], 2)) == [[1, 0], [0, 1]]
 
     def test_canonical_two_by_two(self):
-        h = arith.hnf([[2, 0], [1, 1]])
+        h = lattice_basis(arith.lattice_hnf([[2, 0], [1, 1]], 2))
         assert h == [[1, 1], [0, 2]]
         # oracle: mutual membership, both generate the same lattice
         for v in ((2, 0), (1, 1)):
@@ -108,12 +114,12 @@ class TestHnf:
 
     def test_fractional_fixed_point(self):
         half = Fraction(1, 2)
-        h = arith.hnf([[half, 0], [0, half]])
+        h = lattice_basis(arith.lattice_hnf([[half, 0], [0, half]], 2))
         assert h == [[half, 0], [0, half]]
 
     def test_rank_error(self):
         with pytest.raises(RankError):
-            arith.hnf([[1, 2], [2, 4]])
+            arith.lattice_hnf([[1, 2], [2, 4]], 2)
 
     def test_idempotent_on_random_matrices(self):
         rng = random.Random(42)
@@ -121,10 +127,10 @@ class TestHnf:
         while done < 1000:
             m = [[rng.randrange(-9, 10) for _ in range(3)] for _ in range(3)]
             try:
-                h = arith.hnf(m)
+                h = arith.lattice_hnf(m, 3)
             except RankError:
                 continue
-            assert arith.hnf(h) == h
+            assert arith.lattice_hnf(lattice_basis(h), 3) == h
             done += 1
 
     def test_same_lattice_same_hnf(self):
@@ -132,14 +138,122 @@ class TestHnf:
         for _ in range(200):
             m = [[rng.randrange(-9, 10) for _ in range(3)] for _ in range(3)]
             try:
-                h = arith.hnf(m)
+                h = arith.lattice_hnf(m, 3)
             except RankError:
                 continue
             # unimodular row mix must not change the HNF
             mixed = [list(row) for row in m]
             mixed[0] = [a + 3 * b for a, b in zip(mixed[0], mixed[1])]
             mixed[1], mixed[2] = mixed[2], mixed[1]
-            assert arith.hnf(mixed) == h
+            assert arith.lattice_hnf(mixed, 3) == h
+
+
+def cofactor_det(m):
+    """Determinant by cofactor expansion along the first row."""
+    if not m:
+        return 1
+    return sum(
+        (-1) ** j * m[0][j] * cofactor_det([row[:j] + row[j + 1 :] for row in m[1:]])
+        for j in range(len(m))
+    )
+
+
+def fraction_pivots(rows):
+    """Pivot columns of the row echelon form, by Gaussian elimination over Fractions."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for col in range(len(m[0])):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        for i in range(r + 1, len(m)):
+            f = m[i][col] / m[r][col]
+            m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(col)
+    return pivots
+
+
+def random_matrix(rng, nrows, ncols):
+    """Sparse full-rank-ish entries, or a product of rank below min(nrows, ncols)."""
+    if rng.random() < 0.3 and min(nrows, ncols) > 1:
+        k = rng.randrange(1, min(nrows, ncols))
+        a = [[rng.randrange(-3, 4) for _ in range(k)] for _ in range(nrows)]
+        b = [[rng.randrange(-3, 4) for _ in range(ncols)] for _ in range(k)]
+        return arith.mat_mul(a, b)
+    return [
+        [rng.choice([0, 0, rng.randrange(-9, 10)]) for _ in range(ncols)] for _ in range(nrows)
+    ]
+
+
+class TestKernel:
+    def test_det_against_cofactor_expansion(self):
+        rng = random.Random(71)
+        singular = 0
+        for _ in range(1500):
+            n = rng.randrange(1, 6)
+            m = random_matrix(rng, n, n)
+            d = arith.det(m)
+            assert d == cofactor_det(m), m
+            singular += d == 0
+        assert singular > 300
+
+    def test_inverse_is_adjugate(self):
+        rng = random.Random(73)
+        for _ in range(600):
+            n = rng.randrange(1, 6)
+            m = random_matrix(rng, n, n)
+            if cofactor_det(m) == 0:
+                with pytest.raises(RankError):
+                    arith.inverse(m)
+                continue
+            d, x = arith.inverse(m)
+            assert d == cofactor_det(m)
+            assert arith.mat_mul(m, x) == [[d * (i == j) for j in range(n)] for i in range(n)]
+
+    def test_pivots_match_fraction_rank_oracle(self):
+        rng = random.Random(79)
+        for _ in range(3000):
+            m = random_matrix(rng, rng.randrange(1, 6), rng.randrange(1, 7))
+            echelon, pivots, sign = arith.echelon(m)
+            assert pivots == fraction_pivots(m), m
+            assert sign in (1, -1)
+            for r, c in enumerate(pivots):
+                assert echelon[r][c] != 0 and all(row[c] == 0 for row in echelon[r + 1 :])
+
+    def test_lattice_contains_against_brute_force(self):
+        # den * L = span(G) contains N Z^dim for N = |det G|, so membership of
+        # w is decided by den * w being integral and its residue mod N
+        rng = random.Random(83)
+        for dim, poly in ((2, [-2, 0, 1]), (3, [-2, 0, 0, 1])):
+            ctx = orders.RingContext(poly)
+            done = 0
+            while done < 12:
+                gens = [[rng.randrange(-3, 4) for _ in range(dim)] for _ in range(dim)]
+                n = abs(cofactor_det(gens))
+                if not 0 < n <= 12:
+                    continue
+                den = rng.choice([1, 2, 3])
+                lattice = orders.lattice_from_generators(ctx, gens, den)
+                residues = {
+                    tuple(sum(c * g[j] for c, g in zip(cs, gens)) % n for j in range(dim))
+                    for cs in itertools.product(range(n), repeat=dim)
+                }
+                for _ in range(150):
+                    t = rng.choice([1, 2, 3, 6])
+                    nums = [rng.randrange(-4 * n * t, 4 * n * t + 1) for _ in range(dim)]
+                    if rng.random() < 0.3:  # a lattice point, so both answers occur
+                        cs = [rng.randrange(-5, 6) for _ in range(dim)]
+                        nums = [t * sum(c * g[j] for c, g in zip(cs, gens)) for j in range(dim)]
+                        t *= den
+                    scaled = [Fraction(x * den, t) for x in nums]
+                    member = all(x.denominator == 1 for x in scaled) and (
+                        tuple(int(x) % n for x in scaled) in residues
+                    )
+                    assert lattice.contains([Fraction(x, t) for x in nums]) == member
+                    assert lattice.contains(nums, t) == member
+                done += 1
 
 
 class TestResultant:
@@ -337,6 +451,14 @@ class TestSturm:
         with pytest.raises(DomainError):
             arith.sturm_count([1, 2, 1], -5, 5)
 
+    @pytest.mark.parametrize("poly", [[1, 2, 1], [1, -1, -1, 1]])
+    def test_repeated_root_rejected(self, poly):
+        # (x + 1)^2 and (x - 1)^2 (x + 1): refining them gave -4 and [-1, ~1e-24]
+        with pytest.raises(DomainError):
+            arith.real_roots(poly)
+        with pytest.raises(DomainError):
+            arith.isolate_real_roots(poly)
+
     def test_against_grid_bisection_oracle(self):
         rng = random.Random(11)
         checked = 0
@@ -489,11 +611,11 @@ class TestMatrixHelpers:
     def test_inverse_round_trip(self):
         rng = random.Random(13)
         for _ in range(50):
-            m = [[Fraction(rng.randrange(-9, 10)) for _ in range(3)] for _ in range(3)]
-            if arith.mat_det(m) == 0:
+            m = [[rng.randrange(-9, 10) for _ in range(3)] for _ in range(3)]
+            if arith.det(m) == 0:
                 continue
-            inv = arith.mat_inverse(m)
-            assert arith.mat_mul(m, inv) == arith.mat_identity(3)
+            d, inv = arith.inverse(m)
+            assert arith.mat_mul(m, inv) == [[d * (i == j) for j in range(3)] for i in range(3)]
 
     def test_left_kernel(self):
         m = [[1, 2], [2, 4], [0, 1]]

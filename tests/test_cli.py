@@ -1,10 +1,15 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ppav import census, cli, orders, quadratic, strata
 from ppav.errors import FactorError
@@ -102,7 +107,7 @@ class TestEcCensus:
         assert "Traceback" not in err
 
     def test_factor_error_is_exit_two(self, capsys, tmp_path, monkeypatch):
-        def stalled(p, threads=1):
+        def stalled(p):
             raise FactorError("factorization stalled at cofactor 91", partial={7: 1})
 
         monkeypatch.setattr(census, "enumerate_ec", stalled)
@@ -209,6 +214,10 @@ class TestMeasures:
         assert code == 0
         assert "theta_1,theta_2,mu,nu_nominal,nu_effective" in stdout
 
+    def test_negative_grid_is_domain_error(self, capsys):
+        code, _, err = run_cli(capsys, ["measures", "--n", "2", "--grid", "-1"])
+        assert code == 2
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
     def test_cli_import_does_not_load_numpy(self):
         code = "import sys, ppav.cli; assert 'numpy' not in sys.modules, 'numpy loaded'"
@@ -254,18 +263,13 @@ class TestExamples:
         assert [int(line["p"]) for line in lines] == [7, 23, 31, 47, 71, 79, 103, 127, 151, 167, 191, 199]
         assert all(line["bound_checked"] for line in lines)
 
-    def test_threaded_sweep_matches(self, capsys):
-        _, serial, _ = run_cli(capsys, ["examples", "--family", "small", "--pmax", "100"])
-        _, threaded, _ = run_cli(
-            capsys, ["--threads", "4", "examples", "--family", "small", "--pmax", "100"]
+    def test_threads_option_accepted_and_env_ignored(self, capsys, monkeypatch):
+        _, plain, _ = run_cli(capsys, ["examples", "--family", "small", "--pmax", "100"])
+        monkeypatch.setenv("PPAV_THREADS", "abc")
+        code, out, err = run_cli(
+            capsys, ["--threads", "1", "examples", "--family", "small", "--pmax", "100"]
         )
-        assert serial == threaded
-
-    def test_env_threads_respected(self, capsys, monkeypatch):
-        monkeypatch.setenv("PPAV_THREADS", "2")
-        parser = cli.build_parser()
-        args = parser.parse_args(["examples", "--family", "small", "--pmax", "50"])
-        assert args.threads == 2
+        assert code == 0 and out == plain and err == ""
 
 
 # (q, a, b) for the surface class x^4 + a x^3 + b x^2 + a q x + q^2: 44 from
@@ -313,3 +317,118 @@ class TestGoldenDigests:
             assert code == 0
             h.update(out.encode())
         assert h.hexdigest() == "af89ad3cda8e26fa1085b00a7351ff1d22c843ddc1ddff5fe7a3d315d7c6146c"
+
+
+with open(os.path.join(os.path.dirname(__file__), "..", "data", "ex-inconvenient.json")) as handle:
+    INCONVENIENT = json.load(handle)
+JUNK = st.one_of(
+    st.none(),
+    st.integers(-3, 400),
+    st.text(max_size=4),
+    st.lists(st.integers(-5, 80), max_size=5),
+    st.lists(st.lists(st.integers(-5, 80), max_size=5), max_size=5),
+)
+FUZZ = settings(derandomize=True, deadline=None, database=None)
+
+
+@st.composite
+def order_file_text(draw):
+    """The worked order file, with one key dropped or replaced, or junk text."""
+    kind = draw(st.sampled_from(["replace", "drop", "good", "text"]))
+    if kind == "text":
+        return draw(st.text(max_size=20))
+    data = dict(INCONVENIENT)
+    key = draw(st.sampled_from(sorted(data)))
+    if kind == "drop":
+        del data[key]
+    elif kind == "replace":
+        data[key] = draw(JUNK)
+    return json.dumps(data)
+
+
+@st.composite
+def cli_argv(draw, tmp):
+    """One command line of any other subcommand, with bounded sizes, or junk."""
+    small = st.integers
+    command = draw(
+        st.sampled_from(["analyze", "ec-census", "measures", "find-heavy", "examples", "junk"])
+    )
+    argv = []
+    if draw(st.booleans()):
+        argv += ["--threads", str(draw(small(-2, 8)))]
+    if command == "analyze":
+        prime_powers = st.sampled_from([2, 4, 5, 9, 23, 25, 97, 1009, 9973, 99991])
+        q = draw(st.one_of(prime_powers, small(-3, 10**5)))
+        weil = draw(
+            st.one_of(
+                st.text(alphabet="0123456789,- x", max_size=12),
+                st.lists(small(-(10**6), 10**6), max_size=6).map(lambda c: ",".join(map(str, c))),
+                st.tuples(small(-20, 20), small(-200, 200)).map(
+                    lambda ab: f"{q * q},{ab[0] * q},{ab[1]},{ab[0]},1"
+                ),
+                small(-700, 700).map(lambda t: f"{q},{t},1"),
+            )
+        )
+        argv += ["analyze", "--weil", weil, "--q", str(q)]
+        if draw(st.booleans()):
+            argv.append("--json")
+    elif command == "ec-census":
+        folder = tmp if draw(st.booleans()) else os.path.join(tmp, "missing")
+        p = draw(st.one_of(st.sampled_from([5, 7, 101, 1009, 2999]), small(-5, 3000)))
+        argv += ["ec-census", "--p", str(p), "--bins", str(draw(small(-2, 50)))]
+        argv += ["--out", os.path.join(folder, "census.csv")]
+    elif command == "measures":
+        argv += ["measures", "--n", str(draw(small(-1, 5))), "--grid", str(draw(small(-2, 16)))]
+        if draw(st.booleans()):
+            argv += ["--out", os.path.join(tmp, "densities.csv")]
+    elif command == "find-heavy":
+        d0 = draw(st.one_of(st.sampled_from([-7, -8, -11, -15, -20, -43, -163]), small(-200, 10)))
+        argv += ["find-heavy", "--m", str(draw(small(-1, 12))), "--d0", str(d0)]
+        argv += ["--limit", str(draw(small(-2, 300)))]
+    elif command == "examples":
+        family = draw(st.sampled_from(["small", "smaller", "smallest", "largest"]))
+        argv += ["examples", "--family", family, "--pmax", str(draw(small(-5, 300)))]
+    else:
+        argv += draw(st.lists(st.text(max_size=6), max_size=4))
+    return argv
+
+
+def exit_code_of(argv):
+    """Exit code of `ppav argv`, asserting a documented one and no traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2, 3, 4), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue(), argv
+    return code
+
+
+class TestFuzz:
+    """Hypothesis fuzz of `cli.main`: 150 derandomized examples in all."""
+
+    def test_command_lines(self):
+        with tempfile.TemporaryDirectory() as tmp:
+
+            @settings(FUZZ, max_examples=100)
+            @given(cli_argv(tmp))
+            def run(argv):
+                exit_code_of(argv)
+
+            run()
+
+    def test_order_files(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "order.json")
+
+            @settings(FUZZ, max_examples=50)
+            @given(order_file_text())
+            def run(text):
+                with open(path, "w") as handle:
+                    handle.write(text)
+                exit_code_of(["convenient", "--order-file", path])
+
+            run()
+            assert exit_code_of(["convenient", "--order-file", os.path.join(tmp, "none")]) == 4
