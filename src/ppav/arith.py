@@ -19,7 +19,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import random
-from array import array
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
@@ -34,10 +33,6 @@ def poly_trim(c):
     while c and c[-1] == 0:
         c.pop()
     return c
-
-
-def poly_degree(c):
-    return len(c) - 1
 
 
 def poly_add(a, b):
@@ -483,36 +478,6 @@ def divisors_from_factorization(fac):
 
 def divisors(n):
     return divisors_from_factorization(factorize(n))
-
-
-class FactorTable:
-    """Smallest-prime-factor table for many factorizations below a limit.
-
-    One sieve up front, then factoring n <= limit is a chain of lookups.
-    Above the limit it falls back to `factorize`, so a table changes the
-    cost of a result, never the result.  Holds 4 bytes per entry.
-    """
-
-    def __init__(self, limit):
-        if limit < 1:
-            raise DomainError("factor table needs limit >= 1")
-        self.limit = limit
-        spf = array("I", bytes(4 * (limit + 1)))  # 0 marks 0, 1 and primes
-        # largest prime first, so each entry keeps its smallest prime factor
-        for p in reversed(_prime_sieve(isqrt(limit))):
-            spf[p * p :: p] = array("I", [p]) * len(range(p * p, limit + 1, p))
-        self._spf = spf
-
-    def factorize(self, n):
-        if not 0 < n <= self.limit:
-            return factorize(n)
-        spf = self._spf
-        out: dict[int, int] = {}
-        while n > 1:
-            p = spf[n] or n
-            out[p] = out.get(p, 0) + 1
-            n //= p
-        return out
 
 
 def squarefree_decompose(n):

@@ -5,6 +5,10 @@ weights each by its Kronecker class number H(t^2 - 4p) = number of curves,
 and compares the curve-weighted trace histogram against the limiting
 semicircular density (2/pi) sqrt(1 - x^2).
 
+The class numbers of all traces come from one walk over the reduced forms
+of discriminant above -4p, with no factorization and one count per trace
+as its only memory.
+
 Curves are counted by j-invariant weight one: the extra automorphisms at
 j = 0 and j = 1728 would adjust at most two traces per field by O(1), and
 no weighting is applied for them.
@@ -47,33 +51,59 @@ def ordinary_traces(p):
 def enumerate_ec(p):
     """One CensusRow per ordinary trace over F_p, in ascending trace order.
 
-    All class numbers share one FactorTable up to 4p/3: a reduced form of
-    discriminant d has b^2 <= |d|/3, so (b^2 - d)/4 <= |d|/3 < 4p/3.  The
-    rows are checked against the Kronecker-Hurwitz relation before return.
+    Every H(t^2 - 4p) comes from one walk over reduced forms
+    (`_reduced_form_counts`), with no factorization.  The rows are checked
+    against the Kronecker-Hurwitz relation before return, with H(-4p) taken
+    from the per-discriminant sieve of `quadratic.kronecker_class_number`.
     """
     if not arith.is_prime(p):
         raise DomainError(f"{p} is not prime")
     if p < 5:
         raise DomainError("census needs p >= 5")
-    traces = ordinary_traces(p)
-    table = arith.FactorTable(4 * p // 3)
-
-    def row(t):
-        delta = t * t - 4 * p
-        return CensusRow(
+    counts = _reduced_form_counts(p)
+    rows = [
+        CensusRow(
             t=t,
-            delta=delta,
-            H=quadratic.kronecker_class_number(delta, table.factorize),
+            delta=t * t - 4 * p,
+            H=counts[abs(t)],
             normalized_trace=t / (2 * math.sqrt(p)),
         )
-
-    rows = [row(t) for t in traces]
-    supersingular = quadratic.kronecker_class_number(-4 * p, table.factorize)
+        for t in ordinary_traces(p)
+    ]
+    supersingular = quadratic.kronecker_class_number(-4 * p)
     total = sum(_hurwitz_weighted(r.delta, r.H) for r in rows)
     total += _hurwitz_weighted(-4 * p, supersingular)
     if total != 2 * p:
         raise InternalError(f"Kronecker-Hurwitz sum {total} != 2p = {2 * p} at p = {p}")
     return rows
+
+def _reduced_form_counts(p):
+    """counts[t] = H(t^2 - 4p) for 1 <= t <= sqrt(4p) (counts[0] is 0).
+
+    H(delta) is the number of all reduced forms (a, b, c) of discriminant
+    delta, primitive or not, so one walk over 0 <= b <= a <= sqrt(4p/3)
+    counts the forms of every trace at once.  A trace t has a form
+    (a, +-b, c) exactly when t^2 = b^2 + 4p (mod 4a), which depends only on
+    t mod 2a, and c >= a exactly when t^2 <= b^2 + 4p - 4a^2.
+    """
+    counts = [0] * (isqrt(4 * p) + 1)
+    for a in range(1, isqrt(4 * p // 3) + 1):
+        step, mod = 2 * a, 4 * a
+        classes = {}  # t^2 mod 4a -> the t in [1, 2a] with that square
+        for r in range(1, step + 1):
+            classes.setdefault(r * r % mod, []).append(r)
+        for b in range(a + 1):
+            room = b * b + 4 * p - 4 * a * a
+            if room < 1:
+                continue
+            tmax = isqrt(room)
+            weight = 1 if b == 0 or b == a else 2  # (a, b, c) and (a, -b, c)
+            for r in classes.get((b * b + 4 * p) % mod, ()):
+                for t in range(r, tmax + 1, step):
+                    counts[t] += weight
+            if weight == 2 and tmax * tmax == room:
+                counts[tmax] -= 1  # c = a: (a, -b, a) is not reduced
+    return counts
 
 def _hurwitz_weighted(delta, big_h):
     """H_w(delta): H(delta) with the order of discriminant -3 weighted 1/3
@@ -122,24 +152,6 @@ def summarize(rows, bins=40):
         tv_to_semicircle=tv / 2.0,
         predicted_class_count=predicted,
     )
-
-def minus_fraction_scan(p):
-    """[(t, h/H, bound)] per ordinary trace, sorted by the exact fraction of
-    curves with minimal endomorphism ring (then by trace).
-
-    Shares one FactorTable up to 4p/3 across the traces, as `enumerate_ec`.
-    """
-    if not arith.is_prime(p):
-        raise DomainError(f"{p} is not prime")
-    traces = ordinary_traces(p)
-    table = arith.FactorTable(4 * p // 3)
-
-    def entry(t):
-        ratio, bound = quadratic.h_over_H_bound(t * t - 4 * p, table.factorize)
-        return (t, ratio, bound)
-
-    out = [entry(t) for t in traces]
-    return sorted(out, key=lambda e: (e[1], e[0]))
 
 def write_census_csv(rows, handle):
     writer = csv.writer(handle)

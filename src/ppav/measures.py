@@ -191,31 +191,34 @@ def isogeny_class_count_estimate(n, q):
 
 
 def simplex_grid(n, points):
-    """Ascending n-tuples from a regular grid on [0, pi]."""
+    """Ascending n-tuples from a regular grid on [0, pi], made one at a time.
+
+    `points` is checked here, before the first tuple is asked for.
+    """
     if points < 0:
         raise DomainError(f"grid needs a nonnegative number of points, got {points}")
     axis = np.linspace(0.0, math.pi, points)
-    return [tuple(axis[i] for i in idx) for idx in combinations_with_replacement(range(points), n)]
+    return (tuple(axis[i] for i in idx) for idx in combinations_with_replacement(range(points), n))
 
 
 def density_table(n, points):
-    """Rows (theta_1..theta_n, mu, nu_nominal, nu_effective) on a regular grid."""
-    rows = []
-    for theta in simplex_grid(n, points):
-        arr = np.asarray(theta)
-        rows.append(
-            tuple(theta)
-            + (
-                float(density_mu(n, arr)),
-                float(density_nu(n, arr, "nominal")),
-                float(density_nu(n, arr, "effective")),
-            )
-        )
-    return rows
+    """Rows (theta_1..theta_n, mu, nu_nominal, nu_effective) on a regular
+    grid, made one at a time."""
+    return (_density_row(n, theta) for theta in simplex_grid(n, points))
+
+
+def _density_row(n, theta):
+    arr = np.asarray(theta)
+    return theta + (
+        float(density_mu(n, arr)),
+        float(density_nu(n, arr, "nominal")),
+        float(density_nu(n, arr, "effective")),
+    )
 
 
 def write_density_csv(n, points, handle):
+    rows = density_table(n, points)  # a bad grid fails before the header
     writer = csv.writer(handle)
     writer.writerow([f"theta_{i+1}" for i in range(n)] + ["mu", "nu_nominal", "nu_effective"])
-    for row in density_table(n, points):
+    for row in rows:
         writer.writerow([format(x, ".17g") for x in row])

@@ -161,32 +161,23 @@ def _count_forms(b, m, fac):
     return count
 
 
-def class_number_imaginary(delta, factorize=None):
+def class_number_imaginary(delta):
     """Number of primitive reduced forms (a, b, c) of discriminant delta < 0.
 
     Reduced: |b| <= a <= c with b >= 0 whenever |b| = a or a = c.
     Enumerates b, factors m = (b^2 - delta)/4, and splits it into a * c
-    with a <= sqrt(m).  `factorize` maps m to {prime: exponent}.  None
-    means one sieve over this discriminant's form coefficients: each prime
-    up to sqrt(max m) is divided out where it divides, so the leftover of
-    m has no prime factor up to its own square root and is 1 or prime,
-    with no primality test.  A caller with many discriminants under one
-    bound passes the `factorize` of one shared `arith.FactorTable`.
+    with a <= sqrt(m).  One sieve over this discriminant's form
+    coefficients factors every m: each prime up to sqrt(max m) is divided
+    out where it divides, so the leftover of m has no prime factor up to
+    its own square root and is 1 or prime, with no primality test.
     """
     if delta >= 0:
         raise DomainError("need a negative discriminant")
     check_discriminant(delta)
     b0 = delta % 2
     kmax = (isqrt(-delta // 3) - b0) // 2
-    count = 0
-    if factorize is None:
-        for b, m, fac in _form_coefficient_factors(delta, b0, kmax):
-            count += _count_forms(b, m, fac)
-    else:
-        for b in range(b0, b0 + 2 * kmax + 1, 2):
-            m = (b * b - delta) // 4
-            count += _count_forms(b, m, factorize(m))
-    return count
+    forms = _form_coefficient_factors(delta, b0, kmax)
+    return sum(_count_forms(b, m, fac) for b, m, fac in forms)
 
 
 def _unit_index(delta0, f):
@@ -227,41 +218,31 @@ def class_number_by_formula(delta0, f):
     return _formula_from_h0(delta0, class_number_imaginary(delta0), f)
 
 
-def stratified_class_numbers(delta, factorize=None):
-    """[(f, h(f^2 delta0))] over all divisors f of the conductor of delta < 0.
-
-    `factorize` factors the form coefficients, as in
-    `class_number_imaginary`, and the conductor (None: `arith.factorize`).
-    """
+def stratified_class_numbers(delta):
+    """[(f, h(f^2 delta0))] over all divisors f of the conductor of delta < 0."""
     if delta >= 0:
         raise DomainError("need a negative discriminant")
     disc = quad_discriminant(delta)
-    h0 = class_number_imaginary(disc.delta0, factorize)
-    conductor = (factorize or arith.factorize)(disc.conductor)
+    h0 = class_number_imaginary(disc.delta0)
     return [
         (f, _formula_from_h0(disc.delta0, h0, f))
-        for f in arith.divisors_from_factorization(conductor)
+        for f in arith.divisors(disc.conductor)
     ]
 
 
-def kronecker_class_number(delta, factorize=None):
-    """H(delta): the sum of h(f^2 delta0) over all divisors f of the conductor.
-
-    `factorize` is passed on to `stratified_class_numbers`.
-    """
-    return sum(h for _, h in stratified_class_numbers(delta, factorize))
+def kronecker_class_number(delta):
+    """H(delta): the sum of h(f^2 delta0) over all divisors f of the conductor."""
+    return sum(h for _, h in stratified_class_numbers(delta))
 
 
-def h_over_H_bound(delta, factorize=None):
+def h_over_H_bound(delta):
     """(h(delta)/H(delta), prod_{p | F} (p+1)/(p+2)) as exact Fractions.
 
-    The ratio is at most the bound whenever delta0 < -4.  `factorize`
-    serves the form coefficients and the conductor, as in
-    `stratified_class_numbers`.
+    The ratio is at most the bound whenever delta0 < -4.
     """
     disc = quad_discriminant(delta)
-    h0 = class_number_imaginary(disc.delta0, factorize)
-    conductor = (factorize or arith.factorize)(disc.conductor)
+    h0 = class_number_imaginary(disc.delta0)
+    conductor = arith.factorize(disc.conductor)
     h = _formula_from_h0(disc.delta0, h0, disc.conductor)
     big_h = sum(
         _formula_from_h0(disc.delta0, h0, f)
@@ -293,9 +274,6 @@ class RealQuadElement:
 
     def trace(self):
         return 2 * self.a
-
-    def conjugate(self):
-        return RealQuadElement(self.a, -self.b, self.d)
 
     def __mul__(self, other):
         if self.d != other.d:

@@ -178,14 +178,16 @@ def is_simple(f):
         return deg == 1
     if f[0] == 0:
         return False
-    if _has_rational_root(f):
+    # monic, so rational roots are integers dividing the constant term
+    divs = _signed_divisors(f[0])
+    if any(arith.poly_eval(f, r) == 0 for r in divs):
         return False
     if deg < 4:
         return True
     # look for f = (x^2 + u x + v)(x^2 + w x + z) over Z, and the same with
     # both factors negated (covered by v z = f0 with sign choices)
     f0, f1, f2, f3 = f[0], f[1], f[2], f[3]
-    for v in _signed_divisors(f0):
+    for v in divs:
         z = f0 // v
         # u + w = f3, u z + v w = f1, v + z + u w = f2
         if z != v:
@@ -206,14 +208,6 @@ def is_simple(f):
             if disc >= 0 and isqrt(disc) ** 2 == disc:
                 return False
     return True
-
-
-def _has_rational_root(f):
-    # monic, so rational roots are integers dividing the constant term
-    for r in _signed_divisors(f[0]):
-        if arith.poly_eval(f, r) == 0:
-            return True
-    return False
 
 
 def _signed_divisors(n):

@@ -331,6 +331,11 @@ class TestFactorize:
     def test_prime(self):
         assert arith.factorize(701) == {701: 1}
 
+    def test_divisors_against_brute_force(self):
+        for n in range(1, 2001):
+            brute = [d for d in range(1, n + 1) if n % d == 0]
+            assert arith.divisors(n) == brute
+
     def test_reassembly_against_trial_division(self):
         rng = random.Random(9)
         for _ in range(300):
@@ -400,35 +405,6 @@ class TestPrimalityBound:
         # psi_13 itself is composite yet passes every base
         with pytest.raises(DomainError):
             arith.is_prime(self.PSI_13)
-
-
-class TestFactorTable:
-    def test_matches_factorize_up_to_limit(self):
-        table = arith.FactorTable(20000)
-        for n in range(1, 20001):
-            assert table.factorize(n) == arith.factorize(n)
-
-    def test_falls_back_above_limit(self):
-        table = arith.FactorTable(20000)
-        for n in (20001, 2 * 99991, 10**9 + 7, 1_000_003 * 1_000_033, 2**40 * 3):
-            assert table.factorize(n) == arith.factorize(n)
-        with pytest.raises(DomainError):
-            table.factorize(0)
-
-    def test_divisors_against_brute_force(self):
-        table = arith.FactorTable(1000)
-        for n in range(1, 2001):
-            brute = [d for d in range(1, n + 1) if n % d == 0]
-            assert arith.divisors_from_factorization(table.factorize(n)) == brute
-            assert arith.divisors(n) == brute
-
-    def test_tiny_limits(self):
-        for limit in (1, 2, 3, 4):
-            table = arith.FactorTable(limit)
-            for n in range(1, 10):
-                assert table.factorize(n) == arith.factorize(n)
-        with pytest.raises(DomainError):
-            arith.FactorTable(0)
 
 
 class TestSturm:

@@ -32,8 +32,8 @@ class TestEnumerate:
 
     @pytest.mark.parametrize("p", [5, 7, 11, 101, 1009, 10007])
     def test_kronecker_hurwitz_relation(self, p):
-        # enumerate_ec checks the relation itself; recompute it here without
-        # the shared factor table, from the rows it returns
+        # enumerate_ec checks the relation itself; recompute it here from
+        # the rows it returns
         rows = census.enumerate_ec(p)
         total = sum(census._hurwitz_weighted(r.delta, r.H) for r in rows)
         total += census._hurwitz_weighted(-4 * p, quadratic.kronecker_class_number(-4 * p))
@@ -47,12 +47,14 @@ class TestEnumerate:
         assert census._hurwitz_weighted(-20, 2) == 2
 
     def test_wrong_class_number_raises(self, monkeypatch):
-        kronecker_class_number = quadratic.kronecker_class_number
+        reduced_form_counts = census._reduced_form_counts
 
-        def off_by_one(delta, factorize=None):
-            return kronecker_class_number(delta, factorize) + (delta == 9 - 4 * 101)
+        def off_by_one(p):
+            counts = reduced_form_counts(p)
+            counts[3] += 1
+            return counts
 
-        monkeypatch.setattr(quadratic, "kronecker_class_number", off_by_one)
+        monkeypatch.setattr(census, "_reduced_form_counts", off_by_one)
         with pytest.raises(InternalError):
             census.enumerate_ec(101)
 
@@ -85,9 +87,10 @@ class TestSummarize:
         assert tv[1009] < tv[101] + 0.01
 
     def test_curve_total_matches_stratified_counts(self):
-        # exact cross-module consistency for every prime field up to 1009
+        # the census's reduced-form walk against the per-discriminant sieve
+        # behind ec_stratum_counts, on every trace of every prime below 2000
         p = 5
-        while p <= 1009:
+        while p < 2000:
             if census.arith.is_prime(p):
                 for r in census.enumerate_ec(p):
                     total = sum(h for _, h in strata.ec_stratum_counts(r.t, p))
@@ -105,32 +108,17 @@ class TestSummarize:
 
 
 class TestMinusFractionScan:
+    # h/H on the discriminants of a census, trace by trace
+    @staticmethod
+    def by_trace(p):
+        return {r.t: quadratic.h_over_H_bound(r.delta) for r in census.enumerate_ec(p)}
+
     def test_fundamental_traces_have_fraction_one(self):
-        scan = census.minus_fraction_scan(13)
-        by_t = {t: (ratio, bound) for t, ratio, bound in scan}
         # t = 1: delta = -51 fundamental
-        assert by_t[1] == (Fraction(1), Fraction(1))
+        assert self.by_trace(13)[1] == (Fraction(1), Fraction(1))
 
     def test_p29_heavy_trace(self):
-        scan = census.minus_fraction_scan(29)
-        by_t = {t: (ratio, bound) for t, ratio, bound in scan}
-        assert by_t[2] == (Fraction(1, 2), Fraction(3, 4))
-
-    def test_sorted_ascending(self):
-        scan = census.minus_fraction_scan(101)
-        ratios = [ratio for _, ratio, _ in scan]
-        assert ratios == sorted(ratios)
-
-    def test_shared_table_matches_per_trace_bound(self):
-        per_trace = [
-            (t, *quadratic.h_over_H_bound(t * t - 4 * 1009)) for t in census.ordinary_traces(1009)
-        ]
-        expected = sorted(per_trace, key=lambda e: (e[1], e[0]))
-        assert census.minus_fraction_scan(1009) == expected
-
-    def test_p10007_golden_minimum(self):
-        scan = census.minus_fraction_scan(10007)
-        assert scan[0] == (-32, Fraction(3, 7), Fraction(2, 3))
+        assert self.by_trace(29)[2] == (Fraction(1, 2), Fraction(3, 4))
 
 
 class TestOutput:

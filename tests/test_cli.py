@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ppav import census, cli, orders, quadratic, strata
+from ppav import census, cli, orders, strata
 from ppav.errors import FactorError
 
 
@@ -94,12 +94,14 @@ class TestEcCensus:
         assert "Traceback" not in err
 
     def test_failed_internal_check_is_exit_two(self, capsys, tmp_path, monkeypatch):
-        kronecker_class_number = quadratic.kronecker_class_number
+        reduced_form_counts = census._reduced_form_counts
 
-        def off_by_one(delta, factorize=None):
-            return kronecker_class_number(delta, factorize) + (delta == 9 - 4 * 101)
+        def off_by_one(p):
+            counts = reduced_form_counts(p)
+            counts[3] += 1
+            return counts
 
-        monkeypatch.setattr(quadratic, "kronecker_class_number", off_by_one)
+        monkeypatch.setattr(census, "_reduced_form_counts", off_by_one)
         out = str(tmp_path / "census.csv")
         code, _, err = run_cli(capsys, ["ec-census", "--p", "101", "--out", out])
         assert code == 2
@@ -317,6 +319,29 @@ class TestGoldenDigests:
             assert code == 0
             h.update(out.encode())
         assert h.hexdigest() == "af89ad3cda8e26fa1085b00a7351ff1d22c843ddc1ddff5fe7a3d315d7c6146c"
+
+    @pytest.mark.parametrize(
+        "p, csv_digest, summary_digest",
+        [
+            (
+                10007,
+                "54744ea45f68160642382b3a893eaf21dc3098acd809ab08eac51dfa7771e19f",
+                "0b7abe2792358ff7175f930bdbacf1fed391e5a5a4c777e84991680a210e99b7",
+            ),
+            (
+                120011,
+                "6dc95f07fccebc982486d3002570d453f2aa87449c1b1cca99f9b2ba0f56ffbb",
+                "116f97c34ea6c3eb39f5514ea64f84d4130933519c09fee001c65450b6da460f",
+            ),
+        ],
+    )
+    def test_ec_census(self, capsys, tmp_path, p, csv_digest, summary_digest):
+        out = str(tmp_path / "census.csv")
+        code, _, _ = run_cli(capsys, ["ec-census", "--p", str(p), "--out", out])
+        assert code == 0
+        for path, digest in ((out, csv_digest), (out + ".summary.json", summary_digest)):
+            with open(path, "rb") as handle:
+                assert hashlib.sha256(handle.read()).hexdigest() == digest
 
 
 with open(os.path.join(os.path.dirname(__file__), "..", "data", "ex-inconvenient.json")) as handle:

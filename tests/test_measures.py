@@ -1,6 +1,7 @@
 import io
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -152,9 +153,26 @@ class TestCompositionConsistency:
 
 class TestCsv:
     def test_density_table_columns(self):
-        rows = measures.density_table(2, 5)
+        rows = list(measures.density_table(2, 5))
         assert len(rows) == 15  # multisets of size 2 from 5 grid points
         assert all(len(row) == 5 for row in rows)
+
+    def test_grid_is_made_lazily(self):
+        # C(63, 4) = 595,665 tuples in all; the first one alone is small
+        tracemalloc.start()
+        try:
+            first = next(iter(measures.simplex_grid(4, 60)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert first == (0.0, 0.0, 0.0, 0.0)
+        assert peak < 1 << 20
+
+    def test_bad_grid_writes_nothing(self):
+        handle = io.StringIO()
+        with pytest.raises(DomainError):
+            measures.write_density_csv(2, -1, handle)
+        assert handle.getvalue() == ""
 
     def test_writer(self):
         handle = io.StringIO()

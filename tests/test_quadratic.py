@@ -51,15 +51,6 @@ class TestImaginaryClassNumbers:
             if d % 4 in (0, 1):
                 assert quadratic.class_number_imaginary(d) == brute_force_class_number(d)
 
-    def test_shared_factor_table_changes_nothing(self):
-        # the census's shared table against the per-discriminant sieve
-        table = arith.FactorTable(20000)
-        for d in range(-20000, -2):
-            if d % 4 in (0, 1):
-                assert quadratic.class_number_imaginary(
-                    d, table.factorize
-                ) == quadratic.class_number_imaginary(d)
-
     def test_sieve_across_block_boundaries(self):
         # kmax > 1024 here, so the sieve runs over more than one block
         rng = random.Random(23)
@@ -68,10 +59,14 @@ class TestImaginaryClassNumbers:
             d = -rng.randrange(13 * 10**6, 15 * 10**6)
             if d % 4 not in (0, 1):
                 continue
-            assert (isqrt(-d // 3) - d % 2) // 2 > quadratic._SIEVE_BLOCK
-            assert quadratic.class_number_imaginary(d) == quadratic.class_number_imaginary(
-                d, arith.factorize
-            )
+            kmax = (isqrt(-d // 3) - d % 2) // 2
+            assert kmax > quadratic._SIEVE_BLOCK
+            # reference: factor each form coefficient on its own
+            by_factorize = 0
+            for b in range(d % 2, d % 2 + 2 * kmax + 1, 2):
+                m = (b * b - d) // 4
+                by_factorize += quadratic._count_forms(b, m, arith.factorize(m))
+            assert quadratic.class_number_imaginary(d) == by_factorize
             done += 1
 
     def test_pinned_large_discriminants(self):
@@ -169,6 +164,11 @@ class TestHOverH:
 
     def test_fundamental_trivial(self):
         assert quadratic.h_over_H_bound(-7) == (Fraction(1), Fraction(1))
+
+    def test_p10007_golden_minimum(self):
+        # the smallest h/H over the ordinary traces of F_10007, at t = +-32
+        delta = 32 * 32 - 4 * 10007
+        assert quadratic.h_over_H_bound(delta) == (Fraction(3, 7), Fraction(2, 3))
 
     def test_minus_63_equality_case(self):
         # the enumeration oracle gives 4/5, which is exactly the bound

@@ -118,6 +118,19 @@ class TestOrdinarySimple:
     def test_f23_simple(self):
         assert weil.is_simple(F23) is True
 
+    def test_constant_term_divisors_listed_once(self, monkeypatch):
+        # the rational-root and quadratic-factor searches share one list
+        calls = []
+        divisors = arith.divisors
+
+        def counted(n):
+            calls.append(n)
+            return divisors(n)
+
+        monkeypatch.setattr(arith, "divisors", counted)
+        assert weil.is_simple(F23) is True
+        assert calls == [529]
+
     def test_elliptic_simple(self):
         assert weil.is_simple([2, -1, 1]) is True
 
