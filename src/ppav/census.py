@@ -54,7 +54,7 @@ def enumerate_ec(p):
     Every H(t^2 - 4p) comes from one walk over reduced forms
     (`_reduced_form_counts`), with no factorization.  The rows are checked
     against the Kronecker-Hurwitz relation before return, with H(-4p) taken
-    from the per-discriminant sieve of `quadratic.kronecker_class_number`.
+    from `quadratic.kronecker_class_number`, which counts by first coefficient.
     """
     if not arith.is_prime(p):
         raise DomainError(f"{p} is not prime")

@@ -292,10 +292,23 @@ def minimal_order(ctx):
     A Z-basis is 1, pi, pibar, pi^2, pibar^2, ..., pi^(n-1), pibar^(n-1), pi^n.
     Since n < 2n, pi^k is the k-th unit vector, and pibar^k = conj(pi^k) is
     row k of the conjugation matrix.
+
+    Checked against the resultants: Z[pi, pibar] = Z[alpha][pi] with
+    pi^2 - alpha pi + q = 0 and alpha a root of g, so its discriminant has
+    absolute value disc(g)^2 |res(g, y^2 - 4q)|, with disc(g) = 1 for n = 1.
     """
     den, c = ctx.conj_int
     powers = [[den * (i == k) for i in range(ctx.dim)] for k in range(ctx.n + 1)]
-    return lattice_from_generators(ctx, powers + c[1 : ctx.n], den)
+    lat = lattice_from_generators(ctx, powers + c[1 : ctx.n], den)
+    g = list(ctx.g)
+    disc_g = arith.resultant(g, arith.poly_derivative(g)) if ctx.n > 1 else 1
+    expected = disc_g**2 * abs(arith.resultant(g, [-4 * ctx.q, 0, 1]))
+    found = abs(lattice_discriminant(lat))
+    if found != expected:
+        raise InternalError(
+            f"disc Z[pi, pibar] = {found}, but disc(g)^2 |res(g, y^2 - 4q)| = {expected}"
+        )
+    return lat
 
 
 def real_subring(ring):

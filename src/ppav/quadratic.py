@@ -1,7 +1,9 @@
 """Class groups and units of quadratic orders, by exact enumeration.
 
-Imaginary class numbers count primitive reduced binary quadratic forms;
-real narrow class numbers count cycles of reduced indefinite forms;
+Imaginary class numbers count primitive reduced binary quadratic forms of
+the fundamental discriminant by their first coefficient, then lift to the
+conductor by the Euler product; real narrow class numbers count cycles of
+reduced indefinite forms;
 fundamental units come from continued fractions.  Everything is integer
 arithmetic, no floating point.
 """
@@ -85,99 +87,97 @@ class QuadClassData:
 # imaginary quadratic class numbers
 
 
-# form coefficients of one discriminant are sieved this many b at a time
-_SIEVE_BLOCK = 1024
-
-
-def _form_coefficient_factors(delta, b0, kmax):
-    """Yield (b, m, {prime: exponent}) for b = b0 + 2k, 0 <= k <= kmax, where
-    m = (b^2 - delta)/4, factoring every m with one sieve over k.
-
-    An odd prime ell divides m exactly when b = +-sqrt(delta) (mod ell), so
-    each prime up to sqrt(max m) takes one square root and then visits only
-    its own residue classes of k; the parity of m has period 2 in k.  Once
-    those primes are divided out, what is left of m has no prime factor up
-    to its square root, so it is 1 or prime.
+def _local_roots(delta0, p, k):
+    """The b with b^2 = delta0 at the prime power p^k exactly dividing a, as
+    (roots, modulus): b mod 2^(k+1) with b^2 = delta0 mod 2^(k+2) for p = 2,
+    b mod p^k with b^2 = delta0 mod p^k for odd p.  Called only where such
+    b exist, so p is split, or ramified with k = 1 (k = 1 at p = 2 when 4
+    divides delta0, since then delta0 / 4 = 2 or 3 mod 4).
     """
-    mmax = ((b0 + 2 * kmax) ** 2 - delta) // 4
-    progressions = [(2, k) for k in (0, 1) if ((b0 + 2 * k) ** 2 - delta) // 4 % 2 == 0]
-    for ell in arith._prime_sieve(isqrt(mmax))[1:]:
-        r = _sqrt_mod_prime(delta, ell)
-        if r is None:
-            continue
-        half = (ell + 1) // 2  # 1/2 mod ell
-        for root in {r, -r % ell}:
-            progressions.append((ell, (root - b0) * half % ell))
-    for lo in range(0, kmax + 1, _SIEVE_BLOCK):
-        size = min(_SIEVE_BLOCK, kmax + 1 - lo)
-        hits = [[] for _ in range(size)]
-        for ell, k0 in progressions:
-            for i in range((k0 - lo) % ell, size, ell):
-                hits[i].append(ell)
-        for i, primes in enumerate(hits):
-            b = b0 + 2 * (lo + i)
-            m = v = (b * b - delta) // 4
-            fac = {}
-            for ell in primes:
-                e = 0
-                while v % ell == 0:
-                    v //= ell
-                    e += 1
-                fac[ell] = e
-            if v > 1:
-                fac[v] = 1
-            yield b, m, fac
+    if p == 2:
+        if delta0 % 2 == 0:
+            return [delta0 // 2 % 4], 4
+        mod = 2 << k
+        r = _sqrt_mod_2k(delta0, k + 2) % mod
+        return [r, mod - r], mod
+    if delta0 % p == 0:
+        return [0], p
+    mod = p**k
+    r = _hensel_sqrt(delta0, p, k)
+    return [r, mod - r], mod
 
 
-def _count_forms(b, m, fac):
-    """Primitive reduced forms (a, +-b, c) with a c = m, where m factors as fac.
+def _fundamental_class_number(delta0):
+    """h(delta0) for a fundamental discriminant delta0 < 0, counting the
+    reduced forms (a, b, c) by their first coefficient a <= sqrt(|delta0|/3).
 
-    Only divisors a <= sqrt(m) are built, each prime-power chain cut off as
-    soon as it passes that bound.
+    Every form of a fundamental discriminant is primitive.  While 4 a^2 <
+    |delta0|, every c exceeds a, so a carries one reduced form for each
+    b in (-a, a] with b^2 = delta0 mod 4a: N(a) forms, N multiplicative with
+    local factor 1 + chi(p) at every power of p, chi = (delta0 | .), except
+    that a ramified p allows p but not p^2.  One prime sieve fills N by a
+    slice update per prime.  In the band of about 0.077 sqrt(|delta0|)
+    larger a, only the b with c >= a count (b >= 0 when c = a); there the b
+    come from local square roots joined by CRT, with a factored by the
+    primes the same sieve marked on it, so nothing calls `arith.factorize`.
     """
-    root = isqrt(m)
-    divs = [1]
-    for p, e in fac.items():
-        new = []
-        for d in divs:
-            for _ in range(e):
-                d *= p
-                if d > root:
-                    break
-                new.append(d)
-        divs += new
-    amin = max(b, 1)
-    count = 0
-    for a in divs:
-        if a < amin:
+    n = -delta0
+    amax = isqrt(n // 3)
+    afree = isqrt((n - 1) // 4)  # the largest a with 4 a^2 < n
+    counts = [1] * (amax + 1)  # N(a)
+    band = [[] for _ in range(afree, amax)]  # primes of a, afree < a <= amax
+    for p in arith._prime_sieve(amax):
+        # Euler's criterion at odd p: 1 split, p - 1 inert, 0 ramified
+        chi = pow(delta0, p >> 1, p) if p > 2 else arith.kronecker_symbol(delta0, 2)
+        if chi == 1:
+            counts[p::p] = [2 * c for c in counts[p::p]]
+        elif chi:
+            counts[p::p] = [0] * (amax // p)
             continue
-        c = m // a
-        if gcd(a, b, c) != 1:
-            continue
-        if b == 0 or b == a or a == c:
-            count += 1
         else:
-            count += 2
-    return count
+            counts[p * p :: p * p] = [0] * (amax // (p * p))
+        for a in range(afree + p - afree % p, amax + 1, p):
+            band[a - afree - 1].append(p)
+    h = sum(counts[1 : afree + 1])
+    local = {}
+    for a, primes in zip(range(afree + 1, amax + 1), band):
+        if not counts[a]:
+            continue
+        # b mod 2a, joined prime by prime; b = delta0 mod 2 when a is odd
+        roots, mod = ([delta0 % 2], 2) if a % 2 else ([0], 1)
+        for p in primes:
+            k, m = 1, a // p
+            while m % p == 0:
+                k, m = k + 1, m // p
+            if (p, k) not in local:
+                local[p, k] = _local_roots(delta0, p, k)
+            rs, pk = local[p, k]
+            inv = pow(mod, -1, pk)
+            roots = [s + mod * ((r - s) * inv % pk) for s in roots for r in rs]
+            mod *= pk
+        low = 4 * a * a - n  # c >= a iff b^2 >= low
+        for b in roots:
+            if b > a:
+                b -= 2 * a
+            if b * b > low or b * b == low and b >= 0:
+                h += 1
+    return h
 
 
 def class_number_imaginary(delta):
     """Number of primitive reduced forms (a, b, c) of discriminant delta < 0.
 
-    Reduced: |b| <= a <= c with b >= 0 whenever |b| = a or a = c.
-    Enumerates b, factors m = (b^2 - delta)/4, and splits it into a * c
-    with a <= sqrt(m).  One sieve over this discriminant's form
-    coefficients factors every m: each prime up to sqrt(max m) is divided
-    out where it divides, so the leftover of m has no prime factor up to
-    its own square root and is 1 or prime, with no primality test.
+    Reduced: |b| <= a <= c with b >= 0 whenever |b| = a or a = c.  Splits
+    delta = f^2 delta0, counts the forms of the fundamental delta0 by their
+    first coefficient (`_fundamental_class_number`) and lifts the count to
+    conductor f by the Euler product of `class_number_by_formula`.
     """
     if delta >= 0:
         raise DomainError("need a negative discriminant")
     check_discriminant(delta)
-    b0 = delta % 2
-    kmax = (isqrt(-delta // 3) - b0) // 2
-    forms = _form_coefficient_factors(delta, b0, kmax)
-    return sum(_count_forms(b, m, fac) for b, m, fac in forms)
+    delta0, f = fundamental_decomposition(delta)
+    h0 = _fundamental_class_number(delta0)
+    return h0 if f == 1 else _formula_from_h0(delta0, h0, f)
 
 
 def _unit_index(delta0, f):
@@ -286,10 +286,6 @@ class RealQuadElement:
 
     def is_integral(self):
         return self.norm().denominator == 1 and self.trace().denominator == 1
-
-
-def real_quad_element(a, b, d):
-    return RealQuadElement(Fraction(a), Fraction(b), d)
 
 
 def _icbrt(n):
@@ -479,7 +475,7 @@ def _sqrt_mod_prime(a, p):
     a %= p
     if a == 0:
         return 0
-    if arith.kronecker_symbol(a, p) != 1:
+    if pow(a, p >> 1, p) != 1:  # Euler's criterion, p an odd prime
         return None
     if p % 4 == 3:
         return pow(a, (p + 1) // 4, p)

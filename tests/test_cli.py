@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ppav import census, cli, orders, strata
+from ppav import arith, census, cli, orders, strata
 from ppav.errors import FactorError
 
 
@@ -39,6 +39,14 @@ class TestAnalyze:
         assert code == 0
         lines = [json.loads(line) for line in out.strip().splitlines()]
         assert lines[1]["exact_count"] == "1"  # h(-11)
+
+    def test_failed_discriminant_identity_is_exit_two(self, capsys, monkeypatch):
+        resultant = arith.resultant
+        monkeypatch.setattr(arith, "resultant", lambda a, b: resultant(a, b) + 1)
+        code, _, err = run_cli(capsys, ["analyze", "--weil", "529,-138,32,-6,1", "--q", "23"])
+        assert code == 2
+        assert err.startswith("error: disc Z[pi, pibar]") and len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
 
     def test_not_weil_exit_code(self, capsys):
         code, _, err = run_cli(capsys, ["analyze", "--weil", "4,0,5,0,1", "--q", "2"])

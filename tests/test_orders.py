@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from ppav import arith, orders, quadratic, weil
-from ppav.errors import DomainError, RankError
+from ppav.errors import DomainError, InternalError, RankError
 from ppav.strata import inconvenient_example_order
 
 F23 = [529, -138, 32, -6, 1]
@@ -229,6 +229,21 @@ class TestMinimalOrder:
         real = orders.real_subring(orders.minimal_order(ctx))
         assert real == orders.lattice_from_generators(ctx.real_ctx, identity(2))
         assert orders.lattice_discriminant(real) == 92
+
+    def test_patched_conjugation_entry_raises(self):
+        ctx = f23_context()
+        den, c = ctx.conj_int
+        c = [row[:] for row in c]
+        c[1][3] += 1  # the pi^3 coordinate of pibar, which sets the index of Z[pi, pibar]
+        ctx.conj_int = (den, c)
+        with pytest.raises(InternalError, match=r"disc Z\[pi, pibar\]"):
+            orders.minimal_order(ctx)
+
+    def test_patched_resultant_raises(self, monkeypatch):
+        resultant = arith.resultant
+        monkeypatch.setattr(arith, "resultant", lambda a, b: resultant(a, b) + 1)
+        with pytest.raises(InternalError, match=r"disc Z\[pi, pibar\] = 7,"):
+            orders.minimal_order(orders.FieldContext([2, -1, 1], 2))
 
 
 class TestDiscriminants:

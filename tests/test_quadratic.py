@@ -4,7 +4,7 @@ from math import gcd, isqrt, sqrt
 
 import pytest
 
-from ppav import arith, quadratic
+from ppav import arith, census, quadratic
 from ppav.errors import DomainError
 
 
@@ -25,6 +25,10 @@ def brute_force_class_number(delta):
             if gcd(gcd(a, abs(b)), c) == 1:
                 count += 1
     return count
+
+
+def real_quad_element(a, b, d):
+    return quadratic.RealQuadElement(Fraction(a), Fraction(b), d)
 
 
 def random_fundamental(rng, lo, hi):
@@ -51,23 +55,17 @@ class TestImaginaryClassNumbers:
             if d % 4 in (0, 1):
                 assert quadratic.class_number_imaginary(d) == brute_force_class_number(d)
 
-    def test_sieve_across_block_boundaries(self):
-        # kmax > 1024 here, so the sieve runs over more than one block
-        rng = random.Random(23)
-        done = 0
-        while done < 20:
-            d = -rng.randrange(13 * 10**6, 15 * 10**6)
-            if d % 4 not in (0, 1):
-                continue
-            kmax = (isqrt(-d // 3) - d % 2) // 2
-            assert kmax > quadratic._SIEVE_BLOCK
-            # reference: factor each form coefficient on its own
-            by_factorize = 0
-            for b in range(d % 2, d % 2 + 2 * kmax + 1, 2):
-                m = (b * b - d) // 4
-                by_factorize += quadratic._count_forms(b, m, arith.factorize(m))
-            assert quadratic.class_number_imaginary(d) == by_factorize
-            done += 1
+    def test_against_census_walk(self):
+        # the census counts every H(t^2 - 4p) by its own walk over reduced forms
+        p = 100003
+        counts = census._reduced_form_counts(p)
+        for t in range(1, isqrt(4 * p) + 1):
+            assert quadratic.kronecker_class_number(t * t - 4 * p) == counts[t]
+
+    def test_pinned_very_large_discriminants(self):
+        # values from the earlier sieve over b, which factored every form coefficient
+        for d, h in ((-40000000003, 29199), (-100000000003, 31057), (-4000000000003, 290436)):
+            assert quadratic.class_number_imaginary(d) == h
 
     def test_pinned_large_discriminants(self):
         # values computed by the per-form factorization before the sieve
@@ -280,24 +278,24 @@ class TestRealClassNumbers:
 
 class TestIdealFactorization:
     def test_unit_is_empty(self):
-        assert quadratic.factor_element_ideal(5, quadratic.real_quad_element(2, 1, 5)) == []
+        assert quadratic.factor_element_ideal(5, real_quad_element(2, 1, 5)) == []
 
     def test_ramified_generator(self):
-        out = quadratic.factor_element_ideal(5, quadratic.real_quad_element(0, 1, 5))
+        out = quadratic.factor_element_ideal(5, real_quad_element(0, 1, 5))
         assert out == [((5, "ramified"), 1)]
 
     def test_split_norm_eleven(self):
-        out = quadratic.factor_element_ideal(5, quadratic.real_quad_element(4, 1, 5))
+        out = quadratic.factor_element_ideal(5, real_quad_element(4, 1, 5))
         assert len(out) == 1
         (ell, kind), val = out[0]
         assert ell == 11 and kind in ("split+", "split-") and val == 1
 
     def test_inert_two(self):
-        out = quadratic.factor_element_ideal(5, quadratic.real_quad_element(-4, 0, 5))
+        out = quadratic.factor_element_ideal(5, real_quad_element(-4, 0, 5))
         assert out == [((2, "inert"), 2)]
 
     def test_half_integral_elements(self):
-        phi = quadratic.real_quad_element(Fraction(1, 2), Fraction(1, 2), 5)
+        phi = real_quad_element(Fraction(1, 2), Fraction(1, 2), 5)
         assert quadratic.factor_element_ideal(5, phi) == []
 
     def test_norm_valuation_consistency(self):
@@ -309,9 +307,9 @@ class TestIdealFactorization:
             a = rng.randrange(-60, 61)
             b = rng.randrange(-60, 61)
             if d % 4 == 1 and rng.random() < 0.5:
-                x = quadratic.real_quad_element(Fraction(2 * a + 1, 2), Fraction(2 * b + 1, 2), d)
+                x = real_quad_element(Fraction(2 * a + 1, 2), Fraction(2 * b + 1, 2), d)
             else:
-                x = quadratic.real_quad_element(a, b, d)
+                x = real_quad_element(a, b, d)
             norm = x.norm()
             if norm == 0:
                 continue
@@ -326,7 +324,7 @@ class TestIdealFactorization:
 
     def test_rejects_non_integral(self):
         with pytest.raises(DomainError):
-            quadratic.factor_element_ideal(5, quadratic.real_quad_element(Fraction(1, 3), 0, 5))
+            quadratic.factor_element_ideal(5, real_quad_element(Fraction(1, 3), 0, 5))
 
 
 class TestDecomposition:
