@@ -27,7 +27,7 @@ from functools import cached_property
 
 from . import arith
 from .errors import DomainError, InternalError, RankError
-from .weil import real_weil_polynomial
+from .weil import real_discriminant_norms, real_weil_polynomial
 
 
 def _newton_power_sums(poly, count):
@@ -300,9 +300,8 @@ def minimal_order(ctx):
     den, c = ctx.conj_int
     powers = [[den * (i == k) for i in range(ctx.dim)] for k in range(ctx.n + 1)]
     lat = lattice_from_generators(ctx, powers + c[1 : ctx.n], den)
-    g = list(ctx.g)
-    disc_g = arith.resultant(g, arith.poly_derivative(g)) if ctx.n > 1 else 1
-    expected = disc_g**2 * abs(arith.resultant(g, [-4 * ctx.q, 0, 1]))
+    norm_delta, disc_g = real_discriminant_norms(ctx.g, ctx.q)
+    expected = disc_g**2 * norm_delta
     found = abs(lattice_discriminant(lat))
     if found != expected:
         raise InternalError(

@@ -215,7 +215,7 @@ def class_number_by_formula(delta0, f):
         raise DomainError(f"{delta0} is not a fundamental discriminant")
     if f < 1:
         raise DomainError("conductor must be positive")
-    return _formula_from_h0(delta0, class_number_imaginary(delta0), f)
+    return _formula_from_h0(delta0, _fundamental_class_number(delta0), f)
 
 
 def stratified_class_numbers(delta):
@@ -223,7 +223,7 @@ def stratified_class_numbers(delta):
     if delta >= 0:
         raise DomainError("need a negative discriminant")
     disc = quad_discriminant(delta)
-    h0 = class_number_imaginary(disc.delta0)
+    h0 = _fundamental_class_number(disc.delta0)
     return [
         (f, _formula_from_h0(disc.delta0, h0, f))
         for f in arith.divisors(disc.conductor)
@@ -240,8 +240,10 @@ def h_over_H_bound(delta):
 
     The ratio is at most the bound whenever delta0 < -4.
     """
+    if delta >= 0:
+        raise DomainError("need a negative discriminant")
     disc = quad_discriminant(delta)
-    h0 = class_number_imaginary(disc.delta0)
+    h0 = _fundamental_class_number(disc.delta0)
     conductor = arith.factorize(disc.conductor)
     h = _formula_from_h0(disc.delta0, h0, disc.conductor)
     big_h = sum(

@@ -26,9 +26,7 @@ def disc_ratio_exact(spec):
     """
     if spec.n > 2:
         raise DomainError("exact discriminant ratios are implemented for n <= 2")
-    g = list(spec.g)
-    norm_delta = abs(arith.resultant(g, [-4 * spec.q, 0, 1]))
-    norm_gprime = abs(arith.resultant(g, arith.poly_derivative(g)))
+    norm_delta, norm_gprime = weil.real_discriminant_norms(spec.g, spec.q)
     return norm_delta * norm_gprime
 
 

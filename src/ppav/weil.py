@@ -68,6 +68,17 @@ def real_weil_polynomial(f, q):
     return arith.poly_trim(g)
 
 
+def real_discriminant_norms(g, q):
+    """(|N(alpha^2 - 4q)|, |N(g'(alpha))|) for alpha a root of the monic real
+    Weil polynomial g, by resultants; the second is |disc g|, 1 for linear g.
+    """
+    g = list(g)
+    return (
+        abs(arith.resultant(g, [-4 * q, 0, 1])),
+        abs(arith.resultant(g, arith.poly_derivative(g))),
+    )
+
+
 def _sign_plus_root(a, b, q):
     """Exact sign of a + b*sqrt(q) for integers a, b and q > 0."""
     if b == 0:
