@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import compress
 from math import gcd, isqrt, lcm
 
 from .errors import DomainError, FactorError, RankError
@@ -145,20 +146,6 @@ def poly_gcd(a, b):
         r = _pseudo_rem(a, b)
         a, b = b, poly_primitive(r)
     return a
-
-
-def poly_squarefree_part(a):
-    """a / gcd(a, a'), primitive with positive leading coefficient."""
-    a = poly_primitive(a)
-    if len(a) <= 2:
-        return a
-    g = poly_gcd(a, poly_derivative(a))
-    if len(g) == 1:
-        return a
-    q, r = poly_divmod_exact(a, g)
-    if r:
-        raise DomainError("squarefree deflation failed")
-    return poly_primitive(q)
 
 
 def poly_squarefree_decomposition(a):
@@ -342,7 +329,7 @@ def _prime_sieve(limit):
     for p in range(2, isqrt(limit) + 1):
         if sieve[p]:
             sieve[p * p :: p] = bytearray(len(range(p * p, limit + 1, p)))
-    return [i for i, v in enumerate(sieve) if v]
+    return list(compress(range(limit + 1), sieve))
 
 
 def small_primes():
@@ -551,24 +538,6 @@ def _sign_variations(chain, n, d=1):
     return variations
 
 
-def _roots_between(chain, lo, hi):
-    """Roots of the chain's squarefree head in (lo, hi], for rationals lo < hi."""
-    lo, hi = Fraction(lo), Fraction(hi)
-    return _sign_variations(chain, lo.numerator, lo.denominator) - _sign_variations(
-        chain, hi.numerator, hi.denominator
-    )
-
-
-def sturm_count(a, lo, hi):
-    """Number of real roots of squarefree a in the half-open interval (lo, hi]."""
-    a = poly_trim(a)
-    if len(a) <= 1:
-        raise DomainError("root counting needs a nonconstant polynomial")
-    if not Fraction(lo) < Fraction(hi):
-        raise DomainError("need lo < hi")
-    return _roots_between(_squarefree_chain(a), lo, hi)
-
-
 def _squarefree_chain(a):
     """Sturm chain of a, or DomainError if a has a repeated root.
 
@@ -612,12 +581,26 @@ def isolate_real_roots(a, chain=None):
     return sorted(out)
 
 
-def refine_root(a, lo, hi, bits=80, chain=None):
-    """Dyadic bisection of an isolating interval of squarefree a.
+def _form_and_slope(p, n, d):
+    """(F, dF/dn) for the form F(n, d) = sum c_i n^i d^(deg - i) = d^deg p(n/d)."""
+    acc = slope = 0
+    dp = 1
+    for c in reversed(p):
+        slope = slope * n + acc
+        acc = acc * n + c * dp
+        dp *= d
+    return acc, slope
 
-    Returns a Fraction within 2^-bits of the initial width from the root.
-    The bracket is kept as an integer numerator n over a denominator d that
-    doubles each step, with hi - lo = w / d throughout.
+
+def refine_root(a, lo, hi, bits=80, chain=None):
+    """The root of squarefree a in its isolating interval (lo, hi], on the grid
+    lo + k (hi - lo) / 2^bits.
+
+    Returns the root itself when it falls on a grid point, else the midpoint
+    of the grid cell holding it: the Fraction that `bits` dyadic bisection
+    steps reach, within 2^-bits of the initial width from the root.  The
+    bracket is kept as an integer numerator n over a denominator d, with
+    hi - lo = w / d; the cell is found by integer Newton steps on k.
     """
     lo, hi = Fraction(lo), Fraction(hi)
     d = lcm(lo.denominator, hi.denominator)
@@ -641,23 +624,39 @@ def refine_root(a, lo, hi, bits=80, chain=None):
                 n = mid
                 break
             s_hi = s_mid
-    for _ in range(bits):
-        n, d = 2 * n, 2 * d
-        mid = n + w
-        s_mid = _sign_at(a, mid, d)
-        if s_mid == 0:
-            return Fraction(mid, d)
-        if s_mid != s_hi:
-            n = mid
-    return Fraction(2 * n + w, 2 * d)
+    # grid point k is (n + k w) / d; a has sign -s_hi at klo and s_hi at khi
+    n, d = n << bits, d << bits
+    klo, khi = 0, 1 << bits
+    k = khi >> 1
+    while khi - klo > 1:
+        x = n + k * w
+        value, slope = _form_and_slope(a, x, d)
+        if value == 0:
+            return Fraction(x, d)
+        if (value > 0) == (s_hi > 0):
+            khi = k
+        else:
+            klo = k
+        # the Newton step x - value / slope, rounded to the grid
+        den = slope * w
+        nxt = k - (2 * value + den) // (2 * den) if den else k
+        if nxt == k:
+            k += 1 if k == klo else -1  # Newton stalled: probe the neighbour
+        elif klo < nxt < khi:
+            k = nxt
+        else:
+            k = (klo + khi) >> 1
+    return Fraction(2 * (n + klo * w) + w, 2 * d)
 
 
-def real_roots(a, bits=80):
+def real_roots(a, bits=80, chain=None):
     """Refined real roots of a squarefree integer polynomial, ascending.
 
-    Raises DomainError if a has a repeated root.
+    Raises DomainError if a has a repeated root, unless its Sturm chain is
+    passed in.
     """
-    chain = _squarefree_chain(a)
+    if chain is None:
+        chain = _squarefree_chain(a)
     return [refine_root(a, lo, hi, bits, chain) for (lo, hi) in isolate_real_roots(a, chain)]
 
 

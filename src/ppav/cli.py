@@ -54,7 +54,7 @@ def _cmd_analyze(args):
         "real_weil": [str(c) for c in spec.g],
         "angles": list(spec.angles),
         "ordinary": weil.is_ordinary(list(spec.f), spec.q),
-        "simple": weil.is_simple(list(spec.f)),
+        "simple": spec.simple,
         "minimal_order": {
             "den": str(minimal.den),
             "basis": [[str(x) for x in row] for row in minimal.rows],

@@ -235,7 +235,7 @@ def example_family(kind, p):
     spec = weil.isogeny_class(list(f), p)
     if not weil.is_ordinary(list(f), p):
         raise InternalError(f"family member p={p} is not ordinary")
-    if not weil.is_simple(list(f)):
+    if not spec.simple:
         raise InternalError(f"family member p={p} is not simple")
     ratio = disc_ratio_exact(spec)
     checked = False
@@ -282,7 +282,9 @@ class StratumReport:
 
 
 def _ec_odd_ramified(delta0):
-    return "certified" if any(p % 2 == 1 for p in arith.factorize(abs(delta0))) else "unknown"
+    # a fundamental delta0 has an odd prime factor iff |delta0| is no power of 2
+    n = abs(delta0)
+    return "certified" if n & (n - 1) else "unknown"
 
 
 def analyze(spec):
@@ -291,16 +293,17 @@ def analyze(spec):
         raise DomainError("analysis is implemented for n <= 2")
     if not weil.is_ordinary(list(spec.f), spec.q):
         raise DomainError("isogeny class is not ordinary")
-    if not weil.is_simple(list(spec.f)):
+    if not spec.simple:
         raise DomainError("isogeny class is not simple")
     ratio = disc_ratio_exact(spec)
     trig = disc_ratio_trig(spec)
     if spec.n == 1:
         t = -spec.f[1]
-        delta0 = quadratic.quad_discriminant(t * t - 4 * spec.q).delta0
-        odd = _ec_odd_ramified(delta0)
+        counts = ec_stratum_counts(t, spec.q)
+        conductor = counts[-1][0]  # the last divisor of the conductor is itself
+        odd = _ec_odd_ramified((t * t - 4 * spec.q) // conductor**2)
         reports = []
-        for f, count in ec_stratum_counts(t, spec.q):
+        for f, count in counts:
             reports.append(
                 StratumReport(
                     spec=spec,

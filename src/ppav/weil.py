@@ -5,15 +5,16 @@ polynomial of Frobenius for an isogeny class of n-dimensional abelian
 varieties over F_q.  Validity (all complex roots of absolute value sqrt(q))
 is decided exactly: f must satisfy x^2n f(q/x) = q^n f(x), and the real
 companion polynomial g with x^n g(x + q/x) = f(x) must have all roots real
-and inside [-2 sqrt(q), 2 sqrt(q)], checked with Sturm counts against
-rational brackets of 2 sqrt(q).
+and inside [-2 sqrt(q), 2 sqrt(q)].  One Sturm chain per factor of g's
+squarefree (Yun) decomposition, signed exactly at +-2 sqrt(q) in Z[sqrt(q)],
+decides that, and the same chains isolate the roots for the angles.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cached_property
 from math import comb, gcd, isqrt
 
 from . import arith
@@ -35,9 +36,23 @@ class IsogenyClassSpec:
     g: tuple
     angles: tuple
 
-    @property
-    def middle_coefficient(self):
-        return self.f[self.n]
+    @cached_property
+    def simple(self):
+        """Irreducibility of f over Q, decided without factoring for ordinary n <= 2.
+
+        An ordinary class has no real root +-sqrt(q), which would make the
+        middle coefficient share a prime with q.  So for n = 1, t^2 < 4q; for
+        n = 2, every factor of f over Q is a product of conjugate pairs
+        x^2 - alpha x + q with alpha an integer root of g, and f is simple iff
+        disc(g) = a^2 - 4b + 8q is not a square (compare Maisner-Nart 2002).
+        Other classes go through the divisor search `is_simple`.
+        """
+        if self.n > 2 or not is_ordinary(self.f, self.q):
+            return is_simple(self.f)
+        if self.n == 1:
+            return True
+        disc = self.f[3] ** 2 - 4 * self.f[2] + 8 * self.q
+        return isqrt(disc) ** 2 != disc
 
 
 def real_weil_polynomial(f, q):
@@ -99,28 +114,38 @@ def _sign_plus_root(a, b, q):
     return -1 if big_is_a else 1
 
 
-def _rational_bracket(chain, q, negative):
-    """Rational (lo, hi) with lo < +-2 sqrt(q) < hi and no root inside.
+def _edge_signs(chain, q, side):
+    """Signs along the chain at side * 2 sqrt(q), exact in Z[sqrt(q)]."""
+    # p(2 s sqrt(q)) = E(4q) + 2 s sqrt(q) O(4q) for the even and odd parts E, O
+    y = 4 * q
+    return [
+        _sign_plus_root(arith.poly_eval(p[0::2], y), 2 * side * arith.poly_eval(p[1::2], y), q)
+        for p in chain
+    ]
 
-    The roots are those of the polynomial heading the Sturm chain, which
-    must have none exactly at +-2 sqrt(q).  The bracket is bisected as
-    (lo / 2^k, hi / 2^k) with integer lo and hi.
+
+def _variations(signs):
+    signs = [s for s in signs if s]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
+def _weil_factors(g, q):
+    """[(factor, multiplicity, Sturm chain of factor)] over the Yun
+    decomposition of g, or None when a root of g is not real or lies off
+    [-2 sqrt(q), 2 sqrt(q)].
+
+    A factor of degree m passes iff its chain counts m roots in the closed
+    interval: the variations at -2 sqrt(q) and 2 sqrt(q) count the roots in
+    (-2 sqrt(q), 2 sqrt(q)], and a root at -2 sqrt(q) adds one.
     """
-    s = isqrt(4 * q)
-    lo, hi, k = s, s + 1, 0
-    if negative:
-        lo, hi = -hi, -lo
-    while arith._sign_variations(chain, lo, 1 << k) - arith._sign_variations(chain, hi, 1 << k) > 0:
-        mid = lo + hi
-        lo, hi, k = 2 * lo, 2 * hi, k + 1
-        # mid / 2^k > 2 sqrt(q) iff mid^2 > 4q 4^k (sign-aware for the negative bracket)
-        square, target = mid * mid, (4 * q) << (2 * k)
-        above = square > target if not negative else square < target
-        if above:
-            hi = mid
-        else:
-            lo = mid
-    return Fraction(lo, 1 << k), Fraction(hi, 1 << k)
+    out = []
+    for factor, mult in arith.poly_squarefree_decomposition(g):
+        chain = arith.sturm_chain(factor)
+        low, high = _edge_signs(chain, q, -1), _edge_signs(chain, q, 1)
+        if _variations(low) - _variations(high) + (low[0] == 0) != len(factor) - 1:
+            return None
+        out.append((factor, mult, chain))
+    return out
 
 
 def is_weil(f, q):
@@ -134,35 +159,7 @@ def is_weil(f, q):
         g = real_weil_polynomial(f, q)
     except NotWeilShape:
         return False
-    g = arith.poly_squarefree_part(g)
-    # strip roots exactly at +-2 sqrt(q); they correspond to roots +-sqrt(q) of f
-    s = isqrt(4 * q)
-    if s * s == 4 * q:
-        for root in (s, -s):
-            if arith.poly_eval(g, root) == 0:
-                g, _ = arith.poly_divmod_exact(g, [-root, 1])
-    else:
-        quot, rem = _try_divide(g, [-4 * q, 0, 1])
-        if rem is not None and not rem:
-            g = quot
-    if len(g) <= 1:
-        return True
-    # g is squarefree, so one chain serves every count below
-    chain = arith.sturm_chain(g)
-    bound = arith.cauchy_root_bound(g)
-    if arith._roots_between(chain, -bound, bound) != len(g) - 1:
-        return False
-    _, neg_hi = _rational_bracket(chain, q, negative=True)
-    pos_lo, _ = _rational_bracket(chain, q, negative=False)
-    return arith._roots_between(chain, neg_hi, pos_lo) == len(g) - 1
-
-
-def _try_divide(a, b):
-    try:
-        quot, rem = arith.poly_divmod_exact(a, b)
-    except DomainError:
-        return None, None
-    return quot, rem
+    return _weil_factors(g, q) is not None
 
 
 def is_ordinary(f, q):
@@ -229,31 +226,32 @@ def _signed_divisors(n):
     return out
 
 
-def frobenius_angles(f, q, bits=None):
-    """Frobenius angles arccos(r / 2 sqrt(q)) for the real roots r of g.
-
-    Roots are isolated exactly by Sturm sequences and refined by dyadic
-    bisection, so each angle is accurate to well below 1e-14.
-    """
-    g = real_weil_polynomial(f, q)
-    n = len(g) - 1
+def _angles(g, factors, q, bits=None):
     if bits is None:
         # the isolation bracket is as wide as the coefficient bound, so pay
         # for its bit length to keep the absolute root error near 2^-64
         bits = 64 + max(abs(c) for c in g).bit_length()
-    decomposition = arith.poly_squarefree_decomposition(g)
     two_sqrt_q = 2.0 * math.sqrt(q)
     angles = []
-    for factor, mult in decomposition:
-        if len(factor) <= 1:
-            continue
-        for root in arith.real_roots(factor, bits=bits):
+    for factor, mult, chain in factors:
+        for root in arith.real_roots(factor, bits, chain):
             x = float(root) / two_sqrt_q
             x = min(1.0, max(-1.0, x))
             angles.extend([math.acos(x)] * mult)
-    if len(angles) != n:
-        raise DomainError("polynomial has roots off the circle of radius sqrt(q)")
     return sorted(angles)
+
+
+def frobenius_angles(f, q, bits=None):
+    """Frobenius angles arccos(r / 2 sqrt(q)) for the real roots r of g.
+
+    Roots are isolated exactly by Sturm sequences and refined on a dyadic
+    grid, so each angle is accurate to well below 1e-14.
+    """
+    g = real_weil_polynomial(f, q)
+    factors = _weil_factors(g, q)
+    if factors is None:
+        raise DomainError("polynomial has roots off the circle of radius sqrt(q)")
+    return _angles(g, factors, q, bits)
 
 
 def isogeny_class(f, q):
@@ -263,12 +261,15 @@ def isogeny_class(f, q):
         raise DomainError(f"q = {q} is not a prime power")
     if not f or f[-1] != 1 or (len(f) - 1) % 2 != 0 or len(f) < 3:
         raise NotWeilShape("need a monic polynomial of even degree >= 2")
-    if not is_weil(f, q):
+    try:
+        g = real_weil_polynomial(f, q)
+        factors = _weil_factors(g, q)
+    except NotWeilShape:
+        factors = None
+    if factors is None:
         raise NotWeilShape("roots are not all of absolute value sqrt(q)")
     n = (len(f) - 1) // 2
-    g = tuple(real_weil_polynomial(f, q))
-    angles = tuple(frobenius_angles(f, q))
-    return IsogenyClassSpec(f=f, q=q, n=n, g=g, angles=angles)
+    return IsogenyClassSpec(f=f, q=q, n=n, g=tuple(g), angles=tuple(_angles(g, factors, q)))
 
 
 def random_surface_spec(rng, qmax=10_000, require_ordinary=True, require_simple=True):
@@ -296,7 +297,7 @@ def random_surface_spec(rng, qmax=10_000, require_ordinary=True, require_simple=
         b = c + 2 * q
         if require_ordinary and gcd(b, q) != 1:
             continue
-        f = (q * q, a * q, b, a, 1)
-        if require_simple and not is_simple(f):
+        spec = isogeny_class((q * q, a * q, b, a, 1), q)
+        if require_simple and not spec.simple:
             continue
-        return isogeny_class(f, q)
+        return spec

@@ -1,5 +1,6 @@
 import itertools
 import random
+from bisect import bisect_right
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -76,6 +77,23 @@ def bisection_oracle(poly, lo, hi, bits):
         else:
             lo = mid
     return (lo + hi) / 2
+
+
+def squarefree_part(poly):
+    """Product of the Yun factors of poly: its primitive squarefree part."""
+    out = [1]
+    for factor, _ in arith.poly_squarefree_decomposition(poly):
+        out = arith.poly_mul(out, factor)
+    return out
+
+
+def sturm_count(a, lo, hi):
+    """Roots of squarefree a in (lo, hi], from the package's integer Sturm chain."""
+    chain = arith._squarefree_chain(arith.poly_trim(a))
+    lo, hi = Fraction(lo), Fraction(hi)
+    return arith._sign_variations(chain, lo.numerator, lo.denominator) - arith._sign_variations(
+        chain, hi.numerator, hi.denominator
+    )
 
 
 def random_squarefree(rng, lo_deg, hi_deg):
@@ -322,6 +340,21 @@ class TestKronecker:
 
 
 class TestFactorize:
+    def test_prime_sieve_against_comprehension(self):
+        def comprehension(limit):
+            sieve = bytearray([1]) * (limit + 1)
+            sieve[0:2] = b"\x00\x00"
+            for p in range(2, isqrt(limit) + 1):
+                if sieve[p]:
+                    sieve[p * p :: p] = bytearray(len(range(p * p, limit + 1, p)))
+            return [i for i, v in enumerate(sieve) if v]
+
+        primes = comprehension(20000)
+        for limit in range(0, 20001, 97):
+            assert comprehension(limit) == primes[: bisect_right(primes, limit)]
+        for limit in range(20001):
+            assert arith._prime_sieve(limit) == primes[: bisect_right(primes, limit)], limit
+
     def test_one(self):
         assert arith.factorize(1) == {}
 
@@ -409,23 +442,23 @@ class TestPrimalityBound:
 
 class TestSturm:
     def test_sqrt_two_in_unit_window(self):
-        assert arith.sturm_count([-2, 0, 1], 0, 2) == 1
+        assert sturm_count([-2, 0, 1], 0, 2) == 1
 
     def test_no_real_roots(self):
-        assert arith.sturm_count([1, 0, 1], -10, 10) == 0
+        assert sturm_count([1, 0, 1], -10, 10) == 0
 
     def test_real_companion_roots(self):
         # roots 3 +- sqrt(23), about -1.796 and 7.796
-        assert arith.sturm_count([-14, -6, 1], -10, 10) == 2
+        assert sturm_count([-14, -6, 1], -10, 10) == 2
 
     def test_half_open_semantics(self):
         # roots of x^2 - 4 at +-2
-        assert arith.sturm_count([-4, 0, 1], -2, 2) == 1
-        assert arith.sturm_count([-4, 0, 1], Fraction(-5, 2), 2) == 2
+        assert sturm_count([-4, 0, 1], -2, 2) == 1
+        assert sturm_count([-4, 0, 1], Fraction(-5, 2), 2) == 2
 
     def test_rejects_non_squarefree(self):
         with pytest.raises(DomainError):
-            arith.sturm_count([1, 2, 1], -5, 5)
+            sturm_count([1, 2, 1], -5, 5)
 
     @pytest.mark.parametrize("poly", [[1, 2, 1], [1, -1, -1, 1]])
     def test_repeated_root_rejected(self, poly):
@@ -441,7 +474,7 @@ class TestSturm:
         while checked < 200:
             deg = rng.randrange(2, 5)
             poly = [rng.randrange(-8, 9) for _ in range(deg)] + [1]
-            poly = arith.poly_squarefree_part(poly)
+            poly = squarefree_part(poly)
             if len(poly) < 3:
                 continue
             bound = arith.cauchy_root_bound(poly)
@@ -465,7 +498,7 @@ class TestSturm:
                     oracle += 1
             if vals[-1] == 0:
                 oracle += 1
-            count = arith.sturm_count(poly, Fraction(-bound), Fraction(bound))
+            count = sturm_count(poly, Fraction(-bound), Fraction(bound))
             if count != oracle:
                 # grid may straddle a near-double root; verify with isolation
                 assert len(arith.isolate_real_roots(poly)) == count
@@ -526,11 +559,59 @@ class TestSturm:
         assert arith.refine_root(poly, lo, hi, chain=arith.sturm_chain(poly)) == want
 
 
+    @pytest.mark.parametrize(
+        "poly, lo, hi, bits",
+        [
+            ([-3, 1024], 0, 1, 10),  # root 3/1024: a grid point first reached at level 10
+            ([-5, 16], 0, 1, 10),  # root 5/16: a grid point from level 4 on
+            (arith.poly_mul([-5, 16], [7, 1]), 0, 1, 64),
+            ([-37, 96], Fraction(1, 3), Fraction(7, 3), 6),  # 37/96 = 1/3 + (2/3) 5/2^6
+            ([-37, 96], Fraction(1, 3), Fraction(7, 3), 5),  # the same root off the coarser grid
+            (arith.poly_mul([-37, 96], [1, 0, 1]), Fraction(1, 3), Fraction(7, 3), 80),
+        ],
+    )
+    def test_refinement_of_a_root_on_the_grid(self, poly, lo, hi, bits):
+        want = bisection_oracle(poly, lo, hi, bits)
+        assert arith.refine_root(poly, lo, hi, bits) == want
+
+    def test_refinement_in_non_dyadic_brackets(self):
+        rng = random.Random(24)
+        for _ in range(60):
+            poly = random_squarefree(rng, 1, 5)
+            chain = classical_sturm_chain(poly)
+            for lo, hi in arith.isolate_real_roots(poly):
+                # pull both ends in by thirds and sevenths while one root stays inside
+                for _ in range(8):
+                    a = lo + (hi - lo) * Fraction(rng.randrange(0, 3), 7)
+                    b = hi - (hi - lo) * Fraction(rng.randrange(0, 3), 3)
+                    if frac_variations(chain, a) - frac_variations(chain, b) == 1:
+                        lo, hi = a, b
+                bits = rng.choice([3, 40, 80])
+                assert arith.refine_root(poly, lo, hi, bits) == bisection_oracle(poly, lo, hi, bits)
+
+    def test_refinement_of_huge_quadratics(self):
+        # real companions y^2 + a y + (b - 2q) of surface classes with q ~ 10^72
+        rng = random.Random(25)
+        q = 10**72 + 1
+        s = isqrt(4 * q)
+        for _ in range(6):
+            a = rng.randrange(-s, s)
+            c = rng.randrange(-(a * a) // 4 - 10**71, a * a // 4)  # two real roots
+            poly = [c, a, 1]
+            if isqrt(a * a - 4 * c) ** 2 == a * a - 4 * c:
+                continue
+            bits = 64 + max(abs(x) for x in poly).bit_length()
+            roots = arith.real_roots(poly, bits)
+            intervals = arith.isolate_real_roots(poly)
+            assert roots == [bisection_oracle(poly, lo, hi, bits) for lo, hi in intervals]
+            assert len(roots) == 2
+
+
 class TestPolyHelpers:
     def test_squarefree_part(self):
         # (x-1)^2 (x+2)
         poly = arith.poly_mul(arith.poly_mul([-1, 1], [-1, 1]), [2, 1])
-        assert arith.poly_squarefree_part(poly) == arith.poly_mul([-1, 1], [2, 1])
+        assert squarefree_part(poly) == arith.poly_mul([-1, 1], [2, 1])
 
     def test_squarefree_decomposition(self):
         poly = arith.poly_mul(arith.poly_mul([-1, 1], [-1, 1]), [2, 1])

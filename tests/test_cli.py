@@ -48,6 +48,22 @@ class TestAnalyze:
         assert err.startswith("error: disc Z[pi, pibar]") and len(err.strip().splitlines()) == 1
         assert "Traceback" not in err
 
+    def test_elliptic_factors_each_number_once(self, capsys, monkeypatch):
+        # q for the prime-power check, t^2 - 4q for the strata, the conductor
+        # 1 twice; simplicity and odd ramification need no factoring
+        calls = []
+        factorize = arith.factorize
+
+        def counted(n, *args, **kwargs):
+            calls.append(n)
+            return factorize(n, *args, **kwargs)
+
+        monkeypatch.setattr(arith, "factorize", counted)
+        argv = ["analyze", "--weil", "100000007,-3,1", "--q", "100000007", "--json"]
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0 and json.loads(out.splitlines()[0])["simple"] is True
+        assert len(calls) <= 4, calls
+
     def test_not_weil_exit_code(self, capsys):
         code, _, err = run_cli(capsys, ["analyze", "--weil", "4,0,5,0,1", "--q", "2"])
         assert code == 3

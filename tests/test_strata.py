@@ -198,7 +198,7 @@ class TestExampleFamilies:
         spec, report = strata.example_family("smallest", 7)
         # c_7 = 4: largest integer below 2 sqrt(7) - 1 ~ 4.29
         assert spec.f == (49, -49, 25, -7, 1)
-        assert spec.middle_coefficient == 25
+        assert spec.f[spec.n] == 25
         assert report.bound_checked is False  # p <= 144: no bound applies
         _, big = strata.example_family("smallest", 151)
         assert big.bound_checked is True
@@ -283,6 +283,19 @@ class TestAnalyze:
         assert payload["exact_count"] is None
         assert payload["unit_index_real"] == "2"
         assert isinstance(payload["ratio_trig"], float)
+
+    def test_elliptic_odd_ramification_against_factorization(self):
+        # delta0 = -4 (q = 5, t = 2: F = 2) and -8 (q = 3, t = 2) have no odd prime
+        assert strata.analyze(weil.isogeny_class([5, -2, 1], 5))[0].odd_ramified == "unknown"
+        assert strata.analyze(weil.isogeny_class([3, -2, 1], 3))[0].odd_ramified == "unknown"
+        for q in (7, 11, 13, 29, 97):
+            for t in range(1, 2 * math.isqrt(q) + 1):
+                if t * t >= 4 * q:
+                    continue
+                reports = strata.analyze(weil.isogeny_class([q, -t, 1], q))
+                delta0 = quadratic.quad_discriminant(t * t - 4 * q).delta0
+                odd = any(p % 2 for p in arith.factorize(-delta0))
+                assert {r.odd_ramified for r in reports} == {"certified" if odd else "unknown"}
 
     def test_rejects_non_simple(self):
         f = [25, -30, 19, -6, 1]  # (x^2 - 3x + 5)^2

@@ -89,12 +89,54 @@ class TestIsWeil:
         assert weil.real_weil_polynomial(f, q) == [15, -16, 1]
         assert weil.is_weil(f, q) is False
 
+    @pytest.mark.parametrize(
+        "q, g, expected",
+        [
+            (5, [-20, 0, 1], True),  # g = y^2 - 4q: roots exactly at +-2 sqrt(5)
+            (5, arith.poly_mul([-20, 0, 1], [-1, 1]), True),
+            (5, arith.poly_mul([-20, 0, 1], [-5, 1]), False),  # 5 > 2 sqrt(5)
+            (5, arith.poly_mul([-20, 0, 1], [-20, 0, 1]), True),  # repeated boundary factor
+            (9, arith.poly_mul([-36, 0, 1], [1, 1]), True),  # roots 6, -6, -1
+            (9, arith.poly_mul([-6, 1], [-6, 1]), True),  # double root at 2 sqrt(9)
+            (9, arith.poly_mul([-36, 0, 1], [7, 1]), False),
+            (9, arith.poly_mul([-36, 0, 1], [1, 0, 1]), False),  # nonreal roots +-i
+        ],
+    )
+    def test_companion_divisible_by_boundary(self, q, g, expected):
+        f = compose_real_companion(g, q)
+        assert weil.real_weil_polynomial(f, q) == g
+        assert weil.is_weil(f, q) is expected
+        if expected:
+            angles = weil.frobenius_angles(f, q)
+            assert len(angles) == len(g) - 1
+            assert any(min(a, math.pi - a) < 1e-6 for a in angles)  # a root at +-2 sqrt(q)
+
     def test_boundary_factor_nonsquare_q(self):
         # g = x^2 - 4q exactly: f = (x^2 - 2 sqrt(q) x + q)(x^2 + 2 sqrt(q) x + q)
         q = 5
         f = arith.poly_mul([q, 0, 1], [q, 0, 1])
         f = arith.poly_sub(f, [0, 0, 4 * q])  # (x^2+q)^2 - 4q x^2
         assert weil.is_weil(f, q) is True
+
+
+def ordinary_weil_quartics(qmax):
+    """Every ordinary Weil quartic over F_q, q a prime power <= qmax, by the
+    region test of `random_surface_spec`, double roots of g included."""
+    for q in range(2, qmax + 1):
+        if arith.is_prime_power(q) is None:
+            continue
+        s = math.isqrt(16 * q)
+        for a in range(-s, s + 1):
+            for c in range(-4 * q, 4 * q + 1):
+                if a * a - 4 * c < 0 or a * a >= 16 * q:
+                    continue
+                if weil._sign_plus_root(4 * q + c, 2 * a, q) <= 0:
+                    continue
+                if weil._sign_plus_root(4 * q + c, -2 * a, q) <= 0:
+                    continue
+                b = c + 2 * q
+                if math.gcd(b, q) == 1:
+                    yield q, (q * q, a * q, b, a, 1), (c, a, 1)
 
 
 class TestOrdinarySimple:
@@ -130,6 +172,34 @@ class TestOrdinarySimple:
         monkeypatch.setattr(arith, "divisors", counted)
         assert weil.is_simple(F23) is True
         assert calls == [529]
+
+    def test_closed_simplicity_against_search(self):
+        counts = {True: 0, False: 0}
+        for q, f, g in ordinary_weil_quartics(40):
+            spec = weil.IsogenyClassSpec(f=f, q=q, n=2, g=g, angles=())
+            assert spec.simple is weil.is_simple(f), (f, q)
+            counts[spec.simple] += 1
+        assert counts[True] > 5 * counts[False] > 0
+        for q in range(2, 41):
+            if arith.is_prime_power(q) is not None:
+                for t in range(-math.isqrt(4 * q), math.isqrt(4 * q) + 1):
+                    if math.gcd(t, q) == 1:
+                        f = (q, -t, 1)
+                        spec = weil.IsogenyClassSpec(f=f, q=q, n=1, g=(-t, 1), angles=())
+                        assert spec.simple is weil.is_simple(f) is True
+
+    def test_spec_simple_needs_no_divisors(self, monkeypatch):
+        def refuse(n):
+            raise AssertionError(f"divisors({n}) called")
+
+        monkeypatch.setattr(arith, "divisors", refuse)
+        assert weil.isogeny_class(F23, 23).simple is True
+        assert weil.isogeny_class([25, -30, 19, -6, 1], 5).simple is False
+        assert weil.isogeny_class([100000007, -3, 1], 100000007).simple is True
+        monkeypatch.undo()
+        # a non-ordinary class falls back to the divisor search
+        # (x^2 + 2x + 2)(x^2 - 2x + 2)
+        assert weil.isogeny_class([4, 0, 0, 0, 1], 2).simple is False
 
     def test_elliptic_simple(self):
         assert weil.is_simple([2, -1, 1]) is True
@@ -189,7 +259,32 @@ class TestSpecValidation:
         spec = weil.isogeny_class(F23, 23)
         assert spec.n == 2
         assert spec.g == (-14, -6, 1)
-        assert spec.middle_coefficient == 32
+        assert spec.f[spec.n] == 32
+
+    def test_one_pass_per_class(self, monkeypatch):
+        names = ("real_weil_polynomial", "poly_squarefree_decomposition", "sturm_chain")
+        calls = dict.fromkeys(names, 0)
+
+        def counting(module, name):
+            fn = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        counting(weil, "real_weil_polynomial")
+        counting(arith, "poly_squarefree_decomposition")
+        counting(arith, "sturm_chain")
+        assert weil.isogeny_class(F23, 23).g == (-14, -6, 1)
+        assert list(calls.values()) == [1, 1, 1]
+        # (y^2 - 3y - 1)^2 (y + 1): two Yun factors, one chain each
+        calls.update(dict.fromkeys(calls, 0))
+        g = arith.poly_mul(arith.poly_mul([-1, -3, 1], [-1, -3, 1]), [1, 1])
+        spec = weil.isogeny_class(compose_real_companion(g, 7), 7)
+        assert len(spec.angles) == 5
+        assert list(calls.values()) == [1, 1, 2]
 
     def test_rejects_non_prime_power(self):
         with pytest.raises(DomainError):
