@@ -13,7 +13,9 @@ Conventions used throughout the package:
   fraction-free elimination, `echelon`;
 * the Hermite normal form is row-style: upper echelon, positive pivots,
   and entries above each pivot reduced into ``[0, pivot)``.  Two generator
-  sets span the same lattice iff their HNFs are identical.
+  sets span the same lattice iff their HNFs are identical.  `hnf_int`
+  computes it by one column-wise extended-gcd elimination, clearing each
+  entry below a pivot with a single unimodular 2x2 step.
 """
 
 from __future__ import annotations
@@ -53,18 +55,6 @@ def poly_scale(a, s):
     if s == 0:
         return []
     return [s * x for x in a]
-
-
-def poly_mul(a, b):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return poly_trim(out)
 
 
 def poly_eval(a, x):
@@ -477,15 +467,42 @@ def squarefree_decompose(n):
     return s, f
 
 
+def _iroot(n, k):
+    """The integer k-th root floor(n^(1/k)) of n >= 1, by integer Newton steps."""
+    x = 1 << -(-n.bit_length() // k)  # at least the root
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
 def is_prime_power(q):
-    """Returns (p, k) with q = p^k for prime p, or None."""
+    """Returns (p, k) with q = p^k for prime p, or None.
+
+    Needs no factoring.  Trial division by the primes below 10^4 decides
+    any q that one of them divides (q must be a power of it) and any q
+    with no prime factor up to its square root (q is prime).  Every other
+    q has all its prime factors above 10^4 > 2^13, so q = r^k needs
+    13 k < bits(q), and the largest such k with an exact integer k-th root
+    r decides: q is a prime power iff that r is prime.
+    """
     if q < 2:
         return None
-    fac = factorize(q)
-    if len(fac) != 1:
-        return None
-    ((p, k),) = fac.items()
-    return p, k
+    for p in small_primes():
+        if p * p > q:
+            return q, 1
+        if q % p == 0:
+            k = 0
+            while q % p == 0:
+                q //= p
+                k += 1
+            return (p, k) if q == 1 else None
+    for k in range(q.bit_length() // 13, 1, -1):
+        r = _iroot(q, k)
+        if r**k == q:
+            return (r, k) if is_prime(r) else None
+    return (q, 1) if is_prime(q) else None
 
 
 # ---------------------------------------------------------------------------
@@ -673,12 +690,28 @@ def integer_rows(rows):
     return den, [[x.numerator * (den // x.denominator) for x in row] for row in rows]
 
 
-def hnf_int(rows, transform=False):
-    """Row-style HNF of an integer matrix.
+def _xgcd(a, b):
+    """(g, s, t) with s a + t b = g = gcd(a, b) >= 0."""
+    s, s1, t, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s, s1 = s1, s - q * s1
+        t, t1 = t1, t - q * t1
+    return (a, s, t) if a >= 0 else (-a, -s, -t)
 
-    Returns (hnf_rows, rank) or (hnf_rows, rank, U) with U unimodular and
-    U @ M = H; zero rows sit at the bottom, so U rows beyond the rank
-    describe the left kernel of M.
+
+def hnf_int(rows, transform=False):
+    """Row-style HNF of an integer matrix, by extended-gcd elimination.
+
+    Column by column, the first row with a nonzero entry becomes the pivot
+    row, and every entry below the pivot is cleared by one unimodular 2x2
+    step: an exact quotient when the pivot divides it, else the `_xgcd`
+    step that leaves their gcd as the pivot (Cohen, GTM 138, 2.4).  The
+    pivot is then made positive and the rows above it reduced into
+    [0, pivot).  Returns (hnf_rows, rank) or (hnf_rows, rank, U) with U
+    unimodular and U @ M = H; zero rows sit at the bottom, so U rows beyond
+    the rank span the left kernel of M.
     """
     m = [list(r) for r in rows]
     nrows = len(m)
@@ -686,37 +719,46 @@ def hnf_int(rows, transform=False):
     u = [[1 if i == j else 0 for j in range(nrows)] for i in range(nrows)] if transform else None
     r = 0
     for col in range(ncols):
-        pivot = None
-        while True:
-            live = [i for i in range(r, nrows) if m[i][col] != 0]
-            if not live:
-                break
-            if len(live) == 1:
-                pivot = live[0]
-                break
-            live.sort(key=lambda i: abs(m[i][col]))
-            base = live[0]
-            for i in live[1:]:
-                q = m[i][col] // m[base][col]
-                if q:
-                    m[i] = [a - q * b for a, b in zip(m[i], m[base])]
-                    if transform:
-                        u[i] = [a - q * b for a, b in zip(u[i], u[base])]
-        if pivot is None:
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if m[i][col]), None)
+        if piv is None:
             continue
-        m[r], m[pivot] = m[pivot], m[r]
+        m[r], m[piv] = m[piv], m[r]
         if transform:
-            u[r], u[pivot] = u[pivot], u[r]
-        if m[r][col] < 0:
-            m[r] = [-a for a in m[r]]
-            if transform:
-                u[r] = [-a for a in u[r]]
-        for i in range(r):
-            q = m[i][col] // m[r][col]
-            if q:
-                m[i] = [a - q * b for a, b in zip(m[i], m[r])]
+            u[r], u[piv] = u[piv], u[r]
+        top = m[r]
+        for i in range(piv + 1, nrows):
+            b = m[i][col]
+            if not b:
+                continue
+            a = top[col]
+            row = m[i]
+            q, rem = divmod(b, a)
+            if not rem:
+                m[i] = [x - q * y for x, y in zip(row, top)]
                 if transform:
-                    u[i] = [a - q * b for a, b in zip(u[i], u[r])]
+                    u[i] = [x - q * y for x, y in zip(u[i], u[r])]
+                continue
+            g, s, t = _xgcd(a, b)
+            a, b = a // g, b // g
+            m[i] = [a * y - b * x for x, y in zip(top, row)]
+            m[r] = top = [s * x + t * y for x, y in zip(top, row)]
+            if transform:
+                ut, ui = u[r], u[i]
+                u[i] = [a * y - b * x for x, y in zip(ut, ui)]
+                u[r] = [s * x + t * y for x, y in zip(ut, ui)]
+        if top[col] < 0:
+            m[r] = top = [-x for x in top]
+            if transform:
+                u[r] = [-x for x in u[r]]
+        p = top[col]
+        for i in range(r):
+            q = m[i][col] // p
+            if q:
+                m[i] = [x - q * y for x, y in zip(m[i], top)]
+                if transform:
+                    u[i] = [x - q * y for x, y in zip(u[i], u[r])]
         r += 1
     if transform:
         return m, r, u
@@ -743,9 +785,20 @@ def lattice_hnf(rows, dim, den=1):
 
 
 def left_kernel_int(rows):
-    """Basis of {c integer row : c @ M = 0} for an integer matrix M."""
+    """HNF basis of {c integer row : c @ M = 0} for an integer matrix M.
+
+    The kernel rows of the transform can be thousands of bits long on tall
+    matrices with large entries, and one elimination over all of them
+    multiplies those sizes column after column.  So they enter the HNF one
+    at a time: each insertion meets a reduced basis, and the rows stay
+    small.
+    """
     _, rank, u = hnf_int(rows, transform=True)
-    return [u[i] for i in range(rank, len(rows))]
+    basis = []
+    for row in u[rank:]:
+        h, k = hnf_int(basis + [row])
+        basis = h[:k]
+    return basis
 
 
 def mat_mul(a, b):

@@ -24,6 +24,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import prod
 
 from . import arith
 from .errors import DomainError, InternalError, RankError
@@ -92,12 +93,6 @@ class RingContext:
     def trace(self, u):
         return sum(c * self.trace_gram[0][i] for i, c in enumerate(u))
 
-    def inverse(self, u):
-        """Multiplicative inverse of a unit u, via its multiplication matrix."""
-        den, (w,) = arith.integer_rows([u])
-        d, x = arith.inverse(self.element_matrix(w))
-        return tuple(Fraction(den * c, d) for c in x[0])
-
 
 class FieldContext(RingContext):
     """RingContext for a degree-2n CM algebra Q[x]/(f) with pi*conj(pi) = q."""
@@ -160,8 +155,9 @@ class Lattice:
             d *= Fraction(row[i], self.den)
         return d
 
-    def contains(self, coords, den=1):
-        """Whether coords / den lies in the lattice (coords ints or Fractions).
+    def coordinates(self, coords, den=1):
+        """Integer c with c @ rows / self.den == coords / den, or None if
+        coords / den is not in the lattice (coords ints or Fractions).
 
         Solved by substitution down the triangular HNF rows, whose pivots
         sit on the diagonal.
@@ -170,15 +166,21 @@ class Lattice:
         for x in coords:
             y, r = divmod(x * self.den, den)
             if r:
-                return False
+                return None
             v.append(y)
+        out = []
         for j, row in enumerate(self.rows):
             c, r = divmod(v[j], row[j])
             if r:
-                return False
+                return None
             if c:
                 v = [a - c * b for a, b in zip(v, row)]
-        return True
+            out.append(c)
+        return out
+
+    def contains(self, coords, den=1):
+        """Whether coords / den lies in the lattice (coords ints or Fractions)."""
+        return self.coordinates(coords, den) is not None
 
 
 def lattice_from_generators(ctx, gen_rows, den=1):
@@ -188,14 +190,6 @@ def lattice_from_generators(ctx, gen_rows, den=1):
     """
     den, rows = arith.lattice_hnf(gen_rows, ctx.dim, den)
     return Lattice(ctx=ctx, den=den, rows=rows)
-
-
-def scale_lattice(lat, c):
-    c = Fraction(c)
-    if c == 0:
-        raise DomainError("cannot scale a lattice by zero")
-    rows = [[c.numerator * x for x in row] for row in lat.rows]
-    return lattice_from_generators(lat.ctx, rows, lat.den * c.denominator)
 
 
 def conj_lattice(lat):
@@ -270,14 +264,6 @@ def is_gorenstein(ring):
     return is_invertible_over(trace_dual(ring), ring)
 
 
-def index_in(sub, sup):
-    """[sup : sub] for nested lattices sub <= sup, as a positive integer."""
-    ratio = abs(sub.det() / sup.det())
-    if ratio.denominator != 1:
-        raise InternalError("index of non-nested lattices requested")
-    return int(ratio)
-
-
 def eigen_sublattice(lat, sign):
     """Integer rows, over lat.den, spanning {x in L : conj(x) = sign * x} (rank n)."""
     den, c = lat.ctx.conj_int
@@ -342,15 +328,25 @@ class ConvenienceCertificate:
 
 
 def pure_imaginary_index(ring):
-    """Index in the trace dual of the ideal its pure imaginary part generates."""
+    """Index in the trace dual of the ideal its pure imaginary part generates.
+
+    The generators are read in the coordinates of the dual's basis, so the
+    index is the determinant of their span in Z^dim: the product of the
+    diagonal of its HNF.
+    """
     dual = trace_dual(ring)
     imag = eigen_sublattice(dual, -1)
-    gens = _products(ring.ctx, ring.rows, imag)
-    generated = lattice_from_generators(ring.ctx, gens, ring.den * dual.den)
-    for row in generated.rows:
-        if not dual.contains(row, generated.den):
+    den = ring.den * dual.den
+    coords = []
+    for row in _products(ring.ctx, ring.rows, imag):
+        c = dual.coordinates(row, den)
+        if c is None:
             raise InternalError("generated ideal escapes the trace dual")
-    return index_in(generated, dual)
+        coords.append(c)
+    h, rank = arith.hnf_int(coords)
+    if rank < ring.ctx.dim:
+        raise RankError(f"generators span rank {rank} < {ring.ctx.dim}")
+    return prod(h[i][i] for i in range(rank))
 
 
 def convenient_certificate(ring):

@@ -79,11 +79,20 @@ def bisection_oracle(poly, lo, hi, bits):
     return (lo + hi) / 2
 
 
+def poly_mul(a, b):
+    """Product of two nonzero integer polynomials."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
 def squarefree_part(poly):
     """Product of the Yun factors of poly: its primitive squarefree part."""
     out = [1]
     for factor, _ in arith.poly_squarefree_decomposition(poly):
-        out = arith.poly_mul(out, factor)
+        out = poly_mul(out, factor)
     return out
 
 
@@ -164,6 +173,157 @@ class TestHnf:
             mixed[0] = [a + 3 * b for a, b in zip(mixed[0], mixed[1])]
             mixed[1], mixed[2] = mixed[2], mixed[1]
             assert arith.lattice_hnf(mixed, 3) == h
+
+
+def euclid_hnf(rows, transform=False):
+    """Reference HNF: each Euclid round sorts the live rows of the column by
+    |entry| and reduces the others by the smallest."""
+    m = [list(r) for r in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if m else 0
+    u = [[1 if i == j else 0 for j in range(nrows)] for i in range(nrows)] if transform else None
+    r = 0
+    for col in range(ncols):
+        pivot = None
+        while True:
+            live = [i for i in range(r, nrows) if m[i][col] != 0]
+            if not live:
+                break
+            if len(live) == 1:
+                pivot = live[0]
+                break
+            live.sort(key=lambda i: abs(m[i][col]))
+            base = live[0]
+            for i in live[1:]:
+                q = m[i][col] // m[base][col]
+                if q:
+                    m[i] = [a - q * b for a, b in zip(m[i], m[base])]
+                    if transform:
+                        u[i] = [a - q * b for a, b in zip(u[i], u[base])]
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        if transform:
+            u[r], u[pivot] = u[pivot], u[r]
+        if m[r][col] < 0:
+            m[r] = [-a for a in m[r]]
+            if transform:
+                u[r] = [-a for a in u[r]]
+        for i in range(r):
+            q = m[i][col] // m[r][col]
+            if q:
+                m[i] = [a - q * b for a, b in zip(m[i], m[r])]
+                if transform:
+                    u[i] = [a - q * b for a, b in zip(u[i], u[r])]
+        r += 1
+    if transform:
+        return m, r, u
+    return m, r
+
+
+def is_hnf(rows):
+    """Upper echelon, positive pivots, entries above each pivot in [0, pivot)."""
+    lead = -1
+    for i, row in enumerate(rows):
+        j = next(j for j, x in enumerate(row) if x)
+        if j <= lead or row[j] <= 0 or not all(0 <= above[j] < row[j] for above in rows[:i]):
+            return False
+        lead = j
+    return True
+
+
+def big_matrix(rng, nrows, ncols, bits):
+    """Entries up to `bits` bits, some zero; every third matrix has rank below min(nrows, ncols)."""
+    if rng.random() < 1 / 3:
+        k = rng.randrange(1, min(nrows, ncols))
+        half = 1 << (bits // 2)
+        a = [[rng.randrange(-half, half + 1) for _ in range(k)] for _ in range(nrows)]
+        b = [[rng.randrange(-half, half + 1) for _ in range(ncols)] for _ in range(k)]
+        return arith.mat_mul(a, b)
+    top = 1 << bits
+    return [
+        [rng.choice([0, rng.randrange(-top, top + 1)]) for _ in range(ncols)] for _ in range(nrows)
+    ]
+
+
+def det_mod(m, p):
+    """Determinant of a square integer matrix modulo a prime p, by Gaussian elimination."""
+    a = [[x % p for x in row] for row in m]
+    d = 1
+    for c in range(len(a)):
+        piv = next((i for i in range(c, len(a)) if a[i][c]), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            a[c], a[piv] = a[piv], a[c]
+            d = -d
+        d = d * a[c][c] % p
+        inv = pow(a[c][c], -1, p)
+        for i in range(c + 1, len(a)):
+            f = a[i][c] * inv % p
+            if f:
+                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[c])]
+    return d % p
+
+
+def in_echelon_span(basis, v):
+    """Whether v is an integer combination of the rows of an HNF basis."""
+    for row in basis:
+        j = next(j for j, x in enumerate(row) if x)
+        c, r = divmod(v[j], row[j])
+        if r:
+            return False
+        v = [a - c * b for a, b in zip(v, row)]
+    return not any(v)
+
+
+UNIMODULAR_PRIMES = (2**61 - 1, 2**31 - 1, 10**9 + 7)
+
+
+class TestExtendedGcdHnf:
+    SHAPES = ((4, 4), (8, 4), (16, 4), (12, 6), (20, 8))
+
+    def test_xgcd(self):
+        rng = random.Random(3)
+        for _ in range(500):
+            a, b = rng.randrange(-(10**30), 10**30), rng.randrange(-(10**30), 10**30)
+            g, s, t = arith._xgcd(a, b)
+            assert g == gcd(a, b) and s * a + t * b == g
+
+    def test_equals_euclid_oracle(self):
+        rng = random.Random(101)
+        deficient = 0
+        for nrows, ncols in self.SHAPES:
+            for bits in (3, 40, 200):
+                for _ in range(4):
+                    m = big_matrix(rng, nrows, ncols, bits)
+                    h, rank = arith.hnf_int(m)
+                    assert (h, rank) == euclid_hnf(m), m
+                    assert is_hnf(h[:rank]) and not any(any(row) for row in h[rank:])
+                    deficient += rank < min(nrows, ncols)
+        assert deficient >= 10
+
+    def test_transform_and_kernel(self):
+        rng = random.Random(103)
+        for nrows, ncols in self.SHAPES:
+            for bits in (3, 40, 200):
+                for _ in range(2):
+                    m = big_matrix(rng, nrows, ncols, bits)
+                    h, rank, u = arith.hnf_int(m, transform=True)
+                    assert (h, rank) == euclid_hnf(m)
+                    assert arith.mat_mul(u, m) == h
+                    # |det U| = 1, seen modulo three primes: an exact det
+                    # of U's thousand-bit rows at 20 x 20 takes seconds
+                    assert all(det_mod(u, p) in (1, p - 1) for p in UNIMODULAR_PRIMES)
+                    if bits <= 40:
+                        assert abs(arith.det(u)) == 1
+                    kernel = arith.left_kernel_int(m)
+                    assert len(kernel) == nrows - rank
+                    if kernel:
+                        assert not any(any(row) for row in arith.mat_mul(kernel, m))
+                        assert is_hnf(kernel)
+                        # the same lattice as the raw kernel rows of U
+                        assert all(in_echelon_span(kernel, row) for row in u[rank:])
 
 
 def cofactor_det(m):
@@ -271,6 +431,12 @@ class TestKernel:
                     )
                     assert lattice.contains([Fraction(x, t) for x in nums]) == member
                     assert lattice.contains(nums, t) == member
+                    c = lattice.coordinates(nums, t)
+                    assert (c is not None) == member
+                    assert lattice.coordinates([Fraction(x, t) for x in nums]) == c
+                    if member:  # c @ rows / den == nums / t
+                        combo = arith.mat_mul([c], [list(row) for row in lattice.rows])[0]
+                        assert [x * t for x in combo] == [x * lattice.den for x in nums]
                 done += 1
 
 
@@ -357,6 +523,29 @@ class TestFactorize:
 
     def test_one(self):
         assert arith.factorize(1) == {}
+
+    def test_prime_power_against_trial_division(self):
+        for q in range(-3, 20000):
+            fac = trial_division(q) if q >= 2 else {}
+            expected = next(iter(fac.items())) if len(fac) == 1 else None
+            assert arith.is_prime_power(q) == expected, q
+
+    def test_prime_power_exponents(self):
+        for p in arith.small_primes()[:303]:  # the primes below 2000
+            for k in range(1, 9):
+                assert arith.is_prime_power(p**k) == (p, k)
+
+    def test_prime_power_without_factoring(self, monkeypatch):
+        # factoring 10^72 + 1 spends many seconds in Pollard-Brent rho
+        def no_factoring(*args):
+            raise AssertionError("is_prime_power factored")
+
+        monkeypatch.setattr(arith, "factorize", no_factoring)
+        assert arith.is_prime_power(10**72 + 1) is None
+        assert arith.is_prime_power((10**12 + 39) ** 6) == (10**12 + 39, 6)
+        assert arith.is_prime_power(10**12 + 39) == (10**12 + 39, 1)
+        assert arith.is_prime_power((10**12 + 39) * (10**12 + 61)) is None
+        assert arith.is_prime_power(6**40) is None
 
     def test_small_composite(self):
         assert arith.factorize(2772) == {2: 2, 3: 2, 7: 1, 11: 1}
@@ -529,7 +718,7 @@ class TestSturm:
             poly = random_squarefree(rng, 2, 6)
             # rational roots make the bisection land on a root now and then
             if rng.random() < 0.3:
-                poly = arith.poly_mul(poly, [rng.randrange(-6, 7), rng.choice([1, 2])])
+                poly = poly_mul(poly, [rng.randrange(-6, 7), rng.choice([1, 2])])
                 if len(arith.poly_gcd(poly, arith.poly_derivative(poly))) != 1:
                     continue
             bits = rng.choice([0, 1, 5, 40, 80])
@@ -564,10 +753,10 @@ class TestSturm:
         [
             ([-3, 1024], 0, 1, 10),  # root 3/1024: a grid point first reached at level 10
             ([-5, 16], 0, 1, 10),  # root 5/16: a grid point from level 4 on
-            (arith.poly_mul([-5, 16], [7, 1]), 0, 1, 64),
+            (poly_mul([-5, 16], [7, 1]), 0, 1, 64),
             ([-37, 96], Fraction(1, 3), Fraction(7, 3), 6),  # 37/96 = 1/3 + (2/3) 5/2^6
             ([-37, 96], Fraction(1, 3), Fraction(7, 3), 5),  # the same root off the coarser grid
-            (arith.poly_mul([-37, 96], [1, 0, 1]), Fraction(1, 3), Fraction(7, 3), 80),
+            (poly_mul([-37, 96], [1, 0, 1]), Fraction(1, 3), Fraction(7, 3), 80),
         ],
     )
     def test_refinement_of_a_root_on_the_grid(self, poly, lo, hi, bits):
@@ -610,24 +799,24 @@ class TestSturm:
 class TestPolyHelpers:
     def test_squarefree_part(self):
         # (x-1)^2 (x+2)
-        poly = arith.poly_mul(arith.poly_mul([-1, 1], [-1, 1]), [2, 1])
-        assert squarefree_part(poly) == arith.poly_mul([-1, 1], [2, 1])
+        poly = poly_mul(poly_mul([-1, 1], [-1, 1]), [2, 1])
+        assert squarefree_part(poly) == poly_mul([-1, 1], [2, 1])
 
     def test_squarefree_decomposition(self):
-        poly = arith.poly_mul(arith.poly_mul([-1, 1], [-1, 1]), [2, 1])
+        poly = poly_mul(poly_mul([-1, 1], [-1, 1]), [2, 1])
         decomposition = arith.poly_squarefree_decomposition(poly)
         assert sorted(decomposition, key=lambda t: t[1]) == [([2, 1], 1), ([-1, 1], 2)]
 
     def test_squarefree_decomposition_equal_multiplicities(self):
         # (x-1)^2 (x+2)^2: one squarefree factor of multiplicity two
-        poly = arith.poly_mul(
-            arith.poly_mul([-1, 1], [-1, 1]), arith.poly_mul([2, 1], [2, 1])
+        poly = poly_mul(
+            poly_mul([-1, 1], [-1, 1]), poly_mul([2, 1], [2, 1])
         )
         decomposition = arith.poly_squarefree_decomposition(poly)
-        assert decomposition == [(arith.poly_mul([-1, 1], [2, 1]), 2)]
+        assert decomposition == [(poly_mul([-1, 1], [2, 1]), 2)]
 
     def test_squarefree_decomposition_triple(self):
-        poly = arith.poly_mul(arith.poly_mul([-1, 1], [-1, 1]), [-1, 1])
+        poly = poly_mul(poly_mul([-1, 1], [-1, 1]), [-1, 1])
         assert arith.poly_squarefree_decomposition(poly) == [([-1, 1], 3)]
 
     def test_squarefree_decomposition_identities(self):
@@ -639,14 +828,14 @@ class TestPolyHelpers:
                     rng.choice([-2, -1, 1, 3])
                 ]
                 for _ in range(rng.randrange(1, 4)):
-                    poly = arith.poly_mul(poly, factor)
+                    poly = poly_mul(poly, factor)
             decomposition = arith.poly_squarefree_decomposition(poly)
             product = [1]
             for factor, mult in decomposition:
                 assert factor == arith.poly_primitive(factor) and len(factor) > 1
                 assert arith.poly_gcd(factor, arith.poly_derivative(factor)) == [1]
                 for _ in range(mult):
-                    product = arith.poly_mul(product, factor)
+                    product = poly_mul(product, factor)
             assert product == arith.poly_primitive(poly)
             mults = [m for _, m in decomposition]
             assert mults == sorted(set(mults))
@@ -659,8 +848,8 @@ class TestPolyHelpers:
         assert q == [2, 1] and r == []
 
     def test_gcd(self):
-        a = arith.poly_mul([1, 1], [-3, 1])
-        b = arith.poly_mul([1, 1], [5, 1])
+        a = poly_mul([1, 1], [-3, 1])
+        b = poly_mul([1, 1], [5, 1])
         assert arith.poly_gcd(a, b) == [1, 1]
 
 

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -49,8 +50,8 @@ class TestAnalyze:
         assert "Traceback" not in err
 
     def test_elliptic_factors_each_number_once(self, capsys, monkeypatch):
-        # q for the prime-power check, t^2 - 4q for the strata, the conductor
-        # 1 twice; simplicity and odd ramification need no factoring
+        # t^2 - 4q for the strata and the conductor 1 twice; the prime-power
+        # check, simplicity and odd ramification need no factoring
         calls = []
         factorize = arith.factorize
 
@@ -62,7 +63,7 @@ class TestAnalyze:
         argv = ["analyze", "--weil", "100000007,-3,1", "--q", "100000007", "--json"]
         code, out, _ = run_cli(capsys, argv)
         assert code == 0 and json.loads(out.splitlines()[0])["simple"] is True
-        assert len(calls) <= 4, calls
+        assert len(calls) <= 3, calls
 
     def test_not_weil_exit_code(self, capsys):
         code, _, err = run_cli(capsys, ["analyze", "--weil", "4,0,5,0,1", "--q", "2"])
@@ -76,6 +77,15 @@ class TestAnalyze:
     def test_non_prime_power_exit_code(self, capsys):
         code, _, _ = run_cli(capsys, ["analyze", "--weil", "6,-5,1", "--q", "6"])
         assert code == 2
+
+    def test_huge_non_prime_power_is_quick(self, capsys):
+        # the prime-power check factors nothing; factoring this q ran past 20 s
+        q = str(10**72 + 1)
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, ["analyze", "--weil", f"{q},-1,1", "--q", q])
+        assert time.perf_counter() - start < 2
+        assert code == 2 and out == ""
+        assert len(err.strip().splitlines()) == 1 and "not a prime power" in err
 
     def test_reducible_weil_is_domain_error(self, capsys):
         # (x^2 - 3x + 5)^2 passes the Weil test but is not simple
@@ -407,7 +417,7 @@ def cli_argv(draw, tmp):
         argv += ["--threads", str(draw(small(-2, 8)))]
     if command == "analyze":
         prime_powers = st.sampled_from([2, 4, 5, 9, 23, 25, 97, 1009, 9973, 99991])
-        q = draw(st.one_of(prime_powers, small(-3, 10**5)))
+        q = draw(st.one_of(prime_powers, small(-3, 10**5), st.just(10**72 + 1)))
         weil = draw(
             st.one_of(
                 st.text(alphabet="0123456789,- x", max_size=12),

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -16,6 +17,20 @@ def f23_context():
 
 def identity(n):
     return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def element_inverse(ctx, u):
+    """Multiplicative inverse of a unit u, via its multiplication matrix."""
+    den, (w,) = arith.integer_rows([u])
+    d, x = arith.inverse(ctx.element_matrix(w))
+    return tuple(Fraction(den * c, d) for c in x[0])
+
+
+def scale_lattice(lat, c):
+    """The lattice c * lat for a nonzero rational c."""
+    c = Fraction(c)
+    rows = [[c.numerator * x for x in row] for row in lat.rows]
+    return orders.lattice_from_generators(lat.ctx, rows, lat.den * c.denominator)
 
 
 def random_sublattice(rng, ctx, base):
@@ -49,7 +64,7 @@ class TestContext:
     def test_element_inverse(self):
         ctx = f23_context()
         u = ctx.element([3, 1, 0, 2])
-        assert ctx.mul(u, ctx.inverse(u)) == ctx.one
+        assert ctx.mul(u, element_inverse(ctx, u)) == ctx.one
 
     def test_rejects_non_separable(self):
         with pytest.raises(DomainError):
@@ -71,8 +86,8 @@ class TestMultiplierRing:
     def test_scaling_invariance(self):
         ctx = f23_context()
         minimal = orders.minimal_order(ctx)
-        assert orders.multiplier_ring(orders.scale_lattice(minimal, 2)) == minimal
-        assert orders.multiplier_ring(orders.scale_lattice(minimal, Fraction(1, 3))) == minimal
+        assert orders.multiplier_ring(scale_lattice(minimal, 2)) == minimal
+        assert orders.multiplier_ring(scale_lattice(minimal, Fraction(1, 3))) == minimal
 
     def test_result_is_always_a_ring(self):
         rng = random.Random(53)
@@ -98,7 +113,7 @@ class TestTraceDual:
         ctx = orders.FieldContext([1, 0, 1], 1)
         zi = orders.lattice_from_generators(ctx, identity(2))
         dual = orders.trace_dual(zi)
-        assert dual == orders.scale_lattice(zi, Fraction(1, 2))
+        assert dual == scale_lattice(zi, Fraction(1, 2))
         assert orders.lattice_discriminant(zi) == -4
 
     def test_inconvenient_example_matches_printed_generators(self):
@@ -106,7 +121,7 @@ class TestTraceDual:
         dual = orders.trace_dual(lattice)
         sqrt2 = tuple((a - (2 if i == 0 else 0)) / 4 for i, a in enumerate(ctx.alpha))
         pim = tuple(a - b for a, b in zip(ctx.pi, ctx.pibar))
-        pim_inv = ctx.inverse(pim)
+        pim_inv = element_inverse(ctx, pim)
         gens = [
             [c / 4 for c in ctx.one],
             [c / 16 for c in sqrt2],
@@ -139,7 +154,7 @@ class TestGorenstein:
 
     def test_rejects_non_ring(self):
         ctx = f23_context()
-        shifted = orders.scale_lattice(orders.minimal_order(ctx), Fraction(1, 2))
+        shifted = scale_lattice(orders.minimal_order(ctx), Fraction(1, 2))
         with pytest.raises(DomainError):
             orders.is_gorenstein(shifted)
 
@@ -204,6 +219,70 @@ class TestConvenience:
             done += 1
 
 
+def index_by_generated_lattice(ring):
+    """[dual : generated ideal] from the HNF of the generated ideal and the det ratio."""
+    dual = orders.trace_dual(ring)
+    gens = orders._products(ring.ctx, ring.rows, orders.eigen_sublattice(dual, -1))
+    generated = orders.lattice_from_generators(ring.ctx, gens, ring.den * dual.den)
+    assert all(dual.contains(row, generated.den) for row in generated.rows)
+    ratio = abs(generated.det() / dual.det())
+    assert ratio.denominator == 1
+    return int(ratio)
+
+
+class TestPureImaginaryIndex:
+    def test_surface_minimal_orders(self):
+        rng = random.Random(61)
+        for _ in range(200):
+            spec = weil.random_surface_spec(rng)
+            ring = orders.minimal_order(orders.FieldContext(list(spec.f), spec.q))
+            assert orders.pure_imaginary_index(ring) == index_by_generated_lattice(ring)
+
+    def test_multiplier_rings_of_random_lattices(self):
+        # these rings give many indices above 1
+        rng = random.Random(67)
+        indices = set()
+        for _ in range(40):
+            spec = weil.random_surface_spec(rng, qmax=500)
+            ctx = orders.FieldContext(list(spec.f), spec.q)
+            ring = orders.multiplier_ring(random_sublattice(rng, ctx, orders.minimal_order(ctx)))
+            index = orders.pure_imaginary_index(ring)
+            assert index == index_by_generated_lattice(ring)
+            indices.add(index)
+        assert len(indices) > 10
+
+    def test_elliptic_minimal_orders(self):
+        for q in (2, 3, 5, 7, 23, 97, 1009):
+            for t in range(-isqrt(4 * q), isqrt(4 * q) + 1):
+                if t * t == 4 * q or t % q == 0:
+                    continue
+                ring = orders.minimal_order(orders.FieldContext([q, -t, 1], q))
+                assert orders.pure_imaginary_index(ring) == index_by_generated_lattice(ring)
+
+    def test_inconvenient_example(self):
+        _, lattice = inconvenient_example_order()
+        assert orders.pure_imaginary_index(lattice) == index_by_generated_lattice(lattice) == 2
+
+    def test_deficient_generators_raise(self, monkeypatch):
+        # no pure imaginary generators at all
+        monkeypatch.setattr(orders, "eigen_sublattice", lambda lat, sign: [])
+        with pytest.raises(RankError, match="rank 0 < 4"):
+            orders.pure_imaginary_index(orders.minimal_order(f23_context()))
+
+    def test_shifted_dual_row_escapes(self, monkeypatch):
+        trace_dual = orders.trace_dual
+
+        def shifted(lat):
+            dual = trace_dual(lat)
+            rows = [list(row) for row in dual.rows]
+            rows[0][1] += 1  # still triangular, but no longer the dual
+            return orders.Lattice(ctx=dual.ctx, den=dual.den, rows=tuple(map(tuple, rows)))
+
+        monkeypatch.setattr(orders, "trace_dual", shifted)
+        with pytest.raises(InternalError, match="escapes the trace dual"):
+            orders.pure_imaginary_index(orders.minimal_order(f23_context()))
+
+
 class TestMinimalOrder:
     def test_elliptic_case(self):
         ctx = orders.FieldContext([2, -1, 1], 2)
@@ -262,7 +341,7 @@ class TestDiscriminants:
         minimal = orders.minimal_order(ctx)
         base = orders.lattice_discriminant(minimal)
         for c in (2, 3, Fraction(1, 2)):
-            scaled = orders.lattice_discriminant(orders.scale_lattice(minimal, c))
+            scaled = orders.lattice_discriminant(scale_lattice(minimal, c))
             assert scaled == Fraction(c) ** (2 * ctx.dim) * base
 
 
