@@ -56,16 +56,15 @@ class RingContext:
         poly = arith.poly_trim(poly)
         if len(poly) < 2 or poly[-1] != 1:
             raise DomainError("context needs a monic nonconstant polynomial")
-        if len(arith.poly_gcd(poly, arith.poly_derivative(poly))) != 1:
-            raise DomainError("context polynomial must be separable")
         self.poly = tuple(poly)
         self.dim = len(poly) - 1
         m = self.dim
         sums = _newton_power_sums(list(poly), 2 * m - 1)
         self.trace_gram = [[sums[i + j] for j in range(m)] for i in range(m)]
+        # the trace-form determinant of a monic polynomial is its discriminant
         self.trace_det = arith.det(self.trace_gram)
         if self.trace_det == 0:
-            raise InternalError("degenerate trace form on a separable algebra")
+            raise DomainError("context polynomial must be separable")
 
     @property
     def one(self):
@@ -115,7 +114,6 @@ class FieldContext(RingContext):
         # the conjugation matrix (row i = pibar^i) as (den, integer rows)
         den, c = self._powers(pibar, a0, self.dim)
         self.conj_int = (den, c)
-        self.conj_matrix = [[Fraction(x, den) for x in row] for row in c]
         square = [[den * den * (i == j) for j in range(self.dim)] for i in range(self.dim)]
         if arith.mat_mul(c, c) != square:
             raise InternalError("conjugation is not an involution")

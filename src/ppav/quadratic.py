@@ -240,21 +240,13 @@ def h_over_H_bound(delta):
 
     The ratio is at most the bound whenever delta0 < -4.
     """
-    if delta >= 0:
-        raise DomainError("need a negative discriminant")
-    disc = quad_discriminant(delta)
-    h0 = _fundamental_class_number(disc.delta0)
-    conductor = arith.factorize(disc.conductor)
-    h = _formula_from_h0(disc.delta0, h0, disc.conductor)
-    big_h = sum(
-        _formula_from_h0(disc.delta0, h0, f)
-        for f in arith.divisors_from_factorization(conductor)
-    )
-    ratio = Fraction(h, big_h)
+    strata = stratified_class_numbers(delta)
+    conductor, h = strata[-1]  # the last divisor of the conductor is itself
+    ratio = Fraction(h, sum(count for _, count in strata))
     bound = Fraction(1)
-    for p in conductor:
+    for p in arith.factorize(conductor):
         bound *= Fraction(p + 1, p + 2)
-    if disc.delta0 < -4 and ratio > bound:
+    if delta // conductor**2 < -4 and ratio > bound:
         raise InternalError(f"h/H bound violated at delta={delta}")
     return ratio, bound
 
@@ -274,9 +266,6 @@ class RealQuadElement:
     def norm(self):
         return self.a * self.a - self.b * self.b * self.d
 
-    def trace(self):
-        return 2 * self.a
-
     def __mul__(self, other):
         if self.d != other.d:
             raise DomainError("mixed radicands")
@@ -285,24 +274,6 @@ class RealQuadElement:
             self.a * other.b + self.b * other.a,
             self.d,
         )
-
-    def is_integral(self):
-        return self.norm().denominator == 1 and self.trace().denominator == 1
-
-
-def _icbrt(n):
-    """Floor of the cube root of n >= 0."""
-    if n < 2:
-        return n
-    x = 1 << (n.bit_length() // 3 + 1)
-    while True:
-        y = (2 * x + n // (x * x)) // 3
-        if y >= x:
-            break
-        x = y
-    while x * x * x > n:
-        x -= 1
-    return x
 
 
 def _pell_unit(n):
@@ -339,7 +310,7 @@ def _fundamental_unit_maximal(d0):
     # then t^3 - 3 n0 t = 2x; cubing preserves the norm sign, so n0 = norm.
     x, y, norm = _pell_unit(d0)
     target = 2 * x
-    guess = _icbrt(target)
+    guess = arith._iroot(target, 3)
     for t in (guess - 1, guess, guess + 1, guess + 2):
         if t <= 0:
             continue
@@ -465,12 +436,7 @@ def class_numbers_real(order_disc):
 
 
 # ---------------------------------------------------------------------------
-# principal-ideal factorization in real quadratic maximal orders
-
-
-def field_discriminant(d):
-    """Discriminant of the maximal order of Q(sqrt(d)), d squarefree."""
-    return d if d % 4 == 1 else 4 * d
+# square roots modulo prime powers
 
 
 def _sqrt_mod_prime(a, p):
@@ -522,74 +488,12 @@ def _sqrt_mod_2k(d, k):
     return r % (1 << k)
 
 
-def factor_element_ideal(d, x):
-    """Factor the principal ideal (x) in the maximal order of Q(sqrt(d)).
-
-    Returns [((ell, type), valuation)] with type in {"split+", "split-",
-    "inert", "ramified"}; the two primes over a split ell are told apart by
-    a fixed choice of sqrt(d) modulo a prime power.
-    """
-    if not isinstance(x, RealQuadElement) or x.d != d:
-        raise DomainError("element lives in a different field")
-    if x.a == 0 and x.b == 0:
-        raise DomainError("cannot factor the zero ideal")
-    if not x.is_integral():
-        raise DomainError("element is not integral")
-    disc = field_discriminant(d)
-    norm = x.norm()
-    n = abs(int(norm))
-    out = []
-    if n == 1:
-        return out
-    for ell, e in sorted(arith.factorize(n).items()):
-        symbol = arith.kronecker_symbol(disc, ell)
-        if symbol == -1:
-            if e % 2 != 0:
-                raise InternalError("odd valuation at an inert prime")
-            out.append(((ell, "inert"), e // 2))
-        elif symbol == 0:
-            out.append(((ell, "ramified"), e))
-        else:
-            v_plus = _split_valuation(x, ell, e)
-            if v_plus:
-                out.append(((ell, "split+"), v_plus))
-            if e - v_plus:
-                out.append(((ell, "split-"), e - v_plus))
-    return out
-
-
-def _split_valuation(x, ell, e):
-    """Valuation of x at the split prime over ell fixed by a chosen root of
-    x.d modulo ell^(e+2)."""
-    # write x = (A + B sqrt(d))/2 with integers A, B
-    A = int(x.a * 2)
-    B = int(x.b * 2)
-    if ell == 2:
-        k = e + 3
-        r = _sqrt_mod_2k(x.d % (1 << (k + 1)), k)
-        mod = 1 << k
-        shift = 1  # the /2 costs one 2-adic valuation unit
-    else:
-        k = e + 1
-        r = _hensel_sqrt(x.d, ell, k)
-        mod = ell**k
-        shift = 0
-    if r is None:
-        raise InternalError("split prime without a square root")
-    t = (A + B * r) % mod
-    v = 0
-    while v < e + shift and t % ell == 0:
-        t //= ell
-        v += 1
-    return min(e, max(0, v - shift))
-
-
 def quad_class_data(delta):
     """Assembled QuadClassData for the order of discriminant delta."""
     disc = quad_discriminant(delta)
     if delta < 0:
-        h = class_number_by_formula(disc.delta0, disc.conductor)
-        return QuadClassData(disc=disc, h=h, H=kronecker_class_number(delta))
+        strata = stratified_class_numbers(delta)
+        return QuadClassData(disc=disc, h=strata[-1][1], H=sum(count for _, count in strata))
     h, hplus = class_numbers_real(delta)
     unit, norm = fundamental_unit(delta)
     return QuadClassData(disc=disc, h=h, hplus=hplus, fundamental_unit=unit, unit_norm=norm)

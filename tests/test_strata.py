@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from ideal_oracle import factor_element_ideal
 from ppav import arith, orders, quadratic, strata, weil
 from ppav.errors import DomainError, SearchLimitError
 
@@ -12,6 +13,34 @@ F23 = [529, -138, 32, -6, 1]
 # frozen instances where the certificates decline (found by seeded search)
 ODD_UNKNOWN = ((160801, 18847, 1096, 47, 1), 401)
 SURJ_UNKNOWN = ((24649, -314, -234, -2, 1), 157)
+
+# (Weil polynomial, q, odd_ramified, surjectivity): one class per branch of
+# the valuation rule in `strata._odd_valuation_primes`
+BRANCH_CLASSES = [
+    ((9, 0, -1, 0, 1), 3, "certified", "certified"),  # inert ell = 3, c odd
+    ((49, 0, -8, 0, 1), 7, "certified", "certified"),  # split ell = 3, c odd
+    ((49, -14, -3, -2, 1), 7, "certified", "unknown"),  # inert, ell | conductor
+    ((961, -62, -27, -2, 1), 31, "certified", "unknown"),  # split, ell | conductor
+    ((169, -52, 3, -4, 1), 13, "unknown", "unknown"),  # ramified: c odd, v even
+]
+
+
+def oracle_certificates(spec):
+    """(odd_ramified, surjectivity) from the full factorization of the ideal
+    (alpha^2 - 4q) in the maximal order of K+ = Q(sqrt(rad))."""
+    big_b, big_c = spec.g[1], spec.g[0]
+    d0, conductor = quadratic.fundamental_decomposition(big_b * big_b - 4 * big_c)
+    rad = d0 if d0 % 4 == 1 else d0 // 4
+    e = conductor if d0 % 4 == 1 else 2 * conductor
+    # alpha = (-B + e sqrt(rad)) / 2
+    delta = quadratic.RealQuadElement(
+        Fraction(big_b * big_b, 2) - big_c - 4 * spec.q, Fraction(-big_b * e, 2), rad
+    )
+    odd = [ell for (ell, _), val in factor_element_ideal(rad, delta) if ell % 2 and val % 2]
+    return (
+        "certified" if odd else "unknown",
+        "certified" if any(conductor % ell for ell in odd) else "unknown",
+    )
 
 
 class TestDiscRatios:
@@ -118,9 +147,9 @@ class TestEcStrata:
 class TestCertificates:
     def test_smaller_family_prime_norm(self):
         spec, _ = strata.example_family("smaller", 7)
-        rad, conductor, delta = strata._real_quad_data(spec)
+        rad, conductor, norm, ells = strata._odd_valuation_primes(spec)
         assert rad == 5 and conductor == 1
-        assert abs(int(delta.norm())) == 701
+        assert norm == 701 and ells == [701]
         assert strata.odd_ramification_certificate(spec) == "certified"
         assert strata.surjectivity_certificate(spec) == "certified"
 
@@ -140,6 +169,25 @@ class TestCertificates:
         spec = weil.isogeny_class(list(f), q)
         assert strata.odd_ramification_certificate(spec) == "certified"
         assert strata.surjectivity_certificate(spec) == "unknown"
+
+    def test_matches_ideal_factorization_oracle(self):
+        rng = random.Random(5)
+        for _ in range(300):
+            spec = weil.random_surface_spec(rng, qmax=2000)
+            got = (
+                strata.odd_ramification_certificate(spec),
+                strata.surjectivity_certificate(spec),
+            )
+            assert got == oracle_certificates(spec), spec.f
+
+    def test_branch_classes(self):
+        for f, q, odd, surj in BRANCH_CLASSES:
+            spec = weil.isogeny_class(list(f), q)
+            assert oracle_certificates(spec) == (odd, surj), f
+            assert strata.odd_ramification_certificate(spec) == odd, f
+            assert strata.surjectivity_certificate(spec) == surj, f
+            (report,) = strata.analyze(spec)
+            assert (report.odd_ramified, report.surjectivity) == (odd, surj), f
 
     def test_real_unit_index(self):
         spec = weil.isogeny_class(F23, 23)
@@ -296,6 +344,23 @@ class TestAnalyze:
                 delta0 = quadratic.quad_discriminant(t * t - 4 * q).delta0
                 odd = any(p % 2 for p in arith.factorize(-delta0))
                 assert {r.odd_ramified for r in reports} == {"certified" if odd else "unknown"}
+
+    def test_surface_factorizes_three_times(self, monkeypatch):
+        # one fundamental decomposition and one factorization of
+        # N(alpha^2 - 4q) for the certificates, one decomposition for the
+        # unit index; two resultants for the single discriminant ratio
+        spec = weil.isogeny_class(F23, 23)
+        calls = {"factorize": 0, "resultant": 0}
+        for name in calls:
+            original = getattr(arith, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(arith, name, counting)
+        strata.analyze(spec)
+        assert calls == {"factorize": 3, "resultant": 2}
 
     def test_rejects_non_simple(self):
         f = [25, -30, 19, -6, 1]  # (x^2 - 3x + 5)^2
