@@ -40,12 +40,8 @@ from .strata import (
     h_minus_estimate,
 )
 from .quadratic import (
-    QuadClassData,
     class_number_imaginary,
-    class_numbers_real,
-    fundamental_unit,
     kronecker_class_number,
-    quad_class_data,
 )
 
 __version__ = "0.1.0"
@@ -60,7 +56,6 @@ __all__ = [
     "Lattice",
     "NotWeilShape",
     "PpavError",
-    "QuadClassData",
     "RankError",
     "RingContext",
     "SearchLimitError",
@@ -68,14 +63,12 @@ __all__ = [
     "UnsupportedDegree",
     "analyze",
     "class_number_imaginary",
-    "class_numbers_real",
     "convenient_certificate",
     "disc_ratio_exact",
     "disc_ratio_trig",
     "ec_stratum_counts",
     "example_family",
     "find_heavy_isogeny_class",
-    "fundamental_unit",
     "h_minus_estimate",
     "is_gorenstein",
     "isogeny_class",
@@ -83,6 +76,5 @@ __all__ = [
     "lattice_discriminant",
     "minimal_order",
     "multiplier_ring",
-    "quad_class_data",
     "trace_dual",
 ]

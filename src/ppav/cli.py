@@ -128,6 +128,7 @@ def _cmd_measures(args):
     # numpy is loaded only by this subcommand
     from . import measures
 
+    measures.check_grid(args.grid)  # before the constants print or --out is truncated
     spec = measures.measure_spec(args.n)
     constants = {
         "n": args.n,

@@ -190,13 +190,17 @@ def isogeny_class_count_estimate(n, q):
     return float(constant_v(n)) * (phi / q) * float(q) ** (n * (n + 1) / 4)
 
 
+def check_grid(points):
+    if points < 0:
+        raise DomainError(f"grid needs a nonnegative number of points, got {points}")
+
+
 def simplex_grid(n, points):
     """Ascending n-tuples from a regular grid on [0, pi], made one at a time.
 
     `points` is checked here, before the first tuple is asked for.
     """
-    if points < 0:
-        raise DomainError(f"grid needs a nonnegative number of points, got {points}")
+    check_grid(points)
     axis = np.linspace(0.0, math.pi, points)
     return (tuple(axis[i] for i in idx) for idx in combinations_with_replacement(range(points), n))
 

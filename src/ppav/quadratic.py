@@ -1,10 +1,9 @@
-"""Class groups and units of quadratic orders, by exact enumeration.
+"""Class numbers and unit norms of quadratic orders, by exact enumeration.
 
 Imaginary class numbers count primitive reduced binary quadratic forms of
 the fundamental discriminant by their first coefficient, then lift to the
-conductor by the Euler product; real narrow class numbers count cycles of
-reduced indefinite forms;
-fundamental units come from continued fractions.  Everything is integer
+conductor by the Euler product; the norm of a real fundamental unit is the
+parity of one continued-fraction period.  Everything is integer
 arithmetic, no floating point.
 """
 
@@ -12,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt
 
 from . import arith
 from .errors import DomainError, InternalError
@@ -64,23 +63,6 @@ class QuadDiscriminant:
 def quad_discriminant(delta):
     d0, f = fundamental_decomposition(delta)
     return QuadDiscriminant(delta=delta, delta0=d0, conductor=f)
-
-
-@dataclass(frozen=True)
-class QuadClassData:
-    """Class-group data of one quadratic order.
-
-    Imaginary orders carry h and the Kronecker number H >= h; real orders
-    carry h, the narrow number hplus in {h, 2h}, and the fundamental unit
-    with its norm.
-    """
-
-    disc: QuadDiscriminant
-    h: int
-    hplus: int | None = None
-    H: int | None = None
-    fundamental_unit: "RealQuadElement | None" = None
-    unit_norm: int | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -252,187 +234,34 @@ def h_over_H_bound(delta):
 
 
 # ---------------------------------------------------------------------------
-# real quadratic orders: fundamental units
+# real quadratic orders: the norm of the fundamental unit
 
 
-@dataclass(frozen=True)
-class RealQuadElement:
-    """a + b sqrt(d) with rational a, b and a squarefree radicand d > 1."""
+def unit_norm(delta):
+    """Norm, +1 or -1, of the fundamental unit of the real quadratic order of
+    discriminant delta.
 
-    a: Fraction
-    b: Fraction
-    d: int
-
-    def norm(self):
-        return self.a * self.a - self.b * self.b * self.d
-
-    def __mul__(self, other):
-        if self.d != other.d:
-            raise DomainError("mixed radicands")
-        return RealQuadElement(
-            self.a * other.a + self.b * other.b * self.d,
-            self.a * other.b + self.b * other.a,
-            self.d,
-        )
-
-
-def _pell_unit(n):
-    """Fundamental solution of x^2 - n y^2 = +-1 via the continued fraction
-    of sqrt(n); returns (x, y, norm)."""
-    a0 = isqrt(n)
-    if a0 * a0 == n:
-        raise DomainError("radicand is a perfect square")
-    h_prev, h = 1, a0
-    k_prev, k = 0, 1
-    p, q = 0, 1
-    a = a0
-    while True:
-        p = a * q - p
-        q = (n - p * p) // q
-        a = (a0 + p) // q
-        if q == 1:
-            norm = h * h - n * k * k
-            if norm not in (1, -1):
-                raise InternalError("continued fraction did not close on a unit")
-            return h, k, norm
-        h_prev, h = h, a * h + h_prev
-        k_prev, k = k, a * k + k_prev
-
-
-def _fundamental_unit_maximal(d0):
-    """Fundamental unit (t + u sqrt(d0))/2 of the maximal order of fundamental
-    discriminant d0 > 0; returns (t, u, norm)."""
-    if d0 % 4 == 0:
-        x, y, norm = _pell_unit(d0 // 4)
-        return 2 * x, y, norm
-    # d0 = 1 mod 4: the unit of Z[sqrt(d0)] is the full unit or its cube.
-    # If eps = (t + u sqrt(d0))/2 has norm n0 and eps^3 = x + y sqrt(d0),
-    # then t^3 - 3 n0 t = 2x; cubing preserves the norm sign, so n0 = norm.
-    x, y, norm = _pell_unit(d0)
-    target = 2 * x
-    guess = arith._iroot(target, 3)
-    for t in (guess - 1, guess, guess + 1, guess + 2):
-        if t <= 0:
-            continue
-        if t * t * t - 3 * norm * t != target:
-            continue
-        usq_num = t * t - 4 * norm
-        if usq_num <= 0 or usq_num % d0 != 0:
-            continue
-        usq = usq_num // d0
-        u = isqrt(usq)
-        if u * u == usq and u > 0:
-            return t, u, norm
-    return 2 * x, 2 * y, norm
-
-
-def fundamental_unit(order_disc):
-    """Fundamental unit > 1 of the real quadratic order of this discriminant.
-
-    Returns (RealQuadElement, norm).  For a non-maximal order this is the
-    smallest power of the maximal-order unit lying in the order.
+    The norm is (-1)^l, l the period of the purely periodic continued
+    fraction of (b + sqrt(delta))/2, b the largest integer below sqrt(delta)
+    with b = delta mod 2 (Cohen, GTM 138, section 5.7).  Every complete
+    quotient (p + sqrt(delta))/q of that expansion is reduced, and b is the
+    only p a reduced quotient with q = 2 can have, so the period ends at the
+    first return of q to 2.
     """
-    if order_disc <= 0:
+    if delta <= 0:
         raise DomainError("need a positive discriminant")
-    check_discriminant(order_disc)
-    if isqrt(order_disc) ** 2 == order_disc:
+    check_discriminant(delta)
+    s = isqrt(delta)
+    if s * s == delta:
         raise DomainError("square discriminant does not define a real order")
-    d0, conductor = fundamental_decomposition(order_disc)
-    t, u, norm0 = _fundamental_unit_maximal(d0)
-    # an element (t_k + u_k sqrt(d0))/2 lies in the order of conductor F
-    # exactly when F divides u_k
-    t_k, u_k, norm_k = t, u, norm0
-    steps = 0
-    while u_k % conductor != 0:
-        t_k, u_k = (t * t_k + d0 * u * u_k) // 2, (t * u_k + u * t_k) // 2
-        norm_k *= norm0
-        steps += 1
-        if steps > 10_000_000:
-            raise InternalError("unit power search ran away")
-    rad = d0 if d0 % 4 == 1 else d0 // 4
-    scale = 1 if d0 % 4 == 1 else 2  # sqrt(d0) = scale * sqrt(rad)
-    unit = RealQuadElement(Fraction(t_k, 2), Fraction(u_k * scale, 2), rad)
-    return unit, norm_k
-
-
-# ---------------------------------------------------------------------------
-# cycles of reduced indefinite forms
-
-
-def _is_reduced_indefinite(a, b, c, delta):
-    # reduced iff 0 < b < sqrt(delta) and |sqrt(delta) - 2|a|| < b
-    if b <= 0 or b * b >= delta:
-        return False
-    t = 2 * abs(a)
-    below = (t - b) <= 0 or (t - b) ** 2 < delta
-    above = delta < (t + b) ** 2
-    return below and above
-
-
-def _rho(a, b, c, delta):
-    """Reduction step (a,b,c) -> (c, r, (r^2 - delta)/(4c)) with r the residue
-    of -b mod 2|c| pushed into (sqrt(delta) - 2|c|, sqrt(delta))."""
-    ac = abs(c)
-    s = isqrt(delta)
-    r = -b + 2 * ac * ((s + b) // (2 * ac))
-    cc = (r * r - delta) // (4 * c)
-    return c, r, cc
-
-
-def reduced_indefinite_forms(delta):
-    """All primitive reduced indefinite forms of nonsquare discriminant delta > 0."""
-    s = isqrt(delta)
-    forms = set()
-    for b in range(2 - delta % 2, s + 1, 2):
-        m = (delta - b * b) // 4  # |a c| with a c < 0
-        if m <= 0:
-            continue
-        for a in arith.divisors(m):
-            c = -(m // a)
-            for aa, cc in ((a, c), (-a, -c)):
-                if gcd(gcd(abs(aa), b), abs(cc)) != 1:
-                    continue
-                if _is_reduced_indefinite(aa, b, cc, delta):
-                    forms.add((aa, b, cc))
-    return forms
-
-
-def class_numbers_real(order_disc):
-    """(h, hplus) for the real quadratic order of the given discriminant.
-
-    hplus counts cycles of primitive reduced indefinite forms under the
-    reduction step; h equals hplus when the fundamental unit has norm -1
-    and hplus/2 otherwise.
-    """
-    if order_disc <= 0:
-        raise DomainError("need a positive discriminant")
-    check_discriminant(order_disc)
-    if isqrt(order_disc) ** 2 == order_disc:
-        raise DomainError("square discriminant")
-    delta = order_disc
-    forms = reduced_indefinite_forms(delta)
-    cycles = 0
-    seen = set()
-    for form in sorted(forms):
-        if form in seen:
-            continue
-        cycles += 1
-        cur = form
-        while True:
-            seen.add(cur)
-            cur = _rho(*cur, delta)
-            if cur == form:
-                break
-            if cur in seen:
-                raise InternalError("reduction step walked into a foreign cycle")
-    _, norm = fundamental_unit(order_disc)
-    if norm == -1:
-        h = cycles
-    else:
-        if cycles % 2 != 0:
-            raise InternalError("expected an even cycle count for norm +1")
-        h = cycles // 2
-    return h, cycles
+    b = s - (s - delta) % 2
+    p, q, period = b, 2, 0
+    while True:
+        p = (p + s) // q * q - p
+        q = (delta - p * p) // q
+        period += 1
+        if q == 2:
+            return -1 if period % 2 else 1
 
 
 # ---------------------------------------------------------------------------
@@ -487,13 +316,3 @@ def _sqrt_mod_2k(d, k):
             r += 1 << (j - 1)
     return r % (1 << k)
 
-
-def quad_class_data(delta):
-    """Assembled QuadClassData for the order of discriminant delta."""
-    disc = quad_discriminant(delta)
-    if delta < 0:
-        strata = stratified_class_numbers(delta)
-        return QuadClassData(disc=disc, h=strata[-1][1], H=sum(count for _, count in strata))
-    h, hplus = class_numbers_real(delta)
-    unit, norm = fundamental_unit(delta)
-    return QuadClassData(disc=disc, h=h, hplus=hplus, fundamental_unit=unit, unit_norm=norm)

@@ -153,9 +153,7 @@ def real_unit_index(spec):
     if spec.n == 1:
         return 1
     g = spec.g
-    disc_g = g[1] * g[1] - 4 * g[0]
-    _, norm = quadratic.fundamental_unit(disc_g)
-    return 1 if norm == -1 else 2
+    return 1 if quadratic.unit_norm(g[1] * g[1] - 4 * g[0]) == -1 else 2
 
 
 # ---------------------------------------------------------------------------

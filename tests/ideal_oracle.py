@@ -1,12 +1,29 @@
-"""Reference oracle: principal-ideal factorization in real quadratic fields.
+"""Reference oracles for real quadratic fields.
 
 `strata` decides its surface certificates from one integer valuation pass;
 the tests check that pass against this full factorization of the ideal
-(x) in the maximal order of Q(sqrt(d)), prime by prime.
+(x) in the maximal order of Q(sqrt(d)), prime by prime.  The norm of a
+fundamental unit is checked against a direct search of x^2 - d y^2 = +-4.
 """
+
+from dataclasses import dataclass
+from fractions import Fraction
+from math import isqrt
 
 from ppav import arith, quadratic
 from ppav.errors import DomainError, InternalError
+
+
+@dataclass(frozen=True)
+class RealQuadElement:
+    """a + b sqrt(d) with rational a, b and a squarefree radicand d > 1."""
+
+    a: Fraction
+    b: Fraction
+    d: int
+
+    def norm(self):
+        return self.a * self.a - self.b * self.b * self.d
 
 
 def field_discriminant(d):
@@ -21,7 +38,7 @@ def factor_element_ideal(d, x):
     "inert", "ramified"}; the two primes over a split ell are told apart by
     a fixed choice of sqrt(d) modulo a prime power.
     """
-    if not isinstance(x, quadratic.RealQuadElement) or x.d != d:
+    if not isinstance(x, RealQuadElement) or x.d != d:
         raise DomainError("element lives in a different field")
     if x.a == 0 and x.b == 0:
         raise DomainError("cannot factor the zero ideal")
@@ -74,3 +91,15 @@ def _split_valuation(x, ell, e):
         t //= ell
         v += 1
     return min(e, max(0, v - shift))
+
+
+def brute_force_unit_norm(d, ymax):
+    """Norm of the unit (x + y sqrt(d))/2 of the order of discriminant d with
+    the least y >= 1, from x^2 - d y^2 = -4 or +4; None when no y < ymax
+    solves either."""
+    for y in range(1, ymax):
+        for norm in (-1, 1):  # at equal y the unit of norm -1 is the smaller
+            m = d * y * y + 4 * norm
+            if isqrt(m) ** 2 == m:
+                return norm
+    return None

@@ -250,10 +250,16 @@ class TestMeasures:
         assert code == 0
         assert "theta_1,theta_2,mu,nu_nominal,nu_effective" in stdout
 
-    def test_negative_grid_is_domain_error(self, capsys):
-        code, _, err = run_cli(capsys, ["measures", "--n", "2", "--grid", "-1"])
-        assert code == 2
+    def test_negative_grid_is_domain_error(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, ["measures", "--n", "2", "--grid", "-1"])
+        assert code == 2 and out == ""
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        table = tmp_path / "table.csv"
+        table.write_text("kept\n")
+        argv = ["measures", "--n", "2", "--grid", "-3", "--out", str(table)]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2 and out == "" and len(err.strip().splitlines()) == 1
+        assert table.read_text() == "kept\n"
 
     def test_cli_import_does_not_load_numpy(self):
         code = "import sys, ppav.cli; assert 'numpy' not in sys.modules, 'numpy loaded'"

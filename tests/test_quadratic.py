@@ -1,10 +1,10 @@
 import random
 from fractions import Fraction
-from math import gcd, isqrt, sqrt
+from math import gcd, isqrt
 
 import pytest
 
-from ideal_oracle import factor_element_ideal
+from ideal_oracle import RealQuadElement, brute_force_unit_norm, factor_element_ideal
 from ppav import arith, census, quadratic
 from ppav.errors import DomainError
 
@@ -29,7 +29,7 @@ def brute_force_class_number(delta):
 
 
 def real_quad_element(a, b, d):
-    return quadratic.RealQuadElement(Fraction(a), Fraction(b), d)
+    return RealQuadElement(Fraction(a), Fraction(b), d)
 
 
 def random_fundamental(rng, lo, hi):
@@ -188,93 +188,31 @@ class TestHOverH:
             assert ratio <= bound
 
 
-class TestFundamentalUnits:
-    def test_golden_ratio_order(self):
-        unit, norm = quadratic.fundamental_unit(5)
-        assert (unit.a, unit.b, unit.d) == (Fraction(1, 2), Fraction(1, 2), 5)
-        assert norm == -1
-
-    def test_z_sqrt2(self):
-        unit, norm = quadratic.fundamental_unit(8)
-        assert (unit.a, unit.b, unit.d) == (1, 1, 2)
-        assert norm == -1
-
-    def test_non_maximal_power(self):
-        unit, norm = quadratic.fundamental_unit(32)
-        assert (unit.a, unit.b, unit.d) == (3, 2, 2)
-        assert norm == 1
-
-    def test_unit_properties_random(self):
-        rng = random.Random(43)
-        for _ in range(100):
-            d = rng.randrange(5, 2000)
+class TestUnitNorm:
+    def test_against_pell_search(self):
+        for d in range(5, 150):
             if d % 4 not in (0, 1) or isqrt(d) ** 2 == d:
                 continue
-            unit, norm = quadratic.fundamental_unit(d)
-            assert unit.norm() == norm
-            assert abs(norm) == 1
-            assert float(unit.a) + float(unit.b) * sqrt(unit.d) > 1
+            # the search ends by y = 2968, at d = 129; below 200 it runs to
+            # y = 253970, at d = 193
+            norm = brute_force_unit_norm(d, 10**4)
+            assert norm is not None, d
+            assert quadratic.unit_norm(d) == norm, d
 
-    def test_rejects_square(self):
-        with pytest.raises(DomainError):
-            quadratic.fundamental_unit(16)
-
-    def test_classical_unit_table(self):
+    def test_pinned_norms(self):
+        # norms of the fundamental units in the former unit and class-number
+        # tables; 20, 32, 45 and 92 are non-maximal orders
         table = {
-            12: (2, 1, 3, 1),            # 2 + sqrt(3), norm +1
-            13: (Fraction(3, 2), Fraction(1, 2), 13, -1),
-            21: (Fraction(5, 2), Fraction(1, 2), 21, 1),
-            24: (5, 2, 6, 1),            # 5 + 2 sqrt(6)
-            40: (3, 1, 10, -1),          # 3 + sqrt(10)
-            61: (Fraction(39, 2), Fraction(5, 2), 61, -1),
+            5: -1, 8: -1, 12: 1, 13: -1, 20: -1, 21: 1, 24: 1,
+            32: 1, 40: -1, 45: 1, 60: 1, 61: -1, 92: 1, 229: -1,
         }
-        for disc, (a, b, d, norm) in table.items():
-            unit, got_norm = quadratic.fundamental_unit(disc)
-            assert (unit.a, unit.b, unit.d, got_norm) == (a, b, d, norm)
+        for disc, norm in table.items():
+            assert quadratic.unit_norm(disc) == norm, disc
 
-
-class TestRealClassNumbers:
-    def test_disc_five(self):
-        assert quadratic.class_numbers_real(5) == (1, 1)
-
-    def test_disc_32(self):
-        assert quadratic.class_numbers_real(32) == (1, 2)
-
-    def test_disc_92(self):
-        # real subring of the q=23 surface class: unit norm +1 forces hplus = 2h
-        assert quadratic.class_numbers_real(92) == (1, 2)
-
-    def test_known_class_number_two(self):
-        # Q(sqrt 10): h = 2, unit 3 + sqrt(10) of norm -1
-        assert quadratic.class_numbers_real(40) == (2, 2)
-
-    def test_known_field_table(self):
-        # (disc, h, h+) for a few maximal real quadratic orders
-        assert quadratic.class_numbers_real(229) == (3, 3)   # norm -1
-        assert quadratic.class_numbers_real(60) == (2, 4)    # Q(sqrt 15), norm +1
-        assert quadratic.class_numbers_real(12) == (1, 2)    # Q(sqrt 3), norm +1
-        assert quadratic.class_numbers_real(13) == (1, 1)
-
-    def test_non_maximal_orders_in_golden_field(self):
-        # conductor-3 order in Q(sqrt 5): unit power index 4, phi^4 norm +1
-        assert quadratic.class_numbers_real(45) == (1, 2)
-        unit, norm = quadratic.fundamental_unit(45)
-        assert (unit.a, unit.b, norm) == (Fraction(7, 2), Fraction(3, 2), 1)
-        # conductor-2 order: phi^3 = 2 + sqrt(5), norm -1
-        assert quadratic.class_numbers_real(20) == (1, 1)
-        unit, norm = quadratic.fundamental_unit(20)
-        assert (unit.a, unit.b, norm) == (2, 1, -1)
-
-    def test_narrow_index_rule(self):
-        rng = random.Random(47)
-        for _ in range(60):
-            d = rng.randrange(5, 800)
-            if d % 4 not in (0, 1) or isqrt(d) ** 2 == d:
-                continue
-            h, hplus = quadratic.class_numbers_real(d)
-            _, norm = quadratic.fundamental_unit(d)
-            assert hplus in (h, 2 * h)
-            assert (hplus == h) == (norm == -1)
+    @pytest.mark.parametrize("delta", [16, -3, 6])
+    def test_rejects_bad_discriminants(self, delta):
+        with pytest.raises(DomainError):
+            quadratic.unit_norm(delta)
 
 
 class TestIdealFactorization:
@@ -341,18 +279,3 @@ class TestDecomposition:
         assert not quadratic.is_fundamental(-16)
         assert quadratic.is_fundamental(92)
         assert not quadratic.is_fundamental(45)
-
-
-class TestQuadClassData:
-    def test_imaginary(self):
-        data = quadratic.quad_class_data(-112)
-        assert (data.disc.delta0, data.disc.conductor) == (-7, 4)
-        assert (data.h, data.H) == (2, 4)
-        assert data.hplus is None and data.fundamental_unit is None
-
-    def test_real(self):
-        data = quadratic.quad_class_data(92)
-        assert (data.h, data.hplus) == (1, 2)
-        assert data.unit_norm == 1
-        assert data.H is None
-        assert data.fundamental_unit.norm() == 1

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from ideal_oracle import factor_element_ideal
+from ideal_oracle import RealQuadElement, brute_force_unit_norm, factor_element_ideal
 from ppav import arith, orders, quadratic, strata, weil
 from ppav.errors import DomainError, SearchLimitError
 
@@ -33,7 +33,7 @@ def oracle_certificates(spec):
     rad = d0 if d0 % 4 == 1 else d0 // 4
     e = conductor if d0 % 4 == 1 else 2 * conductor
     # alpha = (-B + e sqrt(rad)) / 2
-    delta = quadratic.RealQuadElement(
+    delta = RealQuadElement(
         Fraction(big_b * big_b, 2) - big_c - 4 * spec.q, Fraction(-big_b * e, 2), rad
     )
     odd = [ell for (ell, _), val in factor_element_ideal(rad, delta) if ell % 2 and val % 2]
@@ -194,6 +194,15 @@ class TestCertificates:
         assert strata.real_unit_index(spec) == 2  # disc 92 unit has norm +1
         spec5, _ = strata.example_family("smaller", 7)
         assert strata.real_unit_index(spec5) == 1  # golden ratio has norm -1
+        rng = random.Random(61)
+        seen = []
+        for _ in range(100):
+            spec = weil.random_surface_spec(rng, qmax=500)
+            norm = brute_force_unit_norm(spec.g[1] ** 2 - 4 * spec.g[0], 10**4)
+            if norm is not None:
+                seen.append(strata.real_unit_index(spec))
+                assert seen[-1] == (1 if norm == -1 else 2), spec.f
+        assert len(seen) >= 70 and set(seen) == {1, 2}  # the search ends on 78
 
 
 class TestFindHeavy:
@@ -345,10 +354,10 @@ class TestAnalyze:
                 odd = any(p % 2 for p in arith.factorize(-delta0))
                 assert {r.odd_ramified for r in reports} == {"certified" if odd else "unknown"}
 
-    def test_surface_factorizes_three_times(self, monkeypatch):
+    def test_surface_factorizes_twice(self, monkeypatch):
         # one fundamental decomposition and one factorization of
-        # N(alpha^2 - 4q) for the certificates, one decomposition for the
-        # unit index; two resultants for the single discriminant ratio
+        # N(alpha^2 - 4q) for the certificates, none for the unit index; two
+        # resultants for the single discriminant ratio
         spec = weil.isogeny_class(F23, 23)
         calls = {"factorize": 0, "resultant": 0}
         for name in calls:
@@ -360,7 +369,7 @@ class TestAnalyze:
 
             monkeypatch.setattr(arith, name, counting)
         strata.analyze(spec)
-        assert calls == {"factorize": 3, "resultant": 2}
+        assert calls == {"factorize": 2, "resultant": 2}
 
     def test_rejects_non_simple(self):
         f = [25, -30, 19, -6, 1]  # (x^2 - 3x + 5)^2
