@@ -15,7 +15,8 @@ Conventions used throughout the package:
   and entries above each pivot reduced into ``[0, pivot)``.  Two generator
   sets span the same lattice iff their HNFs are identical.  `hnf_int`
   computes it by one column-wise extended-gcd elimination, clearing each
-  entry below a pivot with a single unimodular 2x2 step.
+  entry below a pivot with a single unimodular 2x2 step.  It builds no
+  transform: a kernel is read off the HNF of an augmented matrix.
 """
 
 from __future__ import annotations
@@ -701,7 +702,7 @@ def _xgcd(a, b):
     return (a, s, t) if a >= 0 else (-a, -s, -t)
 
 
-def hnf_int(rows, transform=False):
+def hnf_int(rows):
     """Row-style HNF of an integer matrix, by extended-gcd elimination.
 
     Column by column, the first row with a nonzero entry becomes the pivot
@@ -709,14 +710,14 @@ def hnf_int(rows, transform=False):
     step: an exact quotient when the pivot divides it, else the `_xgcd`
     step that leaves their gcd as the pivot (Cohen, GTM 138, 2.4).  The
     pivot is then made positive and the rows above it reduced into
-    [0, pivot).  Returns (hnf_rows, rank) or (hnf_rows, rank, U) with U
-    unimodular and U @ M = H; zero rows sit at the bottom, so U rows beyond
-    the rank span the left kernel of M.
+    [0, pivot).  Returns (hnf_rows, rank), zero rows at the bottom.  A
+    kernel comes from the same call on an augmented matrix: the HNF rows of
+    [A | B] whose A block is zero carry the HNF of the sublattice of B's
+    span that A maps to zero.
     """
     m = [list(r) for r in rows]
     nrows = len(m)
     ncols = len(m[0]) if m else 0
-    u = [[1 if i == j else 0 for j in range(nrows)] for i in range(nrows)] if transform else None
     r = 0
     for col in range(ncols):
         if r == nrows:
@@ -725,8 +726,6 @@ def hnf_int(rows, transform=False):
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        if transform:
-            u[r], u[piv] = u[piv], u[r]
         top = m[r]
         for i in range(piv + 1, nrows):
             b = m[i][col]
@@ -737,31 +736,19 @@ def hnf_int(rows, transform=False):
             q, rem = divmod(b, a)
             if not rem:
                 m[i] = [x - q * y for x, y in zip(row, top)]
-                if transform:
-                    u[i] = [x - q * y for x, y in zip(u[i], u[r])]
                 continue
             g, s, t = _xgcd(a, b)
             a, b = a // g, b // g
             m[i] = [a * y - b * x for x, y in zip(top, row)]
             m[r] = top = [s * x + t * y for x, y in zip(top, row)]
-            if transform:
-                ut, ui = u[r], u[i]
-                u[i] = [a * y - b * x for x, y in zip(ut, ui)]
-                u[r] = [s * x + t * y for x, y in zip(ut, ui)]
         if top[col] < 0:
             m[r] = top = [-x for x in top]
-            if transform:
-                u[r] = [-x for x in u[r]]
         p = top[col]
         for i in range(r):
             q = m[i][col] // p
             if q:
                 m[i] = [x - q * y for x, y in zip(m[i], top)]
-                if transform:
-                    u[i] = [x - q * y for x, y in zip(u[i], u[r])]
         r += 1
-    if transform:
-        return m, r, u
     return m, r
 
 
@@ -782,23 +769,6 @@ def lattice_hnf(rows, dim, den=1):
         den //= g
         h = [[x // g for x in row] for row in h]
     return den, tuple(tuple(row) for row in h)
-
-
-def left_kernel_int(rows):
-    """HNF basis of {c integer row : c @ M = 0} for an integer matrix M.
-
-    The kernel rows of the transform can be thousands of bits long on tall
-    matrices with large entries, and one elimination over all of them
-    multiplies those sizes column after column.  So they enter the HNF one
-    at a time: each insertion meets a reduced basis, and the rows stay
-    small.
-    """
-    _, rank, u = hnf_int(rows, transform=True)
-    basis = []
-    for row in u[rank:]:
-        h, k = hnf_int(basis + [row])
-        basis = h[:k]
-    return basis
 
 
 def mat_mul(a, b):

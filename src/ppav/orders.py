@@ -207,23 +207,12 @@ def product(a, b):
 
 
 def colon(a, b):
-    """(a : b) = {x in K : x b <= a}, as a lattice."""
-    if a.ctx is not b.ctx:
-        raise DomainError("lattices live in different contexts")
-    ctx = a.ctx
-    # with a.rows @ xa = ea I, x (b.rows[i] / b.den) lies in a iff x pairs
-    # integrally with s = a.den / (b.den ea) times each column of
-    # M(b.rows[i]) xa; (a : b) is the dual of the lattice those columns span
-    ea, xa = arith.inverse(a.rows)
-    functionals = []
-    for row in b.rows:
-        functionals.extend(arith.mat_transpose(arith.mat_mul(ctx.element_matrix(row), xa)))
-    fden, h = arith.lattice_hnf(functionals, ctx.dim)
-    # the dual of s h / fden is spanned by the rows of (fden / s) (h^T)^-1 = (fden / s) y^T / g
-    g, y = arith.inverse(h)
-    scale = Fraction(fden * b.den * ea, a.den * g)
-    rows = [[scale.numerator * v for v in row] for row in arith.mat_transpose(y)]
-    return lattice_from_generators(ctx, rows, scale.denominator)
+    """(a : b) = {x in K : x b <= a}, as a lattice.
+
+    a is the trace dual of its dual, so x b <= a iff Tr(x b a^dual) <= Z:
+    (a : b) is the trace dual of b a^dual.
+    """
+    return trace_dual(product(b, trace_dual(a)))
 
 
 def multiplier_ring(lat):
@@ -263,11 +252,18 @@ def is_gorenstein(ring):
 
 
 def eigen_sublattice(lat, sign):
-    """Integer rows, over lat.den, spanning {x in L : conj(x) = sign * x} (rank n)."""
+    """Integer rows, over lat.den, spanning {x in L : conj(x) = sign * x} in HNF.
+
+    With C the conjugation over den, one HNF of the rows x (C - sign den I) | x
+    for x in L: the rows whose first block vanishes span the eigen-sublattice,
+    and their second blocks are its HNF basis.
+    """
     den, c = lat.ctx.conj_int
+    dim = lat.ctx.dim
     shifted = [[x - sign * den * (i == j) for j, x in enumerate(row)] for i, row in enumerate(c)]
-    kernel = arith.left_kernel_int(arith.mat_mul(lat.rows, shifted))
-    return arith.mat_mul(kernel, lat.rows)
+    images = arith.mat_mul(lat.rows, shifted)
+    h, _ = arith.hnf_int([image + list(row) for image, row in zip(images, lat.rows)])
+    return [row[dim:] for row in h if not any(row[:dim])]
 
 
 def minimal_order(ctx):

@@ -9,7 +9,6 @@ arithmetic, no floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
@@ -51,18 +50,6 @@ def fundamental_decomposition(delta):
     if f % 2 != 0:
         raise InternalError("discriminant decomposition lost a factor of 2")
     return 4 * d, f // 2
-
-
-@dataclass(frozen=True)
-class QuadDiscriminant:
-    delta: int
-    delta0: int
-    conductor: int
-
-
-def quad_discriminant(delta):
-    d0, f = fundamental_decomposition(delta)
-    return QuadDiscriminant(delta=delta, delta0=d0, conductor=f)
 
 
 # ---------------------------------------------------------------------------
@@ -204,12 +191,9 @@ def stratified_class_numbers(delta):
     """[(f, h(f^2 delta0))] over all divisors f of the conductor of delta < 0."""
     if delta >= 0:
         raise DomainError("need a negative discriminant")
-    disc = quad_discriminant(delta)
-    h0 = _fundamental_class_number(disc.delta0)
-    return [
-        (f, _formula_from_h0(disc.delta0, h0, f))
-        for f in arith.divisors(disc.conductor)
-    ]
+    delta0, conductor = fundamental_decomposition(delta)
+    h0 = _fundamental_class_number(delta0)
+    return [(f, _formula_from_h0(delta0, h0, f)) for f in arith.divisors(conductor)]
 
 
 def kronecker_class_number(delta):

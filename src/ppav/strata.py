@@ -199,16 +199,16 @@ def find_heavy_isogeny_class(m, delta0, search_limit=10_000):
             if gcd(t, p) != 1:
                 continue
             delta = t * t - 4 * p
-            disc = quadratic.quad_discriminant(delta)
-            if disc.delta0 != delta0:
+            found_delta0, conductor = quadratic.fundamental_decomposition(delta)
+            if found_delta0 != delta0:
                 raise InternalError("discriminant decomposition disagrees")
-            if disc.conductor % m != 0:
+            if conductor % m != 0:
                 raise InternalError("conductor lost the factor m")
             ratio, bound = quadratic.h_over_H_bound(delta)
             if ratio > bound:
                 raise InternalError("h/H bound violated by witness")
             return HeavyClassWitness(
-                p=p, t=t, delta=delta, conductor=disc.conductor,
+                p=p, t=t, delta=delta, conductor=conductor,
                 ratio=ratio, bound=bound, x=x, y=y,
             )
     raise SearchLimitError(f"no prime x^2 + {n} y^2 with x, y <= {search_limit}")

@@ -3,16 +3,19 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
 import time
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ppav import arith, census, cli, orders, strata
+from lattice_oracle import random_sublattice
+from ppav import arith, census, cli, orders, strata, weil
 from ppav.errors import FactorError
 
 
@@ -359,6 +362,31 @@ class TestGoldenDigests:
             assert code == 0
             h.update(out.encode())
         assert h.hexdigest() == "af89ad3cda8e26fa1085b00a7351ff1d22c843ddc1ddff5fe7a3d315d7c6146c"
+
+    def test_convenient_order_files(self, capsys, tmp_path):
+        # multiplier rings of random sublattices of minimal orders, elliptic
+        # and surface in turn: the only path where colon sees quartic orders
+        rng = random.Random(211)
+        paths = []
+        while len(paths) < 40:
+            if len(paths) % 2:
+                spec = weil.random_surface_spec(rng, qmax=500)
+                ctx = orders.FieldContext(list(spec.f), spec.q)
+            else:
+                q = rng.choice((5, 7, 11, 23, 97, 1009))
+                traces = [t for t in range(1, isqrt(4 * q) + 1) if t * t < 4 * q and gcd(t, q) == 1]
+                ctx = orders.FieldContext([q, -rng.choice(traces), 1], q)
+            ring = orders.multiplier_ring(random_sublattice(rng, ctx, orders.minimal_order(ctx)))
+            path = tmp_path / f"ring{len(paths)}.json"
+            path.write_text(json.dumps(orders.lattice_to_json(ring)))
+            paths.append(str(path))
+        paths.append(os.path.join(os.path.dirname(__file__), "..", "data", "ex-inconvenient.json"))
+        h = hashlib.sha256()
+        for path in paths:
+            code, out, _ = run_cli(capsys, ["convenient", "--order-file", path])
+            assert code == 0
+            h.update(out.encode())
+        assert h.hexdigest() == "bf8d8f53fc71b1555ddcaa12d3634ad6690fcf58b57f2313d3119a95af2b2203"
 
     @pytest.mark.parametrize(
         "p, csv_digest, summary_digest",

@@ -3,6 +3,8 @@ from fractions import Fraction
 from math import isqrt
 
 import pytest
+from lattice_oracle import colon_by_inverse, random_sublattice
+from test_arith import euclid_hnf
 
 from ppav import arith, orders, quadratic, weil
 from ppav.errors import DomainError, InternalError, RankError
@@ -31,19 +33,6 @@ def scale_lattice(lat, c):
     c = Fraction(c)
     rows = [[c.numerator * x for x in row] for row in lat.rows]
     return orders.lattice_from_generators(lat.ctx, rows, lat.den * c.denominator)
-
-
-def random_sublattice(rng, ctx, base):
-    """Random finite-index sublattice of `base` with a random denominator."""
-    dim = ctx.dim
-    while True:
-        coeffs = [[rng.randrange(-3, 4) for _ in range(dim)] for _ in range(dim)]
-        rows = arith.mat_mul(coeffs, base.rows)
-        den = rng.choice([1, 1, 2, 3])
-        try:
-            return orders.lattice_from_generators(ctx, rows, base.den * den)
-        except RankError:
-            continue
 
 
 class TestContext:
@@ -283,6 +272,57 @@ class TestPureImaginaryIndex:
             orders.pure_imaginary_index(orders.minimal_order(f23_context()))
 
 
+def eigen_sublattice_by_transform(lat, sign):
+    """HNF of the kernel rows of the Euclid transform of L (C - sign den I), times L."""
+    den, c = lat.ctx.conj_int
+    shifted = [[x - sign * den * (i == j) for j, x in enumerate(row)] for i, row in enumerate(c)]
+    _, rank, u = euclid_hnf(arith.mat_mul(lat.rows, shifted), transform=True)
+    h, k = arith.hnf_int(arith.mat_mul(u[rank:], lat.rows))
+    return h[:k]
+
+
+def elliptic_contexts():
+    for q in (2, 5, 23, 97):
+        for t in range(-isqrt(4 * q), isqrt(4 * q) + 1):
+            if t * t < 4 * q and t % q:
+                yield orders.FieldContext([q, -t, 1], q)
+
+
+class TestEigenSublattice:
+    @staticmethod
+    def check(lat):
+        for sign in (1, -1):
+            rows = orders.eigen_sublattice(lat, sign)
+            assert rows == eigen_sublattice_by_transform(lat, sign)
+            assert len(rows) == lat.ctx.dim // 2
+
+    def test_minimal_orders_and_duals(self):
+        rng = random.Random(73)
+        contexts = list(elliptic_contexts())
+        for _ in range(40):
+            spec = weil.random_surface_spec(rng, qmax=2000)
+            contexts.append(orders.FieldContext(list(spec.f), spec.q))
+        for ctx in contexts:
+            minimal = orders.minimal_order(ctx)
+            self.check(minimal)
+            self.check(orders.trace_dual(minimal))
+
+    def test_multiplier_rings_of_random_lattices(self):
+        rng = random.Random(79)
+        contexts = list(elliptic_contexts())[::3]
+        for _ in range(30):
+            spec = weil.random_surface_spec(rng, qmax=500)
+            contexts.append(orders.FieldContext(list(spec.f), spec.q))
+        for ctx in contexts:
+            lat = random_sublattice(rng, ctx, orders.minimal_order(ctx))
+            self.check(orders.multiplier_ring(lat))
+
+    def test_inconvenient_example(self):
+        _, lattice = inconvenient_example_order()
+        self.check(lattice)
+        self.check(orders.trace_dual(lattice))
+
+
 class TestMinimalOrder:
     def test_elliptic_case(self):
         ctx = orders.FieldContext([2, -1, 1], 2)
@@ -363,6 +403,36 @@ class TestIdealOps:
                 ctx, [list(ctx.mul(ctx.element(row), x)) for row in ring.basis]
             )
             assert orders.is_invertible_over(ideal, ring)
+
+    def test_colon_against_inverse_oracle(self):
+        rng = random.Random(83)
+        contexts = [f23_context(), orders.FieldContext([5, -3, 1], 5)]
+        for _ in range(8):
+            spec = weil.random_surface_spec(rng, qmax=500)
+            contexts.append(orders.FieldContext(list(spec.f), spec.q))
+        pairs = mixed = 0
+        for ctx in contexts:
+            base = orders.minimal_order(ctx)
+            for _ in range(4):
+                a = random_sublattice(rng, ctx, base)
+                b = random_sublattice(rng, ctx, base)
+                c = Fraction(rng.choice([1, 2, 3, 5]), rng.choice([1, 2, 7]))
+                for x, y in (
+                    (a, b),
+                    (a, orders.trace_dual(a)),
+                    (scale_lattice(a, c), b),
+                    (a, scale_lattice(b, c)),
+                ):
+                    assert orders.colon(x, y) == colon_by_inverse(x, y)
+                    pairs += 1
+                    mixed += x.den != y.den
+        assert pairs >= 100 and 0 < mixed < pairs
+
+    def test_colon_rejects_foreign_context(self):
+        a = orders.minimal_order(f23_context())
+        b = orders.minimal_order(f23_context())
+        with pytest.raises(DomainError, match="different contexts"):
+            orders.colon(a, b)
 
     def test_trace_dual_invertible_over_minimal(self):
         ctx = f23_context()

@@ -222,8 +222,7 @@ class TestFindHeavy:
             w = strata.find_heavy_isogeny_class(m, d0)
             assert w.conductor % m == 0
             assert w.ratio <= w.bound
-            disc = quadratic.quad_discriminant(w.delta)
-            assert disc.delta0 == d0
+            assert quadratic.fundamental_decomposition(w.delta)[0] == d0
 
     def test_limit_exhaustion(self):
         with pytest.raises(SearchLimitError):
@@ -350,7 +349,7 @@ class TestAnalyze:
                 if t * t >= 4 * q:
                     continue
                 reports = strata.analyze(weil.isogeny_class([q, -t, 1], q))
-                delta0 = quadratic.quad_discriminant(t * t - 4 * q).delta0
+                delta0, _ = quadratic.fundamental_decomposition(t * t - 4 * q)
                 odd = any(p % 2 for p in arith.factorize(-delta0))
                 assert {r.odd_ramified for r in reports} == {"certified" if odd else "unknown"}
 
