@@ -69,6 +69,22 @@ def poly_derivative(a):
     return poly_trim([i * c for i, c in enumerate(a)][1:])
 
 
+def trace_form(a):
+    """The Gram matrix [Tr(x^(i+j))] of Z[x]/(a) for monic a; its determinant is disc a.
+
+    Tr(x^k) is the k-th power sum of the roots of a, integral by Newton's
+    identities.
+    """
+    m = len(a) - 1
+    sums = [m]
+    for k in range(1, 2 * m - 1):
+        s = -k * a[m - k] if k <= m else 0
+        for i in range(1, min(k, m + 1)):
+            s -= a[m - i] * sums[k - i]
+        sums.append(s)
+    return [sums[i : i + m] for i in range(m)]
+
+
 def poly_divmod_exact(a, b):
     """Long division of integer polynomials when the quotient is integral.
 
@@ -241,34 +257,6 @@ def inverse(rows):
             for j in range(n)
         ]
     return d, x
-
-
-# ---------------------------------------------------------------------------
-# resultants via the determinant of the Sylvester matrix
-
-
-def resultant(a, b):
-    """Resultant of two integer polynomials.
-
-    Equals lc(a)^deg(b) * prod b(alpha) over the roots alpha of a, so for
-    monic a it is the product of b over the roots of a.
-    """
-    a, b = poly_trim(a), poly_trim(b)
-    if not a or not b:
-        raise DomainError("resultant of zero polynomial")
-    da, db = len(a) - 1, len(b) - 1
-    if da == 0:
-        return a[0] ** db
-    if db == 0:
-        return b[0] ** da
-    rows = []
-    ar = list(reversed(a))
-    br = list(reversed(b))
-    for i in range(db):
-        rows.append([0] * i + ar + [0] * (db - 1 - i))
-    for i in range(da):
-        rows.append([0] * i + br + [0] * (da - 1 - i))
-    return det(rows)
 
 
 # ---------------------------------------------------------------------------

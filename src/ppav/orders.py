@@ -28,25 +28,7 @@ from math import prod
 
 from . import arith
 from .errors import DomainError, InternalError, RankError
-from .weil import real_discriminant_norms, real_weil_polynomial
-
-
-def _newton_power_sums(poly, count):
-    """Power sums of the roots of a monic integer polynomial."""
-    m = len(poly) - 1
-    a = poly
-    sums = [m]
-    for k in range(1, count):
-        if k <= m:
-            s = -k * a[m - k]
-            for i in range(1, k):
-                s -= a[m - i] * sums[k - i]
-        else:
-            s = 0
-            for i in range(1, m + 1):
-                s -= a[m - i] * sums[k - i]
-        sums.append(s)
-    return sums
+from .weil import delta_norm, real_weil_polynomial
 
 
 class RingContext:
@@ -58,10 +40,7 @@ class RingContext:
             raise DomainError("context needs a monic nonconstant polynomial")
         self.poly = tuple(poly)
         self.dim = len(poly) - 1
-        m = self.dim
-        sums = _newton_power_sums(list(poly), 2 * m - 1)
-        self.trace_gram = [[sums[i + j] for j in range(m)] for i in range(m)]
-        # the trace-form determinant of a monic polynomial is its discriminant
+        self.trace_gram = arith.trace_form(self.poly)
         self.trace_det = arith.det(self.trace_gram)
         if self.trace_det == 0:
             raise DomainError("context polynomial must be separable")
@@ -240,15 +219,16 @@ def is_ring(lat):
     return all(lat.contains(w, lat.den * lat.den) for w in _products(lat.ctx, lat.rows, lat.rows))
 
 
-def is_invertible_over(a, ring):
-    return product(a, colon(ring, a)) == ring
-
-
 def is_gorenstein(ring):
-    """True iff the trace dual is an invertible fractional ideal of the ring."""
+    """True iff the trace dual D is an invertible fractional ideal of the ring.
+
+    D is invertible iff D (R : D) = R, and (R : D) is the trace dual of D D,
+    since R is the trace dual of D.
+    """
     if not is_ring(ring):
         raise DomainError("input lattice is not a ring")
-    return is_invertible_over(trace_dual(ring), ring)
+    dual = trace_dual(ring)
+    return product(dual, trace_dual(product(dual, dual))) == ring
 
 
 def eigen_sublattice(lat, sign):
@@ -273,15 +253,15 @@ def minimal_order(ctx):
     Since n < 2n, pi^k is the k-th unit vector, and pibar^k = conj(pi^k) is
     row k of the conjugation matrix.
 
-    Checked against the resultants: Z[pi, pibar] = Z[alpha][pi] with
+    Checked against the discriminant norms: Z[pi, pibar] = Z[alpha][pi] with
     pi^2 - alpha pi + q = 0 and alpha a root of g, so its discriminant has
-    absolute value disc(g)^2 |res(g, y^2 - 4q)|, with disc(g) = 1 for n = 1.
+    absolute value disc(g)^2 |N(alpha^2 - 4q)|, where disc(g) is the
+    trace-form determinant of the real context (1 for n = 1).
     """
     den, c = ctx.conj_int
     powers = [[den * (i == k) for i in range(ctx.dim)] for k in range(ctx.n + 1)]
     lat = lattice_from_generators(ctx, powers + c[1 : ctx.n], den)
-    norm_delta, disc_g = real_discriminant_norms(ctx.g, ctx.q)
-    expected = disc_g**2 * norm_delta
+    expected = ctx.real_ctx.trace_det**2 * delta_norm(ctx.g, ctx.q)
     found = abs(lattice_discriminant(lat))
     if found != expected:
         raise InternalError(

@@ -21,13 +21,13 @@ from .errors import DomainError, InternalError, SearchLimitError
 def disc_ratio_exact(spec):
     """|disc(Z[pi, pibar]) / disc(Z[pi + pibar])| as an exact integer.
 
-    Computed by resultants: |N(alpha^2 - 4q)| * |N(g'(alpha))| for
-    alpha = pi + pibar with minimal polynomial g.
+    It is |N(alpha^2 - 4q)| * |disc g| for alpha = pi + pibar with minimal
+    polynomial g, read off `spec.discriminant_norms`.
     """
     if spec.n > 2:
         raise DomainError("exact discriminant ratios are implemented for n <= 2")
-    norm_delta, norm_gprime = weil.real_discriminant_norms(spec.g, spec.q)
-    return norm_delta * norm_gprime
+    norm_delta, disc_g = spec.discriminant_norms
+    return norm_delta * disc_g
 
 
 def disc_ratio_trig(spec):
@@ -91,22 +91,25 @@ def _odd_valuation_primes(spec):
     {c, v - c}, since y lies in at most one prime above it; an inert ell
     gives c, a ramified ell gives v (Cohen, GTM 138, 5.2).  So some
     valuation above ell is odd iff v is odd, or ell does not divide rad and
-    c is odd.
+    c is odd.  N and disc g come from `spec.discriminant_norms`; the closed
+    form |A^2 - B'^2 rad| = 4N is checked against them.
     """
     if spec.n != 2:
         raise DomainError("certificates are defined for abelian surfaces")
     big_b, big_c = spec.g[1], spec.g[0]  # g = x^2 + B x + C
-    disc_g = big_b * big_b - 4 * big_c
-    if disc_g <= 0:
-        raise InternalError("real companion of a surface class must be totally real")
+    norm, disc_g = spec.discriminant_norms
+    if disc_g == 0:
+        raise InternalError("real companion of a surface class must be squarefree")
+    if norm == 0:
+        raise DomainError("alpha^2 - 4q vanishes")
     d0, conductor = quadratic.fundamental_decomposition(disc_g)
     rad = d0 if d0 % 4 == 1 else d0 // 4
     e = conductor if d0 % 4 == 1 else 2 * conductor  # sqrt(disc_g) = e sqrt(rad)
     a = big_b * big_b - 2 * big_c - 8 * spec.q
     b = -big_b * e
-    norm = abs(a * a - b * b * rad) // 4
-    if norm == 0:
-        raise DomainError("alpha^2 - 4q vanishes")
+    closed = abs(a * a - b * b * rad)
+    if closed != 4 * norm:
+        raise InternalError(f"|A^2 - B'^2 rad| = {closed}, but 4 |N(alpha^2 - 4q)| = {4 * norm}")
     content = gcd(a, b)
     ells = []
     for ell, v in arith.factorize(norm).items():
@@ -152,8 +155,7 @@ def real_unit_index(spec):
     """[totally positive units : squared units] of Z[alpha]: 1 or 2."""
     if spec.n == 1:
         return 1
-    g = spec.g
-    return 1 if quadratic.unit_norm(g[1] * g[1] - 4 * g[0]) == -1 else 2
+    return 1 if quadratic.unit_norm(spec.discriminant_norms[1]) == -1 else 2
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,11 @@ class IsogenyClassSpec:
     angles: tuple
 
     @cached_property
+    def discriminant_norms(self):
+        """(|N(alpha^2 - 4q)|, |disc g|), computed once per class."""
+        return real_discriminant_norms(self.g, self.q)
+
+    @cached_property
     def simple(self):
         """Irreducibility of f over Q, decided without factoring for ordinary n <= 2.
 
@@ -51,7 +56,7 @@ class IsogenyClassSpec:
             return is_simple(self.f)
         if self.n == 1:
             return True
-        disc = self.f[3] ** 2 - 4 * self.f[2] + 8 * self.q
+        disc = self.discriminant_norms[1]
         return isqrt(disc) ** 2 != disc
 
 
@@ -83,15 +88,22 @@ def real_weil_polynomial(f, q):
     return arith.poly_trim(g)
 
 
+def _even_odd_at(p, q):
+    """(E(4q), O(4q)) for p(x) = E(x^2) + x O(x^2), so p(s 2 sqrt(q)) = E + s 2 sqrt(q) O."""
+    return arith.poly_eval(p[0::2], 4 * q), arith.poly_eval(p[1::2], 4 * q)
+
+
+def delta_norm(g, q):
+    """|N(alpha^2 - 4q)| = |g(2 sqrt(q)) g(-2 sqrt(q))| = |E^2 - 4q O^2|, alpha a root of g."""
+    even, odd = _even_odd_at(g, q)
+    return abs(even * even - 4 * q * odd * odd)
+
+
 def real_discriminant_norms(g, q):
-    """(|N(alpha^2 - 4q)|, |N(g'(alpha))|) for alpha a root of the monic real
-    Weil polynomial g, by resultants; the second is |disc g|, 1 for linear g.
+    """(|N(alpha^2 - 4q)|, |disc g|) for alpha a root of the monic real Weil
+    polynomial g; disc g is the determinant of g's trace form, 1 for linear g.
     """
-    g = list(g)
-    return (
-        abs(arith.resultant(g, [-4 * q, 0, 1])),
-        abs(arith.resultant(g, arith.poly_derivative(g))),
-    )
+    return delta_norm(g, q), abs(arith.det(arith.trace_form(g)))
 
 
 def _sign_plus_root(a, b, q):
@@ -116,12 +128,7 @@ def _sign_plus_root(a, b, q):
 
 def _edge_signs(chain, q, side):
     """Signs along the chain at side * 2 sqrt(q), exact in Z[sqrt(q)]."""
-    # p(2 s sqrt(q)) = E(4q) + 2 s sqrt(q) O(4q) for the even and odd parts E, O
-    y = 4 * q
-    return [
-        _sign_plus_root(arith.poly_eval(p[0::2], y), 2 * side * arith.poly_eval(p[1::2], y), q)
-        for p in chain
-    ]
+    return [_sign_plus_root(e, 2 * side * o, q) for e, o in (_even_odd_at(p, q) for p in chain)]
 
 
 def _variations(signs):

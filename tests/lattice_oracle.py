@@ -1,8 +1,10 @@
-"""Reference oracles for lattices in a CM algebra.
+"""Reference oracles for lattices in a CM algebra and their discriminants.
 
 `orders.colon` reads (a : b) off two trace duals; the tests check it
 against the direct route kept here, which inverts a's basis and takes the
 dual of the functionals that test x b_i for membership in a.
+`orders.is_gorenstein` is checked against invertibility through `colon`,
+and `weil.real_discriminant_norms` against Sylvester resultants.
 """
 
 from fractions import Fraction
@@ -29,6 +31,30 @@ def colon_by_inverse(a, b):
     scale = Fraction(fden * b.den * ea, a.den * g)
     rows = [[scale.numerator * v for v in row] for row in arith.mat_transpose(y)]
     return orders.lattice_from_generators(ctx, rows, scale.denominator)
+
+
+def is_invertible_over(a, ring):
+    """Whether a (ring : a) = ring."""
+    return orders.product(a, orders.colon(ring, a)) == ring
+
+
+def resultant(a, b):
+    """Resultant of two nonzero integer polynomials: the determinant of
+    their Sylvester matrix.
+
+    Equals lc(a)^deg(b) * prod b(alpha) over the roots alpha of a, so for
+    monic a it is the product of b over the roots of a.
+    """
+    a, b = arith.poly_trim(a), arith.poly_trim(b)
+    da, db = len(a) - 1, len(b) - 1
+    if da == 0:
+        return a[0] ** db
+    if db == 0:
+        return b[0] ** da
+    ar, br = list(reversed(a)), list(reversed(b))
+    rows = [[0] * i + ar + [0] * (db - 1 - i) for i in range(db)]
+    rows += [[0] * i + br + [0] * (da - 1 - i) for i in range(da)]
+    return arith.det(rows)
 
 
 def random_sublattice(rng, ctx, base):

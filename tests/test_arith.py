@@ -401,32 +401,26 @@ class TestKernel:
                 done += 1
 
 
-class TestResultant:
-    def test_degree_one_evaluates(self):
-        g = [-3, 0, 1]  # x^2 - 3
-        assert arith.resultant([-2, 1], g) == arith.poly_eval(g, 2)
+class TestTraceForm:
+    def test_small_cases(self):
+        assert arith.trace_form([-5, 1]) == [[1]]
+        assert arith.trace_form([-2, 0, 1]) == [[2, 0], [0, 4]]
+        # x^3 - x - 1: power sums 3, 0, 2, 3, 2
+        assert arith.trace_form([-1, -1, 0, 1]) == [[3, 0, 2], [0, 2, 3], [2, 3, 2]]
 
-    def test_quadratic_pair(self):
-        assert arith.resultant([-2, 0, 1], [-3, 0, 1]) == 1
-
-    def test_real_weil_companion_case(self):
-        # product of (r^2 - 92) over the roots of x^2 - 6x - 14
-        assert arith.resultant([-14, -6, 1], [-92, 0, 1]) == 2772
-        p, a = 23, 3
-        assert 2772 == (p - a * a) * (9 * p - a * a)
-
-    def test_swap_sign_rule(self):
-        rng = random.Random(1)
-        for _ in range(200):
-            da, db = rng.randrange(1, 5), rng.randrange(1, 5)
-            a = [rng.randrange(-5, 6) for _ in range(da)] + [1]
-            b = [rng.randrange(-5, 6) for _ in range(db)] + [1]
-            lhs = arith.resultant(a, b) * (-1) ** (da * db)
-            assert lhs == arith.resultant(b, a)
-
-    def test_zero_rejected(self):
-        with pytest.raises(DomainError):
-            arith.resultant([], [1, 1])
+    def test_power_sums_against_roots(self):
+        # (x - 1)(x - 2)(x + 3)(x - 5): Tr(x^k) = 1 + 2^k + (-3)^k + 5^k
+        roots = [1, 2, -3, 5]
+        poly = [1]
+        for r in roots:
+            poly = arith.poly_sub([0] + poly, arith.poly_scale(poly, r))
+        gram = arith.trace_form(poly)
+        assert gram == [[sum(r ** (i + j) for r in roots) for j in range(4)] for i in range(4)]
+        disc = 1
+        for i, r in enumerate(roots):
+            for s in roots[i + 1 :]:
+                disc *= (r - s) ** 2
+        assert arith.det(gram) == disc
 
 
 class TestKronecker:

@@ -45,11 +45,26 @@ class TestAnalyze:
         assert lines[1]["exact_count"] == "1"  # h(-11)
 
     def test_failed_discriminant_identity_is_exit_two(self, capsys, monkeypatch):
-        resultant = arith.resultant
-        monkeypatch.setattr(arith, "resultant", lambda a, b: resultant(a, b) + 1)
+        delta_norm = orders.delta_norm
+        monkeypatch.setattr(orders, "delta_norm", lambda g, q: delta_norm(g, q) + 1)
         code, _, err = run_cli(capsys, ["analyze", "--weil", "529,-138,32,-6,1", "--q", "23"])
         assert code == 2
         assert err.startswith("error: disc Z[pi, pibar]") and len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+
+    def test_failed_surface_closed_form_is_exit_two(self, capsys, monkeypatch):
+        # the certificates check their closed form against the class norms
+        norms = weil.real_discriminant_norms
+
+        def patched(g, q):
+            norm, disc_g = norms(g, q)
+            return norm + 1, disc_g
+
+        monkeypatch.setattr(weil, "real_discriminant_norms", patched)
+        code, _, err = run_cli(capsys, ["analyze", "--weil", "529,-138,32,-6,1", "--q", "23"])
+        assert code == 2
+        assert err.startswith("error: |A^2 - B'^2 rad| = 11088,")
+        assert len(err.strip().splitlines()) == 1
         assert "Traceback" not in err
 
     def test_elliptic_factors_each_number_once(self, capsys, monkeypatch):

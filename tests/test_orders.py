@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import isqrt
 
 import pytest
-from lattice_oracle import colon_by_inverse, random_sublattice
+from lattice_oracle import colon_by_inverse, is_invertible_over, random_sublattice
 from test_arith import euclid_hnf
 
 from ppav import arith, orders, quadratic, weil
@@ -146,6 +146,28 @@ class TestGorenstein:
         shifted = scale_lattice(orders.minimal_order(ctx), Fraction(1, 2))
         with pytest.raises(DomainError):
             orders.is_gorenstein(shifted)
+
+    def test_against_invertibility_oracle(self):
+        # minimal orders, n = 1 and 2, their real subrings, multiplier rings
+        # of random sublattices, and the inconvenient example
+        rng = random.Random(47)
+        contexts = [orders.FieldContext([q, -t, 1], q) for q, t in ((5, 3), (7, 1), (97, 5))]
+        for _ in range(6):
+            spec = weil.random_surface_spec(rng, qmax=500)
+            contexts.append(orders.FieldContext(list(spec.f), spec.q))
+        _, inconvenient = inconvenient_example_order()
+        rings = [inconvenient, orders.real_subring(inconvenient)]
+        for ctx in contexts:
+            minimal = orders.minimal_order(ctx)
+            rings += [minimal, orders.real_subring(minimal)]
+            for _ in range(4):
+                rings.append(orders.multiplier_ring(random_sublattice(rng, ctx, minimal)))
+        verdicts = []
+        for ring in rings:
+            verdict = orders.is_gorenstein(ring)
+            assert verdict is is_invertible_over(orders.trace_dual(ring), ring)
+            verdicts.append(verdict)
+        assert len(rings) >= 50 and 0 < verdicts.count(False) < len(rings)
 
 
 class TestConvenience:
@@ -359,8 +381,9 @@ class TestMinimalOrder:
             orders.minimal_order(ctx)
 
     def test_patched_resultant_raises(self, monkeypatch):
-        resultant = arith.resultant
-        monkeypatch.setattr(arith, "resultant", lambda a, b: resultant(a, b) + 1)
+        # delta_norm is |res(g, y^2 - 4q)|, read as orders imports it
+        delta_norm = orders.delta_norm
+        monkeypatch.setattr(orders, "delta_norm", lambda g, q: delta_norm(g, q) + 1)
         with pytest.raises(InternalError, match=r"disc Z\[pi, pibar\] = 7,"):
             orders.minimal_order(orders.FieldContext([2, -1, 1], 2))
 
@@ -402,7 +425,7 @@ class TestIdealOps:
             ideal = orders.lattice_from_generators(
                 ctx, [list(ctx.mul(ctx.element(row), x)) for row in ring.basis]
             )
-            assert orders.is_invertible_over(ideal, ring)
+            assert is_invertible_over(ideal, ring)
 
     def test_colon_against_inverse_oracle(self):
         rng = random.Random(83)
@@ -437,7 +460,7 @@ class TestIdealOps:
     def test_trace_dual_invertible_over_minimal(self):
         ctx = f23_context()
         ring = orders.minimal_order(ctx)
-        assert orders.is_invertible_over(orders.trace_dual(ring), ring)
+        assert is_invertible_over(orders.trace_dual(ring), ring)
 
 
 class TestJson:

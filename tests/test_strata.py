@@ -6,7 +6,7 @@ import pytest
 
 from ideal_oracle import RealQuadElement, brute_force_unit_norm, factor_element_ideal
 from ppav import arith, orders, quadratic, strata, weil
-from ppav.errors import DomainError, SearchLimitError
+from ppav.errors import DomainError, InternalError, SearchLimitError
 
 F23 = [529, -138, 32, -6, 1]
 
@@ -355,20 +355,28 @@ class TestAnalyze:
 
     def test_surface_factorizes_twice(self, monkeypatch):
         # one fundamental decomposition and one factorization of
-        # N(alpha^2 - 4q) for the certificates, none for the unit index; two
-        # resultants for the single discriminant ratio
+        # N(alpha^2 - 4q) for the certificates, none for the unit index; the
+        # two class norms once per class across every strata reader
         spec = weil.isogeny_class(F23, 23)
-        calls = {"factorize": 0, "resultant": 0}
-        for name in calls:
-            original = getattr(arith, name)
+        calls = {"factorize": 0, "real_discriminant_norms": 0}
+        for module, name in ((arith, "factorize"), (weil, "real_discriminant_norms")):
+            original = getattr(module, name)
 
             def counting(*args, _name=name, _original=original, **kwargs):
                 calls[_name] += 1
                 return _original(*args, **kwargs)
 
-            monkeypatch.setattr(arith, name, counting)
+            monkeypatch.setattr(module, name, counting)
         strata.analyze(spec)
-        assert calls == {"factorize": 2, "resultant": 2}
+        assert strata.disc_ratio_exact(spec) == 2772 * 92
+        strata.h_minus_estimate(spec)
+        assert calls == {"factorize": 2, "real_discriminant_norms": 1}
+
+    def test_patched_norm_breaks_closed_form(self, monkeypatch):
+        norm, disc_g = weil.isogeny_class(F23, 23).discriminant_norms
+        monkeypatch.setattr(weil, "real_discriminant_norms", lambda g, q: (norm + 1, disc_g))
+        with pytest.raises(InternalError, match=r"= 11088, but 4 \|N\(alpha\^2 - 4q\)\| = 11092"):
+            strata.analyze(weil.isogeny_class(F23, 23))
 
     def test_rejects_non_simple(self):
         f = [25, -30, 19, -6, 1]  # (x^2 - 3x + 5)^2

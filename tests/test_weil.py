@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from lattice_oracle import resultant
 
 from ppav import arith, weil
 from ppav.errors import DomainError, NotWeilShape, UnsupportedDegree
@@ -347,3 +348,54 @@ class TestSpecValidation:
         for _ in range(200):
             spec = weil.random_surface_spec(rng, qmax=10_000)
             assert 0 < spec.angles[0] < spec.angles[1] < math.pi
+
+
+def norms_by_resultants(g, q):
+    """(|res(g, y^2 - 4q)|, |res(g, g')|): the Sylvester route."""
+    return abs(resultant(g, [-4 * q, 0, 1])), abs(resultant(g, arith.poly_derivative(g)))
+
+
+class TestDiscriminantNorms:
+    def test_f23(self):
+        # product of (r^2 - 92) over the roots of x^2 - 6x - 14, and 36 + 56
+        spec = weil.isogeny_class(F23, 23)
+        assert spec.discriminant_norms == weil.real_discriminant_norms(spec.g, 23) == (2772, 92)
+        assert 2772 == (23 - 9) * (9 * 23 - 9)
+
+    def test_linear_g(self):
+        # N(alpha^2 - 4q) for alpha = t is the value of y^2 - 4q at t
+        assert weil.real_discriminant_norms((-3, 1), 5) == (11, 1)
+
+    def test_surface_classes_against_resultants(self):
+        rng = random.Random(17)
+        for k in range(320):
+            spec = weil.random_surface_spec(
+                rng, qmax=10_000, require_ordinary=k % 2 == 0, require_simple=k % 4 == 0
+            )
+            assert spec.discriminant_norms == norms_by_resultants(list(spec.g), spec.q), spec
+
+    def test_elliptic_traces_against_resultants(self):
+        count = 0
+        for q in (2, 3, 4, 5, 7, 8, 9, 23, 97, 1009):
+            for t in range(-math.isqrt(4 * q), math.isqrt(4 * q) + 1):
+                if t * t < 4 * q and math.gcd(t, q) == 1:
+                    spec = weil.isogeny_class([q, -t, 1], q)
+                    assert spec.discriminant_norms == norms_by_resultants([-t, 1], q)
+                    count += 1
+        assert count > 150
+
+    def test_random_cubics_and_quartics_against_resultants(self):
+        # FieldContext accepts any n, so g need not be a Weil companion here
+        rng = random.Random(19)
+        zero_disc = 0
+        for k in range(400):
+            degree = 3 + k % 2
+            g = [rng.randrange(-9, 10) for _ in range(degree)] + [1]
+            if k % 10 == 0:  # a square factor, so disc g = 0
+                root = rng.randrange(-3, 4)
+                g = poly_mul(poly_mul([-root, 1], [-root, 1]), g[2:])
+            q = rng.randrange(2, 200)
+            norms = weil.real_discriminant_norms(g, q)
+            assert norms == norms_by_resultants(g, q), (g, q)
+            zero_disc += norms[1] == 0
+        assert zero_disc >= 40
