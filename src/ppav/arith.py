@@ -4,7 +4,7 @@ Conventions used throughout the package:
 
 * integer polynomials are lists/tuples of ``int`` coefficients in ascending
   degree, with a nonzero leading coefficient unless the polynomial is zero;
-* polynomial gcds, Yun decompositions and Sturm chains stay integer, and
+* Sturm chains, and the squarefree split read off them, stay integer, and
   real-root counting and bisection evaluate integer forms at n / d; a
   ``Fraction`` appears only at the API edge (interval endpoints in and out);
 * a rational matrix is a pair (den, integer rows) standing for rows / den;
@@ -141,47 +141,6 @@ def _pseudo_rem(a, b):
         shift = len(r) - 1 - db
         r = poly_sub(poly_scale(r, lb), poly_scale([0] * shift + list(b), sb * r[-1]))
     return r
-
-
-def poly_gcd(a, b):
-    """Primitive gcd of integer polynomials, positive leading coefficient."""
-    a, b = poly_primitive(a), poly_primitive(b)
-    while b:
-        if len(a) < len(b):
-            a, b = b, a
-            continue
-        r = _pseudo_rem(a, b)
-        a, b = b, poly_primitive(r)
-    return a
-
-
-def poly_squarefree_decomposition(a):
-    """Yun decomposition [(factor, multiplicity)] with a ~ prod f_i^i.
-
-    Runs over the integers: every division is by a primitive gcd, so by
-    Gauss's lemma each quotient is integral, and w and y stay scaled alike.
-    """
-    a = poly_primitive(a)
-    if len(a) <= 2:
-        return [(a, 1)] if len(a) == 2 else []
-    da = poly_derivative(a)
-    g = poly_gcd(a, da)
-    if len(g) <= 1:
-        return [(a, 1)]
-    out = []
-    w, _ = poly_divmod_exact(a, g)
-    y, _ = poly_divmod_exact(da, g)
-    z = poly_sub(y, poly_derivative(w))
-    i = 1
-    while len(w) > 1:
-        h = poly_gcd(w, z)
-        if len(h) > 1:
-            out.append((h, i))
-        w, _ = poly_divmod_exact(w, h)
-        y, _ = poly_divmod_exact(z, h)
-        z = poly_sub(y, poly_derivative(w))
-        i += 1
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -544,16 +503,31 @@ def _sign_variations(chain, n, d=1):
     return variations
 
 
-def _squarefree_chain(a):
-    """Sturm chain of a, or DomainError if a has a repeated root.
+def squarefree_chains(a):
+    """[(factor, multiplicity, Sturm chain of factor)] with a ~ prod factor^multiplicity.
 
-    The last term is gcd(a, a') up to a positive factor, so a is squarefree
-    iff it is a constant.
+    Repeated gcds read off Sturm chains (Musser 1971; Cohen, GTM 138, 3.4):
+    d_0 = primitive(a) and d_(i+1) = primitive(last term of the chain of d_i)
+    = gcd(d_i, d_i'), so s_i = d_(i-1) / d_i is the product of the factors of
+    multiplicity >= i, and s_i / s_(i+1) the factor of multiplicity i.  Each
+    quotient is exact by Gauss's lemma, and none is taken by the constant 1.
+    Factors come primitive with positive leading coefficient, by increasing
+    multiplicity; a factor equal to some d_i reuses its chain.
     """
-    chain = sturm_chain(a)
-    if len(chain[-1]) > 1:
-        raise DomainError("polynomial is not squarefree; deflate first")
-    return chain
+    d = [poly_primitive(a)]
+    chains = {}
+    while len(d[-1]) > 1:
+        chain = sturm_chain(d[-1])
+        chains[tuple(d[-1])] = chain
+        d.append(poly_primitive(chain[-1]))
+    # the last d_i is 1, so the last s_i takes no division
+    s = [poly_divmod_exact(x, y)[0] for x, y in zip(d, d[1:-1])] + d[-2:-1]
+    out = []
+    for i, si in enumerate(s):
+        factor = poly_divmod_exact(si, s[i + 1])[0] if i + 1 < len(s) else si
+        if len(factor) > 1:
+            out.append((factor, i + 1, chains.get(tuple(factor)) or sturm_chain(factor)))
+    return out
 
 
 def cauchy_root_bound(a):
@@ -564,14 +538,16 @@ def cauchy_root_bound(a):
     return 2 + m // lead
 
 
-def isolate_real_roots(a, chain=None):
+def isolate_real_roots(a, chain):
     """Disjoint rational intervals (lo, hi], each holding one root of squarefree a.
 
-    Raises DomainError if a has a repeated root (unless a chain is passed).
+    chain is the Sturm chain of a.  Its last term is gcd(a, a') up to a
+    positive factor, so a has a repeated root, and DomainError is raised,
+    iff that term is not a constant.
     """
+    if len(chain[-1]) > 1:
+        raise DomainError("polynomial is not squarefree; deflate first")
     b = cauchy_root_bound(a)
-    if chain is None:
-        chain = _squarefree_chain(a)
     out = []
     # intervals (lo / 2^k, hi / 2^k] with their root counts
     stack = [(-b, b, 0, _sign_variations(chain, -b) - _sign_variations(chain, b))]
@@ -598,9 +574,9 @@ def _form_and_slope(p, n, d):
     return acc, slope
 
 
-def refine_root(a, lo, hi, bits=80, chain=None):
-    """The root of squarefree a in its isolating interval (lo, hi], on the grid
-    lo + k (hi - lo) / 2^bits.
+def refine_root(a, chain, lo, hi, bits=80):
+    """The root of squarefree a, with Sturm chain chain, in its isolating
+    interval (lo, hi], on the grid lo + k (hi - lo) / 2^bits.
 
     Returns the root itself when it falls on a grid point, else the midpoint
     of the grid cell holding it: the Fraction that `bits` dyadic bisection
@@ -618,8 +594,6 @@ def refine_root(a, lo, hi, bits=80, chain=None):
     if _sign_at(a, n, d) == 0:
         # lo is a different root of a sitting on the excluded boundary;
         # shrink with Sturm counts until the bracket has clean signs
-        if chain is None:
-            chain = sturm_chain(a)
         while True:
             n, d = 2 * n, 2 * d
             mid = n + w
@@ -655,15 +629,11 @@ def refine_root(a, lo, hi, bits=80, chain=None):
     return Fraction(2 * (n + klo * w) + w, 2 * d)
 
 
-def real_roots(a, bits=80, chain=None):
-    """Refined real roots of a squarefree integer polynomial, ascending.
-
-    Raises DomainError if a has a repeated root, unless its Sturm chain is
-    passed in.
+def real_roots(a, chain, bits=80):
+    """Refined real roots of a squarefree integer polynomial with Sturm chain
+    chain, ascending; DomainError if a has a repeated root.
     """
-    if chain is None:
-        chain = _squarefree_chain(a)
-    return [refine_root(a, lo, hi, bits, chain) for (lo, hi) in isolate_real_roots(a, chain)]
+    return [refine_root(a, chain, lo, hi, bits) for (lo, hi) in isolate_real_roots(a, chain)]
 
 
 # ---------------------------------------------------------------------------

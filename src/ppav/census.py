@@ -118,13 +118,16 @@ def _semicircle_cdf(x):
     x = min(1.0, max(-1.0, x))
     return (x * math.sqrt(max(0.0, 1.0 - x * x)) + math.asin(x)) / math.pi + 0.5
 
+def check_bins(bins):
+    if bins < 1:
+        raise DomainError(f"need at least one bin, got {bins}")
+
 def summarize(rows, bins=40):
     """Curve-weighted histogram of normalized traces and its total-variation
     distance to the semicircular law, integrated bin by bin."""
     if not rows:
         raise DomainError("census is empty")
-    if bins < 1:
-        raise DomainError(f"need at least one bin, got {bins}")
+    check_bins(bins)
     p = (rows[0].t * rows[0].t - rows[0].delta) // 4
     total = sum(r.H for r in rows)
     # integer accumulation, with indices mirrored from |trace|, so the

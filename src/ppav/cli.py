@@ -42,10 +42,10 @@ def _parse_poly(text):
 def _cmd_analyze(args):
     coeffs = _parse_poly(args.weil)
     spec = weil.isogeny_class(coeffs, args.q)
+    reports = strata.analyze(spec)  # ordinary and simple, before any orders work
     ctx = orders.FieldContext(list(spec.f), spec.q)
     minimal = orders.minimal_order(ctx)
     cert = orders.convenient_certificate(minimal)
-    reports = strata.analyze(spec)
     header = {
         "type": "class",
         "weil": [str(c) for c in spec.f],
@@ -92,6 +92,7 @@ def _cmd_analyze(args):
 
 
 def _cmd_ec_census(args):
+    census.check_bins(args.bins)  # before the census runs
     rows = census.enumerate_ec(args.p)
     summary = census.summarize(rows, bins=args.bins)
     with open(args.out, "w", newline="") as handle:

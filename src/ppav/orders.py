@@ -265,7 +265,7 @@ def minimal_order(ctx):
     found = abs(lattice_discriminant(lat))
     if found != expected:
         raise InternalError(
-            f"disc Z[pi, pibar] = {found}, but disc(g)^2 |res(g, y^2 - 4q)| = {expected}"
+            f"disc Z[pi, pibar] = {found}, but disc(g)^2 |N(alpha^2 - 4q)| = {expected}"
         )
     return lat
 

@@ -5,9 +5,10 @@ polynomial of Frobenius for an isogeny class of n-dimensional abelian
 varieties over F_q.  Validity (all complex roots of absolute value sqrt(q))
 is decided exactly: f must satisfy x^2n f(q/x) = q^n f(x), and the real
 companion polynomial g with x^n g(x + q/x) = f(x) must have all roots real
-and inside [-2 sqrt(q), 2 sqrt(q)].  One Sturm chain per factor of g's
-squarefree (Yun) decomposition, signed exactly at +-2 sqrt(q) in Z[sqrt(q)],
-decides that, and the same chains isolate the roots for the angles.
+and inside [-2 sqrt(q), 2 sqrt(q)].  The Sturm chains that split g into
+squarefree factors (`arith.squarefree_chains`), signed exactly at
++-2 sqrt(q) in Z[sqrt(q)], decide that, and the same chains isolate the
+roots for the angles.
 """
 
 from __future__ import annotations
@@ -137,8 +138,8 @@ def _variations(signs):
 
 
 def _weil_factors(g, q):
-    """[(factor, multiplicity, Sturm chain of factor)] over the Yun
-    decomposition of g, or None when a root of g is not real or lies off
+    """[(factor, multiplicity, Sturm chain of factor)] over the squarefree
+    split of g, or None when a root of g is not real or lies off
     [-2 sqrt(q), 2 sqrt(q)].
 
     A factor of degree m passes iff its chain counts m roots in the closed
@@ -146,8 +147,7 @@ def _weil_factors(g, q):
     (-2 sqrt(q), 2 sqrt(q)], and a root at -2 sqrt(q) adds one.
     """
     out = []
-    for factor, mult in arith.poly_squarefree_decomposition(g):
-        chain = arith.sturm_chain(factor)
+    for factor, mult, chain in arith.squarefree_chains(g):
         low, high = _edge_signs(chain, q, -1), _edge_signs(chain, q, 1)
         if _variations(low) - _variations(high) + (low[0] == 0) != len(factor) - 1:
             return None
@@ -233,22 +233,21 @@ def _signed_divisors(n):
     return out
 
 
-def _angles(g, factors, q, bits=None):
-    if bits is None:
-        # the isolation bracket is as wide as the coefficient bound, so pay
-        # for its bit length to keep the absolute root error near 2^-64
-        bits = 64 + max(abs(c) for c in g).bit_length()
+def _angles(g, factors, q):
+    # the isolation bracket is as wide as the coefficient bound, so pay for
+    # its bit length to keep the absolute root error near 2^-64
+    bits = 64 + max(abs(c) for c in g).bit_length()
     two_sqrt_q = 2.0 * math.sqrt(q)
     angles = []
     for factor, mult, chain in factors:
-        for root in arith.real_roots(factor, bits, chain):
+        for root in arith.real_roots(factor, chain, bits):
             x = float(root) / two_sqrt_q
             x = min(1.0, max(-1.0, x))
             angles.extend([math.acos(x)] * mult)
     return sorted(angles)
 
 
-def frobenius_angles(f, q, bits=None):
+def frobenius_angles(f, q):
     """Frobenius angles arccos(r / 2 sqrt(q)) for the real roots r of g.
 
     Roots are isolated exactly by Sturm sequences and refined on a dyadic
@@ -258,7 +257,7 @@ def frobenius_angles(f, q, bits=None):
     factors = _weil_factors(g, q)
     if factors is None:
         raise DomainError("polynomial has roots off the circle of radius sqrt(q)")
-    return _angles(g, factors, q, bits)
+    return _angles(g, factors, q)
 
 
 def isogeny_class(f, q):

@@ -107,12 +107,18 @@ class TestAnalyze:
 
     def test_reducible_weil_is_domain_error(self, capsys):
         # (x^2 - 3x + 5)^2 passes the Weil test but is not simple
-        code, _, _ = run_cli(capsys, ["analyze", "--weil", "25,-30,19,-6,1", "--q", "5"])
+        code, _, err = run_cli(capsys, ["analyze", "--weil", "25,-30,19,-6,1", "--q", "5"])
         assert code == 2
+        assert "not simple" in err and len(err.strip().splitlines()) == 1
 
-    def test_non_ordinary_is_domain_error(self, capsys):
-        code, _, _ = run_cli(capsys, ["analyze", "--weil", "5,0,1", "--q", "5"])
+    def test_non_ordinary_is_domain_error(self, capsys, monkeypatch):
+        def no_orders(*args, **kwargs):
+            raise AssertionError("FieldContext built for a rejected class")
+
+        monkeypatch.setattr(orders, "FieldContext", no_orders)
+        code, _, err = run_cli(capsys, ["analyze", "--weil", "5,0,1", "--q", "5"])
         assert code == 2
+        assert "not ordinary" in err
 
     def test_deterministic_output(self, capsys):
         argv = ["analyze", "--weil", "529,-138,32,-6,1", "--q", "23", "--json"]
@@ -144,6 +150,17 @@ class TestEcCensus:
         assert code == 2
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
         assert "Traceback" not in err
+
+    def test_bins_checked_before_the_census(self, capsys, tmp_path, monkeypatch):
+        def no_census(p):
+            raise AssertionError("census ran with an invalid --bins")
+
+        monkeypatch.setattr(census, "enumerate_ec", no_census)
+        out = str(tmp_path / "census.csv")
+        code, _, err = run_cli(capsys, ["ec-census", "--p", "1000003", "--bins", "0", "--out", out])
+        assert code == 2
+        assert err == "error: need at least one bin, got 0\n"
+        assert not os.path.exists(out)
 
     def test_failed_internal_check_is_exit_two(self, capsys, tmp_path, monkeypatch):
         reduced_form_counts = census._reduced_form_counts

@@ -272,29 +272,43 @@ class TestSpecValidation:
         assert spec.f[spec.n] == 32
 
     def test_one_pass_per_class(self, monkeypatch):
-        names = ("real_weil_polynomial", "poly_squarefree_decomposition", "sturm_chain")
-        calls = dict.fromkeys(names, 0)
+        names = ("real_weil_polynomial", "squarefree_chains", "sturm_chain", "poly_divmod_exact")
+        calls = dict.fromkeys(names + ("remainder outside a chain",), 0)
+        open_chains = [0]
 
         def counting(module, name):
             fn = getattr(module, name)
 
             def counted(*args, **kwargs):
                 calls[name] += 1
-                return fn(*args, **kwargs)
+                open_chains[0] += name == "sturm_chain"
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    open_chains[0] -= name == "sturm_chain"
 
             monkeypatch.setattr(module, name, counted)
 
+        pseudo_rem = arith._pseudo_rem
+
+        def stray_remainder(a, b):
+            calls["remainder outside a chain"] += not open_chains[0]
+            return pseudo_rem(a, b)
+
         counting(weil, "real_weil_polynomial")
-        counting(arith, "poly_squarefree_decomposition")
-        counting(arith, "sturm_chain")
+        for name in names[1:]:
+            counting(arith, name)
+        monkeypatch.setattr(arith, "_pseudo_rem", stray_remainder)
+        # squarefree g: one chain, no gcd and no division
         assert weil.isogeny_class(F23, 23).g == (-14, -6, 1)
-        assert list(calls.values()) == [1, 1, 1]
-        # (y^2 - 3y - 1)^2 (y + 1): two Yun factors, one chain each
+        assert list(calls.values()) == [1, 1, 1, 0, 0]
+        # (y^2 - 3y - 1)^2 (y + 1): chains of g and of the gcd y^2 - 3y - 1,
+        # which the factor of multiplicity two reuses, and one of y + 1
         calls.update(dict.fromkeys(calls, 0))
         g = poly_mul(poly_mul([-1, -3, 1], [-1, -3, 1]), [1, 1])
         spec = weil.isogeny_class(compose_real_companion(g, 7), 7)
         assert len(spec.angles) == 5
-        assert list(calls.values()) == [1, 1, 2]
+        assert list(calls.values()) == [1, 1, 3, 2, 0]
 
     def test_rejects_non_prime_power(self):
         with pytest.raises(DomainError):
