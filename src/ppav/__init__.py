@@ -26,6 +26,7 @@ from .orders import (
     is_gorenstein,
     lattice_discriminant,
     minimal_order,
+    minimal_order_certificate,
     multiplier_ring,
     trace_dual,
 )
@@ -75,6 +76,7 @@ __all__ = [
     "kronecker_class_number",
     "lattice_discriminant",
     "minimal_order",
+    "minimal_order_certificate",
     "multiplier_ring",
     "trace_dual",
 ]

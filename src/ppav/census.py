@@ -48,6 +48,12 @@ def ordinary_traces(p):
     s = isqrt(4 * p)
     return [t for t in range(-s, s + 1) if t != 0 and t % p != 0]
 
+def check_prime(p):
+    if not arith.is_prime(p):
+        raise DomainError(f"{p} is not prime")
+    if p < 5:
+        raise DomainError("census needs p >= 5")
+
 def enumerate_ec(p):
     """One CensusRow per ordinary trace over F_p, in ascending trace order.
 
@@ -56,10 +62,7 @@ def enumerate_ec(p):
     against the Kronecker-Hurwitz relation before return, with H(-4p) taken
     from `quadratic.kronecker_class_number`, which counts by first coefficient.
     """
-    if not arith.is_prime(p):
-        raise DomainError(f"{p} is not prime")
-    if p < 5:
-        raise DomainError("census needs p >= 5")
+    check_prime(p)
     counts = _reduced_form_counts(p)
     rows = [
         CensusRow(

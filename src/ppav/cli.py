@@ -45,7 +45,7 @@ def _cmd_analyze(args):
     reports = strata.analyze(spec)  # ordinary and simple, before any orders work
     ctx = orders.FieldContext(list(spec.f), spec.q)
     minimal = orders.minimal_order(ctx)
-    cert = orders.convenient_certificate(minimal)
+    cert = orders.minimal_order_certificate(minimal)
     header = {
         "type": "class",
         "weil": [str(c) for c in spec.f],
@@ -92,14 +92,15 @@ def _cmd_analyze(args):
 
 
 def _cmd_ec_census(args):
-    census.check_bins(args.bins)  # before the census runs
-    rows = census.enumerate_ec(args.p)
-    summary = census.summarize(rows, bins=args.bins)
-    with open(args.out, "w", newline="") as handle:
+    # the arguments, then both output files, before the census runs
+    census.check_bins(args.bins)
+    census.check_prime(args.p)
+    with open(args.out, "w", newline="") as handle, open(args.out + ".summary.json", "w") as out:
+        rows = census.enumerate_ec(args.p)
+        summary = census.summarize(rows, bins=args.bins)
         census.write_census_csv(rows, handle)
-    with open(args.out + ".summary.json", "w") as handle:
-        handle.write(_dumps(census.summary_to_json(summary)))
-        handle.write("\n")
+        out.write(_dumps(census.summary_to_json(summary)))
+        out.write("\n")
     print(
         f"p={args.p}: {summary.class_count} classes, {summary.curve_total} curves, "
         f"TV to semicircle {summary.tv_to_semicircle:.4f}"

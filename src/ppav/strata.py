@@ -189,6 +189,8 @@ def find_heavy_isogeny_class(m, delta0, search_limit=10_000):
     """
     if m < 2:
         raise DomainError("need m >= 2")
+    if search_limit < 1:
+        raise DomainError(f"search limit must be at least 1, got {search_limit}")
     if delta0 >= -4 or not quadratic.is_fundamental(delta0):
         raise DomainError("need a fundamental discriminant < -4")
     n = m * m * abs(delta0)

@@ -67,6 +67,47 @@ class TestAnalyze:
         assert len(err.strip().splitlines()) == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("weil_text, q", [("529,-138,32,-6,1", "23"), ("5,-3,1", "5")])
+    def test_failed_closed_form_dual_is_exit_two(self, capsys, monkeypatch, weil_text, q):
+        different_generator = orders._different_generator
+
+        def plus_one(ctx):
+            scale, delta = different_generator(ctx)
+            return scale, [delta[0] + scale] + delta[1:]
+
+        monkeypatch.setattr(orders, "_different_generator", plus_one)
+        code, out, err = run_cli(capsys, ["analyze", "--weil", weil_text, "--q", q, "--json"])
+        assert code == 2 and out == ""
+        assert err.startswith("error: |N(delta)| = ") and "; delta = [" in err
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("weil_text, q", [("529,-138,32,-6,1", "23"), ("5,-3,1", "5")])
+    def test_certificate_builds_no_hnf_after_the_minimal_order(
+        self, capsys, monkeypatch, weil_text, q
+    ):
+        built = []
+        hnf_calls = []
+        minimal_order = orders.minimal_order
+        lattice_hnf = arith.lattice_hnf
+
+        def recorded(ctx):
+            built.append(minimal_order(ctx))
+            return built[-1]
+
+        def counted(*args, **kwargs):
+            hnf_calls.append(len(built))
+            return lattice_hnf(*args, **kwargs)
+
+        def no_dual(lat):
+            raise AssertionError("analyze built a trace dual")
+
+        monkeypatch.setattr(orders, "minimal_order", recorded)
+        monkeypatch.setattr(arith, "lattice_hnf", counted)
+        monkeypatch.setattr(orders, "trace_dual", no_dual)
+        code, out, _ = run_cli(capsys, ["analyze", "--weil", weil_text, "--q", q, "--json"])
+        assert code == 0 and json.loads(out.splitlines()[0])["convenient"]["is_convenient"]
+        assert len(built) == 1 and hnf_calls == [0]  # the one HNF is the minimal order's
+
     def test_elliptic_factors_each_number_once(self, capsys, monkeypatch):
         # t^2 - 4q for the strata and the conductor 1 twice; the prime-power
         # check, simplicity and odd ramification need no factoring
@@ -186,6 +227,32 @@ class TestEcCensus:
         code, _, err = run_cli(capsys, ["ec-census", "--p", "101", "--out", out])
         assert code == 2
         assert err.strip() == "error: factorization stalled at cofactor 91"
+
+    def test_outputs_opened_before_the_census(self, capsys, tmp_path, monkeypatch):
+        def no_census(p):
+            raise AssertionError("census ran before --out was opened")
+
+        monkeypatch.setattr(census, "enumerate_ec", no_census)
+        out = str(tmp_path / "missing" / "census.csv")
+        code, _, err = run_cli(capsys, ["ec-census", "--p", "1000003", "--out", out])
+        assert code == 4
+        assert err.startswith("i/o error:") and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "p, message", [("1000001", "1000001 is not prime"), ("3", "census needs p >= 5")]
+    )
+    def test_invalid_p_touches_no_file(self, capsys, tmp_path, monkeypatch, p, message):
+        def no_census(p):
+            raise AssertionError("census ran with an invalid --p")
+
+        monkeypatch.setattr(census, "enumerate_ec", no_census)
+        out = tmp_path / "census.csv"
+        out.write_text("kept\n")
+        code, _, err = run_cli(capsys, ["ec-census", "--p", p, "--out", str(out)])
+        assert code == 2
+        assert err == f"error: {message}\n"
+        assert out.read_text() == "kept\n"
+        assert not os.path.exists(str(out) + ".summary.json")
 
     def test_io_failure_exit_code(self, capsys, tmp_path):
         out = str(tmp_path / "missing" / "census.csv")
@@ -328,8 +395,20 @@ class TestFindHeavy:
         assert code == 2
 
     def test_limit_exhaustion_is_domain_error(self, capsys):
-        code, _, _ = run_cli(capsys, ["find-heavy", "--m", "2", "--d0", "-7", "--limit", "0"])
+        # 1 + 275 is not prime, so the search over x = y = 1 finds nothing
+        code, _, err = run_cli(capsys, ["find-heavy", "--m", "5", "--d0", "-11", "--limit", "1"])
         assert code == 2
+        assert err == "error: no prime x^2 + 275 y^2 with x, y <= 1\n"
+
+    @pytest.mark.parametrize("limit", ["0", "-1"])
+    def test_limit_below_one_is_domain_error(self, capsys, monkeypatch, limit):
+        def no_search(n):
+            raise AssertionError("searched with an empty limit")
+
+        monkeypatch.setattr(arith, "is_prime", no_search)
+        code, out, err = run_cli(capsys, ["find-heavy", "--m", "2", "--d0", "-7", "--limit", limit])
+        assert code == 2 and out == ""
+        assert err == f"error: search limit must be at least 1, got {limit}\n"
 
 
 class TestExamples:
@@ -368,6 +447,15 @@ GOLDEN_SURFACES = [
     (23, -6, 32),
 ]
 
+# (q, t) for the elliptic class x^2 - t x + q: prime and prime-power fields,
+# conductors above 1, and q up to 2^31 - 1
+GOLDEN_ELLIPTIC = [
+    (5, -3), (5, 2), (7, 1), (11, -5), (23, 4), (97, -13), (101, 18),
+    (1009, 31), (4, 1), (8, -3), (9, 2), (25, 7), (27, -4), (49, 11),
+    (121, -20), (1024, 33), (10007, 150), (100003, -411), (1000003, 1999),
+    (100000007, -3), (2**31 - 1, 65535),
+]
+
 
 class TestGoldenDigests:
     """Output pinned byte for byte: any change in the angles shows here."""
@@ -394,6 +482,15 @@ class TestGoldenDigests:
             assert code == 0
             h.update(out.encode())
         assert h.hexdigest() == "af89ad3cda8e26fa1085b00a7351ff1d22c843ddc1ddff5fe7a3d315d7c6146c"
+
+    def test_analyze_elliptic_corpus(self, capsys):
+        h = hashlib.sha256()
+        for q, t in GOLDEN_ELLIPTIC:
+            argv = ["analyze", "--weil", f"{q},{-t},1", "--q", str(q), "--json"]
+            code, out, _ = run_cli(capsys, argv)
+            assert code == 0
+            h.update(out.encode())
+        assert h.hexdigest() == "c631da30c7e4b2e838369f9854d4fbb6a929e51325cb3f9a87b8e70a8225bb96"
 
     def test_convenient_order_files(self, capsys, tmp_path):
         # multiplier rings of random sublattices of minimal orders, elliptic

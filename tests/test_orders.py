@@ -303,10 +303,12 @@ def eigen_sublattice_by_transform(lat, sign):
     return h[:k]
 
 
-def elliptic_contexts():
-    for q in (2, 5, 23, 97):
+def elliptic_contexts(qs=(2, 5, 23, 97)):
+    """Every ordinary elliptic class over F_q, for q in qs a prime power."""
+    for q in qs:
+        p = next(d for d in range(2, q + 1) if q % d == 0)
         for t in range(-isqrt(4 * q), isqrt(4 * q) + 1):
-            if t * t < 4 * q and t % q:
+            if t * t < 4 * q and t % p:
                 yield orders.FieldContext([q, -t, 1], q)
 
 
@@ -386,6 +388,92 @@ class TestMinimalOrder:
         monkeypatch.setattr(orders, "delta_norm", lambda g, q: delta_norm(g, q) + 1)
         with pytest.raises(InternalError, match=r"disc Z\[pi, pibar\] = 7,"):
             orders.minimal_order(orders.FieldContext([2, -1, 1], 2))
+
+
+def times_pi_over_pibar(ctx, scaled_delta):
+    """(s q, s delta pi^2) from (s, s delta): delta pi / pibar, of norm N(delta)."""
+    scale, delta = scaled_delta
+    pi2 = [int(c) for c in ctx.mul(ctx.pi, ctx.pi)]
+    return scale * ctx.q, arith.mat_mul([delta], ctx.element_matrix(pi2))[0]
+
+
+class TestMinimalOrderCertificate:
+    """The closed form R^dual = delta^-1 R against the general certificate."""
+
+    def test_matches_general_certificate_on_surfaces(self):
+        rng = random.Random(151)
+        for _ in range(300):
+            spec = weil.random_surface_spec(rng, qmax=10**4)
+            minimal = orders.minimal_order(orders.FieldContext(list(spec.f), spec.q))
+            cert = orders.minimal_order_certificate(minimal)
+            assert cert == orders.convenient_certificate(minimal), spec.f
+
+    def test_matches_general_certificate_on_elliptic_classes(self):
+        contexts = list(elliptic_contexts((2, 3, 4, 5, 8, 9, 23, 25, 97, 1009)))
+        assert len(contexts) == 230
+        for ctx in contexts:
+            minimal = orders.minimal_order(ctx)
+            cert = orders.minimal_order_certificate(minimal)
+            assert cert == orders.convenient_certificate(minimal), ctx.poly
+
+    def test_dual_is_delta_inverse_times_ring(self):
+        rng = random.Random(157)
+        contexts = list(elliptic_contexts((5, 23)))
+        for _ in range(30):
+            spec = weil.random_surface_spec(rng, qmax=2000)
+            contexts.append(orders.FieldContext(list(spec.f), spec.q))
+        for ctx in contexts:
+            minimal = orders.minimal_order(ctx)
+            scale, delta = orders._different_generator(ctx)
+            den, c = ctx.conj_int
+            assert arith.mat_mul([delta], c)[0] == [-den * x for x in delta]  # pure imaginary
+            inverse = element_inverse(ctx, [Fraction(x, scale) for x in delta])
+            generated = orders.lattice_from_generators(
+                ctx, [ctx.mul(inverse, row) for row in minimal.basis]
+            )
+            assert generated == orders.trace_dual(minimal)
+
+    @pytest.mark.parametrize("ctx", [f23_context(), orders.FieldContext([5, -3, 1], 5)])
+    def test_patched_delta_fails_the_norm_check(self, monkeypatch, ctx):
+        different_generator = orders._different_generator
+
+        def plus_one(ctx):
+            scale, delta = different_generator(ctx)
+            return scale, [delta[0] + scale] + delta[1:]
+
+        monkeypatch.setattr(orders, "_different_generator", plus_one)
+        with pytest.raises(InternalError, match=r"^\|N\(delta\)\| = .*; delta = \["):
+            orders.minimal_order_certificate(orders.minimal_order(ctx))
+
+    @pytest.mark.parametrize("ctx", [f23_context(), orders.FieldContext([5, -3, 1], 5)])
+    def test_delta_times_pi_over_pibar_fails_the_trace_check(self, monkeypatch, ctx):
+        # pi / pibar has norm 1 but is not a unit of R, so only the trace check sees it
+        different_generator = orders._different_generator
+        monkeypatch.setattr(
+            orders,
+            "_different_generator",
+            lambda ctx: times_pi_over_pibar(ctx, different_generator(ctx)),
+        )
+        with pytest.raises(InternalError, match=r"^Tr\(delta\^-1 b_\d\) = .* is not integral"):
+            orders.minimal_order_certificate(orders.minimal_order(ctx))
+
+    def test_patched_basis_row_fails(self):
+        rng = random.Random(163)
+        for _ in range(20):
+            spec = weil.random_surface_spec(rng, qmax=2000)
+            minimal = orders.minimal_order(orders.FieldContext(list(spec.f), spec.q))
+            rows = [list(row) for row in minimal.rows]
+            assert rows[2][2] > 1  # so the patched row leaves the lattice
+            rows[1][2] += 1  # the determinant stays, so only the trace check sees it
+            patched = orders.Lattice(minimal.ctx, minimal.den, tuple(map(tuple, rows)))
+            with pytest.raises(InternalError, match=r"^Tr\(delta\^-1 b_1\)"):
+                orders.minimal_order_certificate(patched)
+        # Z[pi, pibar] = Z[pi] for n = 1: a doubled row changes the covolume
+        minimal = orders.minimal_order(orders.FieldContext([5, -3, 1], 5))
+        patched = orders.Lattice(minimal.ctx, minimal.den, ((2, 0), (0, 1)))
+        message = r"^\|N\(delta\)\| = 11, but \|disc Z\[pi, pibar\]\| = 44;"
+        with pytest.raises(InternalError, match=message):
+            orders.minimal_order_certificate(patched)
 
 
 class TestDiscriminants:

@@ -225,8 +225,14 @@ class TestFindHeavy:
             assert quadratic.fundamental_decomposition(w.delta)[0] == d0
 
     def test_limit_exhaustion(self):
-        with pytest.raises(SearchLimitError):
-            strata.find_heavy_isogeny_class(2, -7, search_limit=0)
+        # 1 + 275 is not prime, so the search over x = y = 1 finds nothing
+        with pytest.raises(SearchLimitError, match=r"x, y <= 1$"):
+            strata.find_heavy_isogeny_class(5, -11, search_limit=1)
+
+    @pytest.mark.parametrize("limit", [0, -1])
+    def test_limit_below_one_is_domain_error(self, limit):
+        with pytest.raises(DomainError, match=f"at least 1, got {limit}"):
+            strata.find_heavy_isogeny_class(2, -7, search_limit=limit)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(DomainError):
