@@ -636,6 +636,37 @@ def real_roots(a, chain, bits=80):
     return [refine_root(a, chain, lo, hi, bits) for (lo, hi) in isolate_real_roots(a, chain)]
 
 
+def quadratic_real_roots(a, bits=80):
+    """`real_roots` of a monic quadratic a = c + b x + x^2 whose discriminant
+    D = b^2 - 4c is positive and not a square, with no Sturm chain.
+
+    The roots r = (-b -+ sqrt(D)) / 2 are irrational, so neither sits on a
+    dyadic point, and at level k of the bisection of (-B, B], B the Cauchy
+    bound, r lies in cell floor((r + B) 2^k / 2B), a floor of
+    (P -+ sqrt(D 4^k)) / 4B with P = (2B - b) 2^k: one `isqrt` gives both
+    roots' cells.  `isolate_real_roots` stops at the first level where the
+    two cells differ, read off the top differing bit of the cells at any
+    level where cells are narrower than sqrt(D); `refine_root` returns the
+    midpoint of the cell holding r at bits levels further down.
+    """
+    c, b, lead = a
+    disc = b * b - 4 * c
+    if lead != 1 or disc <= 0 or isqrt(disc) ** 2 == disc:
+        raise DomainError("need a monic quadratic with positive non-square discriminant")
+    bound = cauchy_root_bound(a)
+
+    def cells(level):
+        s = isqrt(disc << 2 * level)
+        p = (2 * bound - b) << level
+        return (p - s - 1) // (4 * bound), (p + s) // (4 * bound)
+
+    # isqrt(disc) has (disc.bit_length() + 1) // 2 bits
+    level = (2 * bound).bit_length() - (disc.bit_length() + 1) // 2 + 2
+    low, high = cells(level)
+    level += bits + 1 - (low ^ high).bit_length()
+    return [Fraction((2 * j + 1 - (1 << level)) * bound, 1 << level) for j in cells(level)]
+
+
 # ---------------------------------------------------------------------------
 # integer matrices and Hermite normal form
 

@@ -16,7 +16,9 @@ output is deterministic: keys sorted, floats in shortest round-trip form
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 
 from . import census, orders, strata, weil
@@ -91,11 +93,28 @@ def _cmd_analyze(args):
     return EXIT_OK
 
 
+@contextlib.contextmanager
+def _replaced_on_success(path, **kwargs):
+    """A file open for writing beside path, renamed onto path when the block
+    succeeds and removed when it fails, so a failure leaves path as it was."""
+    staged = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(staged, "w", **kwargs) as handle:
+            yield handle
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(staged)
+        raise
+    os.replace(staged, path)
+
+
 def _cmd_ec_census(args):
-    # the arguments, then both output files, before the census runs
+    # the arguments, then both staged output files, before the census runs
     census.check_bins(args.bins)
     census.check_prime(args.p)
-    with open(args.out, "w", newline="") as handle, open(args.out + ".summary.json", "w") as out:
+    with _replaced_on_success(args.out, newline="") as handle, _replaced_on_success(
+        args.out + ".summary.json"
+    ) as out:
         rows = census.enumerate_ec(args.p)
         summary = census.summarize(rows, bins=args.bins)
         census.write_census_csv(rows, handle)

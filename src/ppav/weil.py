@@ -5,10 +5,19 @@ polynomial of Frobenius for an isogeny class of n-dimensional abelian
 varieties over F_q.  Validity (all complex roots of absolute value sqrt(q))
 is decided exactly: f must satisfy x^2n f(q/x) = q^n f(x), and the real
 companion polynomial g with x^n g(x + q/x) = f(x) must have all roots real
-and inside [-2 sqrt(q), 2 sqrt(q)].  The Sturm chains that split g into
-squarefree factors (`arith.squarefree_chains`), signed exactly at
-+-2 sqrt(q) in Z[sqrt(q)], decide that, and the same chains isolate the
-roots for the angles.
+and inside [-2 sqrt(q), 2 sqrt(q)].
+
+For a quadratic g = x^2 + Bx + C (the surfaces) that is a closed form
+(compare Maisner-Nart 2002): D = B^2 - 4C >= 0, B^2 <= 16q and
+g(+-2 sqrt(q)) = 4q + C +- 2B sqrt(q) >= 0, integer comparisons in
+Z[sqrt(q)].  When D is not a square, `arith.quadratic_real_roots` gives
+the refined roots for the angles from two integer square roots.  Every
+other g (linear, of degree >= 3, or quadratic with square D, the
+non-simple surfaces) is split into squarefree factors by their Sturm
+chains (`arith.squarefree_chains`); the chains, signed exactly at
++-2 sqrt(q), decide validity, and the same chains isolate and refine the
+roots.  Both paths return the same ``Fraction`` for a root, so the angles
+do not depend on the path.
 """
 
 from __future__ import annotations
@@ -155,6 +164,33 @@ def _weil_factors(g, q):
     return out
 
 
+def _quadratic_is_weil(c, b, q):
+    """Closed-form Weil test for g = x^2 + b x + c: real roots, the vertex
+    -b/2 and both values g(+-2 sqrt(q)) = 4q + c +- 2b sqrt(q) in range.
+    """
+    return (
+        b * b >= 4 * c
+        and b * b <= 16 * q
+        and _sign_plus_root(4 * q + c, 2 * b, q) >= 0
+        and _sign_plus_root(4 * q + c, -2 * b, q) >= 0
+    )
+
+
+def _weil_split(g, q):
+    """`_weil_factors`, with the closed form for quadratic g: None when g is
+    not Weil, and [(g, 1, None)] when its discriminant is not a square, the
+    chain None meaning that `arith.quadratic_real_roots` gives the roots.
+    """
+    if len(g) != 3:
+        return _weil_factors(g, q)
+    if not _quadratic_is_weil(g[0], g[1], q):
+        return None
+    disc = g[1] * g[1] - 4 * g[0]
+    if isqrt(disc) ** 2 != disc:
+        return [(g, 1, None)]
+    return _weil_factors(g, q)
+
+
 def is_weil(f, q):
     """True iff every complex root of f has absolute value sqrt(q)."""
     f = arith.poly_trim(f)
@@ -166,7 +202,7 @@ def is_weil(f, q):
         g = real_weil_polynomial(f, q)
     except NotWeilShape:
         return False
-    return _weil_factors(g, q) is not None
+    return _weil_split(g, q) is not None
 
 
 def is_ordinary(f, q):
@@ -240,7 +276,11 @@ def _angles(g, factors, q):
     two_sqrt_q = 2.0 * math.sqrt(q)
     angles = []
     for factor, mult, chain in factors:
-        for root in arith.real_roots(factor, chain, bits):
+        if chain is None:
+            roots = arith.quadratic_real_roots(factor, bits)
+        else:
+            roots = arith.real_roots(factor, chain, bits)
+        for root in roots:
             x = float(root) / two_sqrt_q
             x = min(1.0, max(-1.0, x))
             angles.extend([math.acos(x)] * mult)
@@ -250,11 +290,15 @@ def _angles(g, factors, q):
 def frobenius_angles(f, q):
     """Frobenius angles arccos(r / 2 sqrt(q)) for the real roots r of g.
 
-    Roots are isolated exactly by Sturm sequences and refined on a dyadic
-    grid, so each angle is accurate to well below 1e-14.
+    Each root is refined to the midpoint of its cell on a dyadic grid, so
+    each angle is accurate to well below 1e-14.  A quadratic g with
+    non-square discriminant (a simple surface class) gets that cell in
+    closed form, from integer square roots; every other g isolates and
+    refines its roots with Sturm chains.  Both give the same ``Fraction``
+    for a root, so the angles do not depend on the path.
     """
     g = real_weil_polynomial(f, q)
-    factors = _weil_factors(g, q)
+    factors = _weil_split(g, q)
     if factors is None:
         raise DomainError("polynomial has roots off the circle of radius sqrt(q)")
     return _angles(g, factors, q)
@@ -269,7 +313,7 @@ def isogeny_class(f, q):
         raise NotWeilShape("need a monic polynomial of even degree >= 2")
     try:
         g = real_weil_polynomial(f, q)
-        factors = _weil_factors(g, q)
+        factors = _weil_split(g, q)
     except NotWeilShape:
         factors = None
     if factors is None:

@@ -757,6 +757,30 @@ class TestSturm:
             assert roots == [bisection_oracle(poly, lo, hi, bits) for lo, hi in intervals]
             assert len(roots) == 2
 
+    def test_closed_form_quadratic_roots(self):
+        # monic quadratics of any size, down to roots a cell apart
+        rng = random.Random(26)
+        checked = 0
+        while checked < 400:
+            size = 10 ** rng.choice([1, 3, 12, 40])
+            b, c = rng.randrange(-size, size + 1), rng.randrange(-size, size + 1)
+            if rng.random() < 0.3:
+                c = (b * b - rng.randrange(1, 9)) // 4  # near-double root
+            poly = [c, b, 1]
+            disc = b * b - 4 * c
+            if disc <= 0 or isqrt(disc) ** 2 == disc:
+                continue
+            bits = rng.choice([0, 1, 5, 80, 64 + max(abs(x) for x in poly).bit_length()])
+            assert arith.quadratic_real_roots(poly, bits) == arith.real_roots(
+                poly, arith.sturm_chain(poly), bits
+            )
+            checked += 1
+
+    @pytest.mark.parametrize("poly", [[1, 0, 1], [1, 2, 1], [2, -3, 1], [-4, 0, 1], [-3, 0, 2]])
+    def test_closed_form_needs_a_monic_non_square_discriminant(self, poly):
+        with pytest.raises(DomainError):
+            arith.quadratic_real_roots(poly)
+
 
 class TestPolyHelpers:
     def test_squarefree_part(self):

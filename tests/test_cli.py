@@ -228,6 +228,28 @@ class TestEcCensus:
         assert code == 2
         assert err.strip() == "error: factorization stalled at cofactor 91"
 
+    def test_failed_census_keeps_the_old_outputs(self, capsys, tmp_path, monkeypatch):
+        enumerate_ec = census.enumerate_ec
+
+        def stalls_at_101(p):
+            if p == 101:
+                raise FactorError("factorization stalled at cofactor 91", partial={7: 1})
+            return enumerate_ec(p)
+
+        monkeypatch.setattr(census, "enumerate_ec", stalls_at_101)
+        out = tmp_path / "census.csv"
+        out.write_text("kept\n")
+        code, _, err = run_cli(capsys, ["ec-census", "--p", "101", "--out", str(out)])
+        assert code == 2
+        assert err == "error: factorization stalled at cofactor 91\n"
+        assert out.read_text() == "kept\n"
+        assert sorted(os.listdir(tmp_path)) == ["census.csv"]
+        # the same census at another p replaces both files and leaves nothing else
+        code, _, _ = run_cli(capsys, ["ec-census", "--p", "103", "--out", str(out)])
+        assert code == 0
+        assert out.read_text().startswith("t,")
+        assert sorted(os.listdir(tmp_path)) == ["census.csv", "census.csv.summary.json"]
+
     def test_outputs_opened_before_the_census(self, capsys, tmp_path, monkeypatch):
         def no_census(p):
             raise AssertionError("census ran before --out was opened")

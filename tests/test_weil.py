@@ -1,11 +1,14 @@
 import math
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from lattice_oracle import resultant
 
-from ppav import arith, weil
+from ppav import arith, strata, weil
 from ppav.errors import DomainError, NotWeilShape, UnsupportedDegree
 
 F23 = [529, -138, 32, -6, 1]
@@ -299,8 +302,13 @@ class TestSpecValidation:
         for name in names[1:]:
             counting(arith, name)
         monkeypatch.setattr(arith, "_pseudo_rem", stray_remainder)
-        # squarefree g: one chain, no gcd and no division
+        # quadratic g with non-square discriminant: closed-form roots, no chain
         assert weil.isogeny_class(F23, 23).g == (-14, -6, 1)
+        assert list(calls.values()) == [1, 0, 0, 0, 0]
+        # squarefree g = (y - 1)(y - 2), square discriminant: one chain, no
+        # gcd and no division
+        calls.update(dict.fromkeys(calls, 0))
+        assert weil.isogeny_class(compose_real_companion([2, -3, 1], 7), 7).g == (2, -3, 1)
         assert list(calls.values()) == [1, 1, 1, 0, 0]
         # (y^2 - 3y - 1)^2 (y + 1): chains of g and of the gcd y^2 - 3y - 1,
         # which the factor of multiplicity two reuses, and one of y + 1
@@ -413,3 +421,128 @@ class TestDiscriminantNorms:
             assert norms == norms_by_resultants(g, q), (g, q)
             zero_disc += norms[1] == 0
         assert zero_disc >= 40
+
+
+def sturm_roots(g, bits):
+    """Oracle: the roots of squarefree g by Sturm isolation and refinement."""
+    return arith.real_roots(g, arith.sturm_chain(g), bits)
+
+
+def angle_bits(g):
+    """The refinement depth `frobenius_angles` uses for g."""
+    return 64 + max(abs(c) for c in g).bit_length()
+
+
+def surface_companion(q, a, b):
+    """g = x^2 + a x + (b - 2q), the real companion of x^4 + a x^3 + b x^2 + qa x + q^2."""
+    return [b - 2 * q, a, 1]
+
+
+def region_bounds(q, a):
+    """The b with x^4 + a x^3 + b x^2 + qa x + q^2 Weil, for a^2 <= 16q:
+    ceil(2|a| sqrt(q)) - 2q <= b <= floor(a^2 / 4) + 2q."""
+    m = 4 * a * a * q
+    s = isqrt(m)
+    return s + (s * s != m) - 2 * q, a * a // 4 + 2 * q
+
+
+def weil_count(q):
+    """Number of Weil (a, b) over F_q, one isqrt per a."""
+    s = isqrt(16 * q)
+    return sum(hi - lo + 1 for lo, hi in (region_bounds(q, a) for a in range(-s, s + 1)))
+
+
+class TestQuadraticClosedForm:
+    """The closed-form test and roots for quadratic g against the Sturm path."""
+
+    def assert_roots_match(self, g):
+        bits = angle_bits(g)
+        assert arith.quadratic_real_roots(g, bits) == sturm_roots(g, bits), g
+
+    def test_golden_surfaces(self):
+        from test_cli import GOLDEN_SURFACES
+
+        for q, a, b in GOLDEN_SURFACES:
+            self.assert_roots_match(surface_companion(q, a, b))
+
+    def test_family_members(self):
+        members = 0
+        for kind in ("small", "smaller", "smallest"):
+            for p in strata.family_primes(10**4):
+                g = weil.real_weil_polynomial(strata._family_polynomial(kind, p), p)
+                self.assert_roots_match(g)
+                members += 1
+        assert members == 924
+
+    def test_random_surface_specs(self):
+        rng = random.Random(5)
+        for _ in range(3000):
+            self.assert_roots_match(list(weil.random_surface_spec(rng, qmax=10**6).g))
+
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(st.data())
+    def test_big_fields_near_the_region(self, data):
+        # q up to about 10^36, a up to one step past |a| <= 4 sqrt(q), and b
+        # within a few steps of the region's rim or anywhere inside it
+        q = data.draw(st.integers(2, 10**36), label="q")
+        s = isqrt(16 * q)
+        a = data.draw(st.integers(-s - 1, s + 1), label="a")
+        # near |a| = 4 sqrt(q) the rim can cross, lo = hi + 1, an empty row
+        lo, hi = region_bounds(q, min(abs(a), s))
+        b = data.draw(
+            st.one_of(
+                st.integers(lo - 3, lo + 3),
+                st.integers(hi - 3, hi + 3),
+                st.integers(min(lo, hi), max(lo, hi)),
+            ),
+            label="b",
+        )
+        g = surface_companion(q, a, b)
+        assert weil._quadratic_is_weil(g[0], g[1], q) == (weil._weil_factors(g, q) is not None)
+        disc = a * a - 4 * g[0]
+        if disc > 0 and isqrt(disc) ** 2 != disc:
+            self.assert_roots_match(g)
+            assert arith.quadratic_real_roots(g, 80) == sturm_roots(g, 80)
+
+
+class TestWeilRegion:
+    """Every (a, b) in a box one step past the Weil region of the surfaces."""
+
+    @pytest.mark.parametrize("q, count", [(4, 101), (8, 253), (9, 311), (23, 1193), (25, 1371)])
+    def test_both_paths_agree_on_the_box(self, q, count):
+        s = isqrt(16 * q)
+        found = 0
+        for a in range(-s - 1, s + 2):
+            for b in range(-2 * q - 1, 6 * q + 2):
+                f = (q * q, a * q, b, a, 1)
+                g = surface_companion(q, a, b)
+                factors = weil._weil_factors(g, q)
+                assert weil.is_weil(f, q) == (factors is not None), (a, b)
+                if factors is None:
+                    with pytest.raises(NotWeilShape):
+                        weil.isogeny_class(f, q)
+                    continue
+                found += 1
+                spec = weil.isogeny_class(f, q)
+                assert spec.angles == tuple(weil._angles(g, factors, q)), (a, b)
+        assert found == count == weil_count(q)
+
+    def test_q_101(self):
+        q, s = 101, isqrt(16 * 101)
+        found = sum(
+            weil._quadratic_is_weil(b - 2 * q, a, q)
+            for a in range(-s - 1, s + 2)
+            for b in range(-2 * q - 1, 6 * q + 2)
+        )
+        assert found == weil_count(q) == 10865
+        # the rim: b at the bounds passes, one step outside fails, on both paths
+        for a in range(-s, s + 1):
+            lo, hi = region_bounds(q, a)
+            for b, inside in ((lo - 1, False), (lo, True), (hi, True), (hi + 1, False)):
+                g = surface_companion(q, a, b)
+                assert weil._quadratic_is_weil(g[0], g[1], q) is inside, (a, b)
+                assert (weil._weil_factors(g, q) is not None) is inside, (a, b)
+        for a in (-s - 1, s + 1):
+            g = surface_companion(q, a, a * a // 4 + 2 * q)
+            assert not weil._quadratic_is_weil(g[0], g[1], q)
+            assert weil._weil_factors(g, q) is None
