@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands mirror the library pipelines: analyze (one isogeny class, full
-report), ec-census (trace distribution over F_p), convenient (certify an
+report; with --weil-file, one class per line of a file in one process),
+ec-census (trace distribution over F_p), convenient (certify an
 order from a JSON file), measures (density tables), find-heavy (isogeny
 classes with small h/H), examples (family sweeps with bound checks).
 
@@ -11,18 +12,22 @@ met a cofactor above 3.3e24 whose primality is unproven), 3 invalid Weil
 polynomial, 4 I/O failure.  Each failure prints a one-line message.  JSON
 output is deterministic: keys sorted, floats in shortest round-trip form
 (at most 17 significant digits).
+
+The argument parser is built on the first `main` call, not at import, and
+reused by every later call in the process: a parse reads only its argv.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import sys
 
 from . import census, orders, strata, weil
-from .errors import DomainError, NotWeilShape, PpavError, SearchLimitError
+from .errors import DomainError, NotWeilShape, PpavError
 
 EXIT_OK = 0
 EXIT_DOMAIN = 2
@@ -41,9 +46,21 @@ def _parse_poly(text):
         raise DomainError(f"could not parse coefficients {text!r}") from exc
 
 
-def _cmd_analyze(args):
-    coeffs = _parse_poly(args.weil)
-    spec = weil.isogeny_class(coeffs, args.q)
+def _parse_class_line(line):
+    """(coeffs, q) from one `coeffs q` line of an --weil-file."""
+    fields = line.split()
+    if len(fields) != 2:
+        raise DomainError(f"need 'coeffs q', got {line.strip()!r}")
+    try:
+        q = int(fields[1])
+    except ValueError as exc:
+        raise DomainError(f"could not parse q {fields[1]!r}") from exc
+    return _parse_poly(fields[0]), q
+
+
+def _analyze_class(coeffs, q, as_json):
+    """Print the full report for one isogeny class."""
+    spec = weil.isogeny_class(coeffs, q)
     reports = strata.analyze(spec)  # ordinary and simple, before any orders work
     ctx = orders.FieldContext(list(spec.f), spec.q)
     minimal = orders.minimal_order(ctx)
@@ -68,7 +85,7 @@ def _cmd_analyze(args):
             "is_convenient": cert.is_convenient,
         },
     }
-    if args.json:
+    if as_json:
         print(_dumps(header))
         for report in reports:
             print(_dumps({"type": "stratum", **strata.report_to_json(report)}))
@@ -90,6 +107,30 @@ def _cmd_analyze(args):
                     f"disc ratio {report.ratio_exact}, surjectivity {report.surjectivity}, "
                     f"odd ramification {report.odd_ramified}"
                 )
+
+
+def _cmd_analyze(args):
+    if args.weil_file is None:
+        if args.q is None:
+            args.usage_error("the following arguments are required: --q")
+        _analyze_class(_parse_poly(args.weil), args.q, args.json)
+        return EXIT_OK
+    if args.q is not None:
+        args.usage_error("argument --q: not allowed with argument --weil-file")
+    # opened before any work, so a missing file prints nothing; read as bytes,
+    # so a line that is not UTF-8 fails to parse like any other junk
+    if args.weil_file == "-":
+        source = contextlib.nullcontext(sys.stdin.buffer)
+    else:
+        source = open(args.weil_file, "rb")
+    with source as lines:
+        for number, raw in enumerate(lines, 1):
+            if not raw.strip():
+                continue
+            try:
+                _analyze_class(*_parse_class_line(raw.decode("utf-8", "replace")), args.json)
+            except PpavError as exc:
+                return _report_failure(exc, f"line {number}: ")
     return EXIT_OK
 
 
@@ -216,11 +257,17 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_an = sub.add_parser("analyze", help="full report for one Weil polynomial")
-    p_an.add_argument("--weil", required=True, help="comma-separated ascending coefficients")
-    p_an.add_argument("--q", required=True, type=int, help="prime power field size")
+    p_an = sub.add_parser("analyze", help="full report for one Weil polynomial, or one per line")
+    source = p_an.add_mutually_exclusive_group(required=True)
+    source.add_argument("--weil", help="comma-separated ascending coefficients")
+    source.add_argument(
+        "--weil-file",
+        metavar="PATH",
+        help="one 'coeffs q' pair per line ('-' reads stdin); stops at the first bad line",
+    )
+    p_an.add_argument("--q", type=int, help="prime power field size (with --weil)")
     p_an.add_argument("--json", action="store_true", help="machine-readable output")
-    p_an.set_defaults(func=_cmd_analyze)
+    p_an.set_defaults(func=_cmd_analyze, usage_error=p_an.error)
 
     p_ec = sub.add_parser("ec-census", help="elliptic census over F_p")
     p_ec.add_argument("--p", required=True, type=int)
@@ -252,23 +299,27 @@ def build_parser():
     return parser
 
 
+def _report_failure(exc, where=""):
+    """Print the one-line message for a failed command; return its exit code."""
+    if isinstance(exc, OSError):
+        print(f"i/o error: {where}{exc}", file=sys.stderr)
+        return EXIT_IO
+    print(f"error: {where}{exc}", file=sys.stderr)
+    return EXIT_NOT_WEIL if isinstance(exc, NotWeilShape) else EXIT_DOMAIN
+
+
+@functools.cache
+def _parser():
+    """The parser of every `main` call in this process, built by the first."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except NotWeilShape as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_WEIL
-    except (DomainError, SearchLimitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except PpavError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+    except (PpavError, OSError) as exc:
+        return _report_failure(exc)
 
 
 if __name__ == "__main__":

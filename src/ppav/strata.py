@@ -282,7 +282,10 @@ def example_family(kind, p):
 
 
 def family_primes(pmax):
-    return [p for p in range(7, pmax) if p % 8 == 7 and arith.is_prime(p)]
+    """The primes 7 <= p < pmax with p = 7 (mod 8), read off one sieve."""
+    if pmax <= 7:
+        return []
+    return [p for p in arith._prime_sieve(pmax - 1) if p % 8 == 7]
 
 
 # ---------------------------------------------------------------------------

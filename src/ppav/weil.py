@@ -81,6 +81,11 @@ def real_weil_polynomial(f, q):
     if deg < 2 or deg % 2 != 0 or f[-1] != 1:
         raise NotWeilShape("need a monic polynomial of even degree >= 2")
     n = deg // 2
+    if n == 2:
+        # f = x^4 + a x^3 + b x^2 + c x + d = x^2 g(x + q/x) iff d = q^2 and c = a q
+        if f[0] != q * q or f[1] != f[3] * q:
+            raise NotWeilShape("functional equation x^2n f(q/x) = q^n f(x) fails")
+        return [f[2] - 2 * q, f[3], 1]
     rem = list(f)
     g = [0] * (n + 1)
     for k in range(n, -1, -1):

@@ -563,6 +563,173 @@ class TestGoldenDigests:
                 assert hashlib.sha256(handle.read()).hexdigest() == digest
 
 
+def class_lines(corpus):
+    """(q, a, b) surfaces or (q, t) elliptic classes as `coeffs q` lines."""
+    for entry in corpus:
+        if len(entry) == 3:
+            q, a, b = entry
+            yield f"{q * q},{a * q},{b},{a},1 {q}"
+        else:
+            q, t = entry
+            yield f"{q},{-t},1 {q}"
+
+
+class TestWeilFile:
+    CORPUS = list(class_lines(GOLDEN_SURFACES)) + list(class_lines(GOLDEN_ELLIPTIC))
+
+    @pytest.mark.parametrize("flags", [["--json"], []], ids=["json", "text"])
+    def test_equals_concatenated_single_calls(self, capsys, tmp_path, flags):
+        singles = []
+        for line in self.CORPUS:
+            weil_text, q = line.split()
+            code, out, _ = run_cli(capsys, ["analyze", "--weil", weil_text, "--q", q, *flags])
+            assert code == 0
+            singles.append(out)
+        path = tmp_path / "classes.txt"
+        path.write_text("\n".join(self.CORPUS) + "\n")
+        code, out, err = run_cli(capsys, ["analyze", "--weil-file", str(path), *flags])
+        assert code == 0 and err == ""
+        assert out == "".join(singles)
+
+    def test_stdin(self, capsys, monkeypatch):
+        lines = self.CORPUS[:3]
+        expected = "".join(
+            run_cli(capsys, ["analyze", "--weil", w, "--q", q, "--json"])[1]
+            for w, q in (line.split() for line in lines)
+        )
+        data = ("\n".join(lines) + "\n").encode()
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+        code, out, err = run_cli(capsys, ["analyze", "--weil-file", "-", "--json"])
+        assert (code, out, err) == (0, expected, "")
+
+    @pytest.mark.parametrize(
+        "bad, code, message",
+        [
+            ("4,0,5,0,1 2", 3, "roots are not all of absolute value sqrt(q)"),
+            ("5,a,1 5", 2, "could not parse coefficients '5,a,1'"),
+            ("6,-5,1 6", 2, "q = 6 is not a prime power"),
+            ("25,-30,19,-6,1 5", 2, None),  # not simple
+            ("5,-3,1 x", 2, "could not parse q 'x'"),
+            ("5,-3,1", 2, "need 'coeffs q', got '5,-3,1'"),
+        ],
+    )
+    def test_first_bad_line_stops_the_run(self, capsys, tmp_path, bad, code, message):
+        fields = bad.split()
+        if len(fields) == 2 and fields[1].isdigit():
+            # the exit code and message of the same class given alone
+            single = run_cli(capsys, ["analyze", "--weil", fields[0], "--q", fields[1]])
+            assert single[0] == code and single[1] == ""
+            message = message or single[2][len("error: ") : -1]
+            assert single[2] == f"error: {message}\n"
+        first = run_cli(capsys, ["analyze", "--weil", "5,-3,1", "--q", "5"])[1]
+        path = tmp_path / "classes.txt"
+        path.write_text(f"5,-3,1 5\n\n{bad}\n7,1,1 7\n")  # line 2 is blank
+        got, out, err = run_cli(capsys, ["analyze", "--weil-file", str(path)])
+        assert got == code
+        assert out == first  # line 1's report stays, line 4 never runs
+        assert err == f"error: line 3: {message}\n"
+        assert "Traceback" not in err
+
+    def test_non_utf8_line_is_a_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "classes.txt"
+        path.write_bytes(b"5,-3,1 5\n\xff\xfe 5\n")
+        code, out, err = run_cli(capsys, ["analyze", "--weil-file", str(path), "--json"])
+        assert code == 2 and out.count("\n") == 2
+        assert err.startswith("error: line 2: could not parse coefficients")
+
+    def test_missing_file_is_io_error(self, capsys, tmp_path, monkeypatch):
+        def no_analysis(*args):
+            raise AssertionError("analyzed a class without an input file")
+
+        monkeypatch.setattr(weil, "isogeny_class", no_analysis)
+        path = str(tmp_path / "missing.txt")
+        code, out, err = run_cli(capsys, ["analyze", "--weil-file", path])
+        assert code == 4 and out == ""
+        assert err.startswith("i/o error:") and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "--weil-file", "-", "--weil", "5,-3,1", "--q", "5"],
+            ["analyze", "--weil-file", "-", "--q", "5"],
+            ["analyze", "--weil", "5,-3,1"],
+            ["analyze", "--q", "5"],
+            ["analyze"],
+        ],
+    )
+    def test_exactly_one_source(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+
+class TestParserCache:
+    """The parser is built once per process and carries nothing between calls."""
+
+    def test_default_bins_after_explicit_bins(self, capsys, tmp_path):
+        out = str(tmp_path / "census.csv")
+        for argv, bins in ((["--bins", "7"], 7), ([], 40)):
+            code, _, _ = run_cli(capsys, ["ec-census", "--p", "101", *argv, "--out", out])
+            assert code == 0
+            with open(out + ".summary.json") as handle:
+                assert len(json.load(handle)["histogram"]) == bins
+
+    def test_text_after_json(self, capsys):
+        argv = ["analyze", "--weil", "5,-3,1", "--q", "5"]
+        _, as_json, _ = run_cli(capsys, [*argv, "--json"])
+        _, text, _ = run_cli(capsys, argv)
+        assert json.loads(as_json.splitlines()[0])["type"] == "class"
+        assert text.startswith("Weil polynomial over F_5:")
+
+    def test_usage_error_leaves_no_state(self, capsys):
+        argv = ["analyze", "--weil", "529,-138,32,-6,1", "--q", "23", "--json"]
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv[:-1], "--frobnicate"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        after_error = run_cli(capsys, argv)
+        cli._parser.cache_clear()
+        assert run_cli(capsys, argv) == after_error
+
+    def test_built_once(self, capsys, tmp_path, monkeypatch):
+        built = []
+        build_parser = cli.build_parser
+
+        def counted():
+            built.append(1)
+            return build_parser()
+
+        cli._parser.cache_clear()
+        monkeypatch.setattr(cli, "build_parser", counted)
+        for _ in range(3):
+            assert run_cli(capsys, ["analyze", "--weil", "5,-3,1", "--q", "5"])[0] == 0
+            assert run_cli(capsys, ["examples", "--family", "small", "--pmax", "40"])[0] == 0
+            assert run_cli(capsys, ["analyze", "--weil", "5,-5,1", "--q", "5"])[0] == 3
+        assert len(built) == 1
+
+    def test_import_builds_no_parser(self):
+        code = (
+            "import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counted(self, *args, **kwargs):\n"
+            "    built.append(1)\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counted\n"
+            "import ppav.cli\n"
+            "assert not built, 'parser built at import'\n"
+            "assert ppav.cli.main(['examples', '--family', 'small', '--pmax', '40']) == 0\n"
+            "assert built\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert result.returncode == 0, result.stderr
+
+
 with open(os.path.join(os.path.dirname(__file__), "..", "data", "ex-inconvenient.json")) as handle:
     INCONVENIENT = json.load(handle)
 JUNK = st.one_of(
@@ -591,11 +758,34 @@ def order_file_text(draw):
 
 
 @st.composite
+def class_file(draw, tmp):
+    """Path of a `coeffs q` file of valid classes and junk lines, written as drawn."""
+    valid = st.sampled_from(list(class_lines(GOLDEN_SURFACES[:8] + GOLDEN_ELLIPTIC[:8])))
+    q = draw(st.sampled_from([2, 4, 5, 9, 23, 25, 97]))
+    junk = st.one_of(
+        st.text(alphabet="0123456789,- xq\t", max_size=16),
+        st.integers(-40, 40).map(lambda t: f"{q},{t},1 {q}"),  # often not Weil
+        st.tuples(st.integers(-9, 9), st.integers(-99, 99)).map(
+            lambda ab: f"{q * q},{ab[0] * q},{ab[1]},{ab[0]},1 {q}"
+        ),
+    )
+    lines = draw(st.lists(valid, min_size=1, max_size=3))
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(junk))
+    path = os.path.join(tmp, "classes.txt")
+    with open(path, "w") as handle:
+        handle.write("\n".join(lines))
+    return path
+
+
+@st.composite
 def cli_argv(draw, tmp):
     """One command line of any other subcommand, with bounded sizes, or junk."""
     small = st.integers
     command = draw(
-        st.sampled_from(["analyze", "ec-census", "measures", "find-heavy", "examples", "junk"])
+        st.sampled_from(
+            ["analyze", "weil-file", "ec-census", "measures", "find-heavy", "examples", "junk"]
+        )
     )
     argv = []
     if draw(st.booleans()):
@@ -614,6 +804,13 @@ def cli_argv(draw, tmp):
             )
         )
         argv += ["analyze", "--weil", weil, "--q", str(q)]
+        if draw(st.booleans()):
+            argv.append("--json")
+    elif command == "weil-file":
+        path = draw(class_file(tmp))
+        if not draw(st.integers(0, 3)):
+            path = os.path.join(tmp, "missing", "classes.txt")
+        argv += ["analyze", "--weil-file", path]
         if draw(st.booleans()):
             argv.append("--json")
     elif command == "ec-census":
@@ -651,7 +848,7 @@ def exit_code_of(argv):
 
 
 class TestFuzz:
-    """Hypothesis fuzz of `cli.main`: 150 derandomized examples in all."""
+    """Hypothesis fuzz of `cli.main`: 180 derandomized examples in all."""
 
     def test_command_lines(self):
         with tempfile.TemporaryDirectory() as tmp:
@@ -660,6 +857,42 @@ class TestFuzz:
             @given(cli_argv(tmp))
             def run(argv):
                 exit_code_of(argv)
+
+            run()
+
+    def test_weil_files(self):
+        # the batch stops where the first failing class would stop alone
+        with tempfile.TemporaryDirectory() as tmp:
+
+            @settings(FUZZ, max_examples=30)
+            @given(class_file(tmp), st.booleans())
+            def run(path, as_json):
+                flags = ["--json"] if as_json else []
+                expected_out, expected = [], (0, "")
+                with open(path) as handle:
+                    numbered = list(enumerate(handle.read().split("\n"), 1))
+                for number, line in numbered:
+                    fields = line.split()
+                    if not fields:
+                        continue
+                    if len(fields) != 2 or not fields[1].isdigit():
+                        expected = (2, f"error: line {number}: ")
+                        break
+                    argv = ["analyze", f"--weil={fields[0]}", f"--q={fields[1]}", *flags]
+                    out, err = io.StringIO(), io.StringIO()
+                    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                        code = cli.main(argv)
+                    if code:
+                        message = err.getvalue().replace("error: ", f"error: line {number}: ", 1)
+                        expected = (code, message)
+                        break
+                    expected_out.append(out.getvalue())
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = cli.main(["analyze", "--weil-file", path, *flags])
+                assert out.getvalue() == "".join(expected_out)
+                assert code == expected[0] and err.getvalue().startswith(expected[1])
+                assert err.getvalue().count("\n") == (code != 0)
 
             run()
 

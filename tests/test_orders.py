@@ -383,7 +383,7 @@ class TestMinimalOrder:
             orders.minimal_order(ctx)
 
     def test_patched_resultant_raises(self, monkeypatch):
-        # delta_norm is |res(g, y^2 - 4q)|, read as orders imports it
+        # delta_norm is |N(alpha^2 - 4q)| = |g(2 sqrt q) g(-2 sqrt q)|, as orders imports it
         delta_norm = orders.delta_norm
         monkeypatch.setattr(orders, "delta_norm", lambda g, q: delta_norm(g, q) + 1)
         with pytest.raises(InternalError, match=r"disc Z\[pi, pibar\] = 7,"):

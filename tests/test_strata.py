@@ -275,6 +275,13 @@ class TestExampleFamilies:
         primes = strata.family_primes(100)
         assert primes == [7, 23, 31, 47, 71, 79]
 
+    def test_family_primes_match_trial_list(self):
+        def trial(pmax):
+            return [p for p in range(7, pmax) if p % 8 == 7 and arith.is_prime(p)]
+
+        for pmax in [*range(-5, 401), 10**4]:
+            assert strata.family_primes(pmax) == trial(pmax), pmax
+
 
 class TestPrimePowerFields:
     def test_surface_over_f9(self):
