@@ -111,24 +111,22 @@ def _analyze_class(coeffs, q, as_json):
 
 def _cmd_analyze(args):
     if args.weil_file is None:
-        if args.q is None:
-            args.usage_error("the following arguments are required: --q")
         _analyze_class(_parse_poly(args.weil), args.q, args.json)
         return EXIT_OK
-    if args.q is not None:
-        args.usage_error("argument --q: not allowed with argument --weil-file")
     # opened before any work, so a missing file prints nothing; read as bytes,
-    # so a line that is not UTF-8 fails to parse like any other junk
+    # so a line that is not UTF-8 fails to parse like any other junk, and a
+    # byte-order mark before line 1 is dropped
     if args.weil_file == "-":
         source = contextlib.nullcontext(sys.stdin.buffer)
     else:
         source = open(args.weil_file, "rb")
     with source as lines:
         for number, raw in enumerate(lines, 1):
-            if not raw.strip():
+            line = raw.decode("utf-8-sig" if number == 1 else "utf-8", "replace")
+            if not line.strip():
                 continue
             try:
-                _analyze_class(*_parse_class_line(raw.decode("utf-8", "replace")), args.json)
+                _analyze_class(*_parse_class_line(line), args.json)
             except PpavError as exc:
                 return _report_failure(exc, f"line {number}: ")
     return EXIT_OK
@@ -267,7 +265,7 @@ def build_parser():
     )
     p_an.add_argument("--q", type=int, help="prime power field size (with --weil)")
     p_an.add_argument("--json", action="store_true", help="machine-readable output")
-    p_an.set_defaults(func=_cmd_analyze, usage_error=p_an.error)
+    p_an.set_defaults(func=_cmd_analyze)
 
     p_ec = sub.add_parser("ec-census", help="elliptic census over F_p")
     p_ec.add_argument("--p", required=True, type=int)
@@ -316,6 +314,11 @@ def _parser():
 
 def main(argv=None):
     args = _parser().parse_args(argv)
+    if args.command == "analyze" and (args.q is None) != (args.weil is None):
+        # argparse cannot tie --q to --weil alone
+        if args.q is None:
+            _parser().error("analyze: the following arguments are required: --q")
+        _parser().error("analyze: argument --q: not allowed with argument --weil-file")
     try:
         return args.func(args)
     except (PpavError, OSError) as exc:

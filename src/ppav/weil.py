@@ -86,6 +86,12 @@ def real_weil_polynomial(f, q):
         if f[0] != q * q or f[1] != f[3] * q:
             raise NotWeilShape("functional equation x^2n f(q/x) = q^n f(x) fails")
         return [f[2] - 2 * q, f[3], 1]
+    return _real_weil_by_expansion(f, n, q)
+
+
+def _real_weil_by_expansion(f, n, q):
+    """g for a trimmed monic f of degree 2n, subtracting g_k x^n (x + q/x)^k
+    from the top; any n, and the oracle of the n = 2 read-off."""
     rem = list(f)
     g = [0] * (n + 1)
     for k in range(n, -1, -1):

@@ -574,6 +574,12 @@ def class_lines(corpus):
             yield f"{q},{-t},1 {q}"
 
 
+TOP_USAGE = (
+    "ppav [-h] [--threads THREADS]\n"
+    "            {analyze,ec-census,convenient,measures,find-heavy,examples} ..."
+)
+
+
 class TestWeilFile:
     CORPUS = list(class_lines(GOLDEN_SURFACES)) + list(class_lines(GOLDEN_ELLIPTIC))
 
@@ -637,6 +643,17 @@ class TestWeilFile:
         assert code == 2 and out.count("\n") == 2
         assert err.startswith("error: line 2: could not parse coefficients")
 
+    def test_byte_order_mark_before_line_one(self, capsys, tmp_path):
+        single = run_cli(capsys, ["analyze", "--weil", "529,-138,32,-6,1", "--q", "23"])
+        path = tmp_path / "classes.txt"
+        path.write_bytes(b"\xef\xbb\xbf529,-138,32,-6,1 23\n")
+        assert run_cli(capsys, ["analyze", "--weil-file", str(path)]) == single
+        # a mark anywhere else is junk like any other
+        path.write_bytes(b"529,-138,32,-6,1 23\n\xef\xbb\xbf5,-3,1 5\n")
+        code, out, err = run_cli(capsys, ["analyze", "--weil-file", str(path)])
+        assert (code, out) == (2, single[1])
+        assert err == "error: line 2: could not parse coefficients '\\ufeff5,-3,1'\n"
+
     def test_missing_file_is_io_error(self, capsys, tmp_path, monkeypatch):
         def no_analysis(*args):
             raise AssertionError("analyzed a class without an input file")
@@ -662,6 +679,32 @@ class TestWeilFile:
             cli.main(argv)
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "argv, usage, message",
+        [
+            (
+                ["analyze", "--q", "5"],
+                "ppav analyze [-h] (--weil WEIL | --weil-file PATH) [--q Q] [--json]",
+                "ppav analyze: error: one of the arguments --weil --weil-file is required",
+            ),
+            (
+                ["analyze", "--weil", "5,-3,1"],
+                TOP_USAGE,
+                "ppav: error: analyze: the following arguments are required: --q",
+            ),
+            (
+                ["analyze", "--weil-file", "-", "--q", "5"],
+                TOP_USAGE,
+                "ppav: error: analyze: argument --q: not allowed with argument --weil-file",
+            ),
+        ],
+    )
+    def test_usage_error_text(self, capsys, monkeypatch, argv, usage, message):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal
+        with pytest.raises(SystemExit):
+            cli.main(argv)
+        assert capsys.readouterr().err == f"usage: {usage}\n{message}\n"
 
 
 class TestParserCache:

@@ -70,24 +70,6 @@ class TestRealWeil:
         with pytest.raises(NotWeilShape):
             weil.real_weil_polynomial([2, 0, 2], 2)
 
-    @staticmethod
-    def general_expansion(f, q):
-        """Oracle: g by subtracting coeff * x^n (x + q/x)^k from the top, any n."""
-        f = arith.poly_trim(f)
-        n = (len(f) - 1) // 2
-        rem = list(f)
-        g = [0] * (n + 1)
-        for k in range(n, -1, -1):
-            g[k] = rem[n + k]
-            expansion = [0] * (n + k + 1)
-            for j in range(k + 1):
-                expansion[n + k - 2 * j] += math.comb(k, j) * q**j
-            rem = list(arith.poly_sub(rem, arith.poly_scale(expansion, g[k])))
-            rem += [0] * (len(f) - len(rem))
-        if arith.poly_trim(rem):
-            raise NotWeilShape("functional equation x^2n f(q/x) = q^n f(x) fails")
-        return arith.poly_trim(g)
-
     def test_quartic_read_off_matches_general_expansion(self):
         rng = random.Random(17)
         for trial in range(2000):
@@ -98,7 +80,7 @@ class TestRealWeil:
                 f[rng.randrange(2)] += rng.choice([-1, 1, q, rng.randrange(-9, 10)])
             f += [0] * rng.randrange(3)  # trailing zeros are trimmed first
             try:
-                expected = self.general_expansion(f, q)
+                expected = weil._real_weil_by_expansion(arith.poly_trim(f), 2, q)
             except NotWeilShape as exc:
                 with pytest.raises(NotWeilShape) as got:
                     weil.real_weil_polynomial(f, q)
