@@ -185,7 +185,7 @@ def _cmd_convenient(args):
 
 
 def _cmd_measures(args):
-    # numpy is loaded only by this subcommand
+    # imported here so that no other subcommand pays for compiling the module
     from . import measures
 
     measures.check_grid(args.grid)  # before the constants print or --out is truncated

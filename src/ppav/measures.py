@@ -4,8 +4,14 @@ Two densities live here: the random-matrix density mu_n (squared
 Vandermonde in cosines times squared sines) that governs principally
 polarized varieties, and the isogeny-class density nu_n (the same products
 unsquared).  The printed normalization constant d_n = 1/(v_n pi^n) for
-nu_n does not integrate to one; the numerically normalized constant is
-computed and exposed next to it, and both are reported without blending.
+nu_n does not integrate to one.  The constant that does is exact: v_n is
+the volume of the monic real degree-n polynomials with all roots in
+[-2, 2], the Jacobian from roots to coefficients is |Delta|, and x = 2 cos
+theta, so the effective constant is 2^(n(n+1)/2) / v_n.  Both constants
+are reported side by side without blending; they differ by exactly
+2^(n(n+1)/2) pi^n.
+
+The densities take one ascending tuple of n angles and use `math` only.
 """
 
 from __future__ import annotations
@@ -15,8 +21,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
-
-import numpy as np
 
 from . import arith
 from .errors import DomainError
@@ -42,107 +46,53 @@ def constant_d_nominal(n):
     return 1.0 / (float(constant_v(n)) * math.pi**n)
 
 
+def constant_d_effective(n):
+    """Exact normalizing constant 2^(n(n+1)/2) / v_n of nu_n."""
+    return 2 ** (n * (n + 1) // 2) / constant_v(n)
+
+
 def _check_tuple(n, theta):
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape[-1] != n:
+    theta = tuple(map(float, theta))
+    if len(theta) != n:
         raise DomainError(f"expected {n} angles")
-    if np.any(theta < 0) or np.any(theta > math.pi):
+    if any(t < 0 or t > math.pi for t in theta):
         raise DomainError("angles must lie in [0, pi]")
-    if np.any(np.diff(theta, axis=-1) < 0):
+    if any(a > b for a, b in zip(theta, theta[1:])):
         raise DomainError("angles must be sorted ascending")
     return theta
 
 
 def _vandermonde_sines(theta):
-    n = theta.shape[-1]
-    value = np.ones(theta.shape[:-1])
-    cos = np.cos(theta)
-    for i in range(n):
-        for j in range(i + 1, n):
-            value = value * (cos[..., i] - cos[..., j])
-        value = value * np.sin(theta[..., i])
+    """prod_{i<j} (cos theta_i - cos theta_j) * prod sin theta_i."""
+    cos = [math.cos(t) for t in theta]
+    value = 1.0
+    for i, t in enumerate(theta):
+        for c in cos[i + 1 :]:
+            value *= cos[i] - c
+        value *= math.sin(t)
     return value
 
 
 def density_mu(n, theta):
     """Random-matrix angle density: c_n prod (cos-cos)^2 prod sin^2."""
-    theta = _check_tuple(n, theta)
-    base = _vandermonde_sines(theta)
-    out = constant_c(n) * base * base
-    return float(out) if out.ndim == 0 else out
+    base = _vandermonde_sines(_check_tuple(n, theta))
+    return constant_c(n) * base * base
 
 
 def density_nu(n, theta, constant="nominal"):
     """Isogeny-class angle density: d prod (cos-cos) prod sin.
 
     constant="nominal" uses 1/(v_n pi^n); constant="effective" uses the
-    numerically normalized value making the mass one.
+    exact 2^(n(n+1)/2) / v_n, which makes the mass one.
     """
     theta = _check_tuple(n, theta)
     if constant == "nominal":
         d = constant_d_nominal(n)
     elif constant == "effective":
-        d = constant_d_effective(n)
+        d = float(constant_d_effective(n))
     else:
         raise DomainError("constant must be 'nominal' or 'effective'")
-    out = d * _vandermonde_sines(theta)
-    return float(out) if out.ndim == 0 else out
-
-
-def integrate_simplex(n, density, start_points=None, tol=1e-8, max_doublings=4):
-    """Deterministic Gauss-Legendre integral of density over the ordered simplex.
-
-    Uses the substitution theta_k = theta_{k+1} u_k onto [0,pi] x [0,1]^(n-1),
-    doubling the per-axis node count until two refinements agree within tol.
-    The density callable must accept a numpy array of shape (..., n).
-    """
-    if n < 1 or n > 4:
-        raise DomainError("simplex quadrature supports 1 <= n <= 4")
-    if start_points is None:
-        # keep the tensor grid small in high dimension; the integrands are
-        # analytic, so Gauss-Legendre converges long before these counts
-        start_points = {1: 64, 2: 64, 3: 48, 4: 20}[n]
-
-    def once(points):
-        x, w = np.polynomial.legendre.leggauss(points)
-        t_outer = math.pi / 2 * (x + 1)
-        w_outer = math.pi / 2 * w
-        u = (x + 1) / 2
-        wu = w / 2
-        axes_nodes = [t_outer] + [u] * (n - 1)
-        axes_weights = [w_outer] + [wu] * (n - 1)
-        grids = np.meshgrid(*axes_nodes, indexing="ij")
-        weight = np.ones(grids[0].shape)
-        for gw, grid_axis in zip(axes_weights, range(n)):
-            shape = [1] * n
-            shape[grid_axis] = points
-            weight = weight * gw.reshape(shape)
-        # thetas, outermost first: theta_n = t, theta_{n-1} = t u_1, ...
-        thetas = [grids[0]]
-        for k in range(1, n):
-            thetas.append(thetas[-1] * grids[k])
-            weight = weight * thetas[k - 1]  # Jacobian d theta_k = theta_{k+1} du
-        stacked = np.stack(list(reversed(thetas)), axis=-1)  # ascending order
-        values = density(stacked)
-        return float(np.sum(values * weight))
-
-    points = start_points
-    prev = once(points)
-    for _ in range(max_doublings):
-        points *= 2
-        cur = once(points)
-        if abs(cur - prev) < tol:
-            return cur
-        prev = cur
-    return prev
-
-
-def constant_d_effective(n, _cache={}):
-    """Normalizing constant for nu_n, certified numerically."""
-    if n not in _cache:
-        raw = integrate_simplex(n, lambda t: _vandermonde_sines(t))
-        _cache[n] = 1.0 / raw
-    return _cache[n]
+    return d * _vandermonde_sines(theta)
 
 
 @dataclass(frozen=True)
@@ -154,13 +104,20 @@ class MeasureSpec:
     d_n_eff: float
 
 
+# the dimensions `measures` tabulates: the grid has C(points + n - 1, n)
+# tuples, and c_n = 2^(n^2) / pi^n leaves the float range at n = 32
+MAX_DIMENSION = 4
+
+
 def measure_spec(n):
+    if not 1 <= n <= MAX_DIMENSION:
+        raise DomainError(f"measures supports 1 <= n <= {MAX_DIMENSION}, got {n}")
     return MeasureSpec(
         n=n,
         v_n=constant_v(n),
         c_n=constant_c(n),
         d_n_nominal=constant_d_nominal(n),
-        d_n_eff=constant_d_effective(n),
+        d_n_eff=float(constant_d_effective(n)),
     )
 
 
@@ -179,8 +136,7 @@ def average_ppav_estimate(n, q, theta):
     theta = _check_tuple(n, theta)
     phi = euler_phi_prime_power(q)
     lead = 2.0 ** (n * n + 1) / math.pi ** (2 * n) * (q / phi) * float(q) ** (n * (n + 1) / 4)
-    out = lead * _vandermonde_sines(theta)
-    return float(out) if out.ndim == 0 else out
+    return lead * _vandermonde_sines(theta)
 
 
 def isogeny_class_count_estimate(n, q):
@@ -198,26 +154,29 @@ def check_grid(points):
 def simplex_grid(n, points):
     """Ascending n-tuples from a regular grid on [0, pi], made one at a time.
 
-    `points` is checked here, before the first tuple is asked for.
+    The axis is i * pi/(points - 1) with its last entry exactly pi, as
+    `numpy.linspace(0, pi, points)` gives it.  `points` is checked here,
+    before the first tuple is asked for.
     """
     check_grid(points)
-    axis = np.linspace(0.0, math.pi, points)
+    step = math.pi / (points - 1) if points > 1 else 0.0
+    axis = [i * step + 0.0 for i in range(points)]
+    if points > 1:
+        axis[-1] = math.pi
     return (tuple(axis[i] for i in idx) for idx in combinations_with_replacement(range(points), n))
 
 
 def density_table(n, points):
     """Rows (theta_1..theta_n, mu, nu_nominal, nu_effective) on a regular
     grid, made one at a time."""
-    return (_density_row(n, theta) for theta in simplex_grid(n, points))
+    grid = simplex_grid(n, points)
+    c, nominal, effective = constant_c(n), constant_d_nominal(n), float(constant_d_effective(n))
+    return (_density_row(theta, c, nominal, effective) for theta in grid)
 
 
-def _density_row(n, theta):
-    arr = np.asarray(theta)
-    return theta + (
-        float(density_mu(n, arr)),
-        float(density_nu(n, arr, "nominal")),
-        float(density_nu(n, arr, "effective")),
-    )
+def _density_row(theta, c, nominal, effective):
+    base = _vandermonde_sines(theta)
+    return theta + (c * base * base, nominal * base, effective * base)
 
 
 def write_density_csv(n, points, handle):

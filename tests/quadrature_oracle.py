@@ -1,0 +1,68 @@
+"""Reference oracle for the angle measures: quadrature over the ordered simplex.
+
+`ppav.measures` states its normalizing constants in closed form and
+evaluates its densities one angle tuple at a time with `math`.  The tests
+check both against a deterministic Gauss-Legendre integral, computed here
+with numpy on whole grids of angle tuples.
+"""
+
+import math
+
+import numpy as np
+
+from ppav.errors import DomainError
+
+
+def vandermonde_sines(theta):
+    """prod_{i<j} (cos theta_i - cos theta_j) * prod sin theta_i over the
+    last axis of an array of shape (..., n)."""
+    n = theta.shape[-1]
+    cos = np.cos(theta)
+    value = np.prod(np.sin(theta), axis=-1)
+    for i in range(n):
+        for j in range(i + 1, n):
+            value = value * (cos[..., i] - cos[..., j])
+    return value
+
+
+def integrate_simplex(n, density, start_points=None, tol=1e-8, max_doublings=4):
+    """Deterministic Gauss-Legendre integral of density over the ordered simplex.
+
+    Uses the substitution theta_k = theta_{k+1} u_k onto [0,pi] x [0,1]^(n-1),
+    doubling the per-axis node count until two refinements agree within tol.
+    The density callable must accept a numpy array of shape (..., n).
+    """
+    if n < 1 or n > 4:
+        raise DomainError("simplex quadrature supports 1 <= n <= 4")
+    if start_points is None:
+        # keep the tensor grid small in high dimension; the integrands are
+        # analytic, so Gauss-Legendre converges long before these counts
+        start_points = {1: 64, 2: 64, 3: 48, 4: 20}[n]
+
+    def once(points):
+        x, w = np.polynomial.legendre.leggauss(points)
+        axes_nodes = [math.pi / 2 * (x + 1)] + [(x + 1) / 2] * (n - 1)
+        axes_weights = [math.pi / 2 * w] + [w / 2] * (n - 1)
+        grids = np.meshgrid(*axes_nodes, indexing="ij")
+        weight = np.ones(grids[0].shape)
+        for axis, gw in enumerate(axes_weights):
+            shape = [1] * n
+            shape[axis] = points
+            weight = weight * gw.reshape(shape)
+        # thetas, outermost first: theta_n = t, theta_{n-1} = t u_1, ...
+        thetas = [grids[0]]
+        for k in range(1, n):
+            thetas.append(thetas[-1] * grids[k])
+            weight = weight * thetas[k - 1]  # Jacobian d theta_k = theta_{k+1} du
+        stacked = np.stack(list(reversed(thetas)), axis=-1)  # ascending order
+        return float(np.sum(density(stacked) * weight))
+
+    points = start_points
+    prev = once(points)
+    for _ in range(max_doublings):
+        points *= 2
+        cur = once(points)
+        if abs(cur - prev) < tol:
+            return cur
+        prev = cur
+    return prev

@@ -14,6 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from ppav import census, measures, orders, quadratic, strata, weil
+from quadrature_oracle import integrate_simplex, vandermonde_sines
 
 
 class criterion:
@@ -169,11 +170,13 @@ def test_criterion_7_elliptic_census():
 def test_criterion_8_measure_normalization():
     with criterion(8, 60) as c:
         for n in (1, 2, 3):
-            mass = measures.integrate_simplex(n, lambda t, n=n: measures.density_mu(n, t))
+            cn = measures.constant_c(n)
+            mass = integrate_simplex(n, lambda t, cn=cn: cn * vandermonde_sines(t) ** 2)
             assert abs(mass - 1.0) <= 1e-6
         assert abs(measures.constant_d_effective(1) - 0.5) <= 1e-9
         assert abs(measures.constant_d_effective(2) - 0.75) <= 1e-9
-        nu1_nominal = measures.integrate_simplex(1, lambda t: measures.density_nu(1, t, "nominal"))
+        d1 = measures.constant_d_nominal(1)
+        nu1_nominal = integrate_simplex(1, lambda t: d1 * vandermonde_sines(t))
         assert abs(nu1_nominal - 1 / (2 * math.pi)) <= 1e-7
         c.detail = "mu_1..3 masses = 1, effective constants 1/2 and 3/4, nu_1 nominal mass = 1/(2pi)"
 

@@ -385,14 +385,32 @@ class TestMeasures:
         assert code == 2 and out == "" and len(err.strip().splitlines()) == 1
         assert table.read_text() == "kept\n"
 
+    @pytest.mark.parametrize("n", ["0", "5", "32"])
+    def test_dimension_out_of_range_is_domain_error(self, capsys, tmp_path, n):
+        # 2^(32^2) overflows a float: n = 32 must fail before any constant
+        table = tmp_path / "table.csv"
+        table.write_text("kept\n")
+        argv = ["measures", "--n", n, "--grid", "2", "--out", str(table)]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2 and out == ""
+        assert err == f"error: measures supports 1 <= n <= 4, got {n}\n"
+        assert table.read_text() == "kept\n"
+
     def test_cli_import_does_not_load_numpy(self):
-        code = "import sys, ppav.cli; assert 'numpy' not in sys.modules, 'numpy loaded'"
+        # numpy blocked: the package and the measures subcommand run without it
+        code = (
+            "import sys\n"
+            "sys.modules['numpy'] = None\n"
+            "import ppav, ppav.cli, ppav.measures\n"
+            "sys.exit(ppav.cli.main(['measures', '--n', '2', '--grid', '4']))\n"
+        )
         src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
         env = dict(os.environ, PYTHONPATH=src)
         result = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
         )
         assert result.returncode == 0, result.stderr
+        assert "theta_1,theta_2,mu,nu_nominal,nu_effective" in result.stdout
 
 
 class TestFindHeavy:
@@ -561,6 +579,40 @@ class TestGoldenDigests:
         for path, digest in ((out, csv_digest), (out + ".summary.json", summary_digest)):
             with open(path, "rb") as handle:
                 assert hashlib.sha256(handle.read()).hexdigest() == digest
+
+
+    @pytest.mark.parametrize(
+        "n, constants_digest, csv_digest",
+        [
+            (
+                1,
+                "c643f4309bacc559d5397a6f752e560be0bee6cc193219b5c9b320c26e2acb75",
+                "0b381cda39ca32b5bfb418e4f2f43cdb003775e706c1678883e69116e052e9ef",
+            ),
+            (
+                2,
+                "cf7fe7d155b0808b9a26d8b67ee1763e24f3ad0f5d9e8e67304440860a771ab1",
+                "95f6a93f3a1fc16d847336a91a4acdc8614f176f05af4f35880c61f8fe32a23f",
+            ),
+            (
+                3,
+                "f7e5082f8664302a4952d3c5f3325277b5759e8f773c3da7aab34e466774a02d",
+                "789d85d4685e601b3dfa8f6c60b8d0b790f01e95e6618179bd79fd5cea1c7b68",
+            ),
+            (
+                4,
+                "e6430d4f399d611911142f6264a74f5b91b4c79a3ad5e44481ff5f9078d79a70",
+                "74812bce7f7c558fdc5331119ece303b5ecb69b1770874b9d991771814c38928",
+            ),
+        ],
+    )
+    def test_measures(self, capsys, tmp_path, n, constants_digest, csv_digest):
+        out = tmp_path / "table.csv"
+        argv = ["measures", "--n", str(n), "--grid", "8", "--out", str(out)]
+        code, constants, _ = run_cli(capsys, argv)
+        assert code == 0
+        assert hashlib.sha256(constants.encode()).hexdigest() == constants_digest
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_digest
 
 
 def class_lines(corpus):

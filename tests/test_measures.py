@@ -9,6 +9,7 @@ import pytest
 
 from ppav import measures
 from ppav.errors import DomainError
+from quadrature_oracle import integrate_simplex, vandermonde_sines
 
 
 class TestConstants:
@@ -63,43 +64,76 @@ class TestDensities:
             theta = sorted(rng.uniform(0, math.pi) for _ in range(n))
             perm = list(theta)
             rng.shuffle(perm)
-            v_sorted = measures._vandermonde_sines(np.asarray(theta))
-            v_perm = measures._vandermonde_sines(np.asarray(perm))
+            v_sorted = measures._vandermonde_sines(tuple(theta))
+            v_perm = measures._vandermonde_sines(tuple(perm))
             assert abs(v_sorted * v_sorted - v_perm * v_perm) < 1e-12 * max(
                 1.0, abs(v_sorted)
             )
 
 
 class TestQuadrature:
+    """The closed-form constants and the scalar densities against the
+    numpy quadrature oracle."""
+
     def test_mu_masses(self):
-        for n in (1, 2, 3):
-            mass = measures.integrate_simplex(n, lambda t, n=n: measures.density_mu(n, t))
+        for n in (1, 2, 3, 4):
+            c = measures.constant_c(n)
+            mass = integrate_simplex(n, lambda t, c=c: c * vandermonde_sines(t) ** 2)
             assert abs(mass - 1.0) < 1e-6
 
     def test_nu_effective_constants(self):
         assert abs(measures.constant_d_effective(1) - 0.5) < 1e-9
         assert abs(measures.constant_d_effective(2) - 0.75) < 1e-9
+        exact = [measures.constant_d_effective(n) for n in (1, 2, 3, 4)]
+        assert exact == [Fraction(1, 2), Fraction(3, 4), Fraction(45, 16), Fraction(1575, 64)]
+
+    def test_effective_constant_inverts_raw_mass(self):
+        for n in (1, 2, 3, 4):
+            raw = integrate_simplex(n, vandermonde_sines)
+            assert abs(float(measures.constant_d_effective(n)) * raw - 1.0) < 1e-12
+
+    def test_nominal_constant_is_off_by_exact_factor(self):
+        for n in (1, 2, 3, 4):
+            gap = 2 ** (n * (n + 1) // 2) * math.pi**n
+            ratio = float(measures.constant_d_effective(n)) / measures.constant_d_nominal(n)
+            assert abs(ratio / gap - 1.0) < 1e-14
 
     def test_nu_effective_masses(self):
         for n in (1, 2, 3):
-            mass = measures.integrate_simplex(
-                n, lambda t, n=n: measures.density_nu(n, t, "effective")
-            )
+            d = float(measures.constant_d_effective(n))
+            mass = integrate_simplex(n, lambda t, d=d: d * vandermonde_sines(t))
             assert abs(mass - 1.0) < 1e-6
 
     def test_nu1_nominal_mass_documents_normalization_gap(self):
-        mass = measures.integrate_simplex(1, lambda t: measures.density_nu(1, t, "nominal"))
+        d = measures.constant_d_nominal(1)
+        mass = integrate_simplex(1, lambda t: d * vandermonde_sines(t))
         assert abs(mass - 1 / (2 * math.pi)) < 1e-7
 
     def test_dimension_four(self):
-        mass = measures.integrate_simplex(
-            4, lambda t: measures.density_nu(4, t, "effective"), tol=1e-7
-        )
+        d = float(measures.constant_d_effective(4))
+        mass = integrate_simplex(4, lambda t: d * vandermonde_sines(t), tol=1e-7)
         assert abs(mass - 1.0) < 1e-6
 
     def test_dimension_cap(self):
         with pytest.raises(DomainError):
-            measures.integrate_simplex(5, lambda t: t)
+            integrate_simplex(5, lambda t: t)
+
+    def test_scalar_densities_match_oracle_integrand(self):
+        rng = random.Random(19)
+        for _ in range(400):
+            n = rng.randint(1, 4)
+            theta = tuple(sorted(rng.uniform(0, math.pi) for _ in range(n)))
+            base = float(vandermonde_sines(np.array(theta)))
+            pairs = [
+                (measures.density_mu(n, theta), measures.constant_c(n) * base * base),
+                (measures.density_nu(n, theta), measures.constant_d_nominal(n) * base),
+                (
+                    measures.density_nu(n, theta, "effective"),
+                    float(measures.constant_d_effective(n)) * base,
+                ),
+            ]
+            for got, want in pairs:
+                assert abs(got - want) <= 1e-12 * abs(want) + 1e-300
 
 
 class TestEstimates:
@@ -142,8 +176,8 @@ class TestCompositionConsistency:
         exactly up to a factor pi^(2n), which is recorded, not repaired."""
         for n, theta in ((1, [0.9]), (2, [0.7, 1.9])):
             q = 101
-            mu = measures.density_mu(n, np.asarray(theta))
-            nu = measures.density_nu(n, np.asarray(theta), "nominal")
+            mu = measures.density_mu(n, tuple(theta))
+            nu = measures.density_nu(n, tuple(theta), "nominal")
             total_ppav = 2 * float(q) ** (n * (n + 1) / 2) * mu
             total_iso = measures.isogeny_class_count_estimate(n, q) * nu
             composed = total_ppav / total_iso
@@ -167,6 +201,11 @@ class TestCsv:
             tracemalloc.stop()
         assert first == (0.0, 0.0, 0.0, 0.0)
         assert peak < 1 << 20
+
+    def test_grid_axis_is_linspace_bit_for_bit(self):
+        for points in range(0, 130):
+            axis = [theta for (theta,) in measures.simplex_grid(1, points)]
+            assert axis == np.linspace(0.0, math.pi, points).tolist()
 
     def test_bad_grid_writes_nothing(self):
         handle = io.StringIO()
