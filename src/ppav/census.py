@@ -7,7 +7,9 @@ semicircular density (2/pi) sqrt(1 - x^2).
 
 The class numbers of all traces come from one walk over the reduced forms
 of discriminant above -4p, with no factorization and one count per trace
-as its only memory.
+as its only memory.  Per first coefficient a, the table of t^2 mod 4a
+holds t <= a only and b starts where c >= a.  An integer Kronecker-Hurwitz
+sum checks every census.
 
 Curves are counted by j-invariant weight one: the extra automorphisms at
 j = 0 and j = 1728 would adjust at most two traces per field by O(1), and
@@ -17,11 +19,9 @@ no weighting is applied for them.
 from __future__ import annotations
 
 import csv
-
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
 from math import isqrt
 
 from . import arith, quadratic
@@ -57,65 +57,64 @@ def check_prime(p):
 def enumerate_ec(p):
     """One CensusRow per ordinary trace over F_p, in ascending trace order.
 
-    Every H(t^2 - 4p) comes from one walk over reduced forms
-    (`_reduced_form_counts`), with no factorization.  The rows are checked
-    against the Kronecker-Hurwitz relation before return, with H(-4p) taken
-    from `quadratic.kronecker_class_number`, which counts by first coefficient.
+    H comes from `_reduced_form_counts`, with no factorization.  The rows
+    are checked against 6 sum H_w = 12p (Kronecker-Hurwitz) in integers,
+    with H(-4p) from `quadratic.kronecker_class_number`.
     """
     check_prime(p)
     counts = _reduced_form_counts(p)
+    scale = 2 * math.sqrt(p)
     rows = [
-        CensusRow(
-            t=t,
-            delta=t * t - 4 * p,
-            H=counts[abs(t)],
-            normalized_trace=t / (2 * math.sqrt(p)),
-        )
+        CensusRow(t, t * t - 4 * p, counts[abs(t)], t / scale)
         for t in ordinary_traces(p)
     ]
-    supersingular = quadratic.kronecker_class_number(-4 * p)
-    total = sum(_hurwitz_weighted(r.delta, r.H) for r in rows)
-    total += _hurwitz_weighted(-4 * p, supersingular)
-    if total != 2 * p:
-        raise InternalError(f"Kronecker-Hurwitz sum {total} != 2p = {2 * p} at p = {p}")
+    total = sum(_sixfold_weight(r.delta, r.H) for r in rows)
+    total += _sixfold_weight(-4 * p, quadratic.kronecker_class_number(-4 * p))
+    if total != 12 * p:
+        exact = Fraction(total, 6)
+        raise InternalError(f"Kronecker-Hurwitz sum {exact} != 2p = {2 * p} at p = {p}")
     return rows
 
 def _reduced_form_counts(p):
     """counts[t] = H(t^2 - 4p) for 1 <= t <= sqrt(4p) (counts[0] is 0).
 
-    H(delta) is the number of all reduced forms (a, b, c) of discriminant
-    delta, primitive or not, so one walk over 0 <= b <= a <= sqrt(4p/3)
-    counts the forms of every trace at once.  A trace t has a form
-    (a, +-b, c) exactly when t^2 = b^2 + 4p (mod 4a), which depends only on
-    t mod 2a, and c >= a exactly when t^2 <= b^2 + 4p - 4a^2.
+    H counts all reduced forms (a, b, c), primitive or not: one walk over
+    0 <= b <= a <= sqrt(4p/3) counts every trace.  t has a form (a, +-b, c)
+    iff t^2 = b^2 + 4p (mod 4a), and c >= a iff t^2 <= b^2 + 4p - 4a^2.
+    2a - r has the square of r, so the table holds r in [1, a], and t = 0
+    (mod 2a) joins key 0.  b starts at isqrt(4a^2 - 4p) + 1 once a > sqrt(p).
     """
     counts = [0] * (isqrt(4 * p) + 1)
     for a in range(1, isqrt(4 * p // 3) + 1):
         step, mod = 2 * a, 4 * a
-        classes = {}  # t^2 mod 4a -> the t in [1, 2a] with that square
-        for r in range(1, step + 1):
-            classes.setdefault(r * r % mod, []).append(r)
-        for b in range(a + 1):
-            room = b * b + 4 * p - 4 * a * a
-            if room < 1:
+        starts = {0: [step]}  # t^2 mod 4a -> the t in [1, 2a] with that square
+        for r in range(1, a + 1):
+            ts = starts.setdefault(r * r % mod, [])
+            ts.append(r)
+            if r < a:
+                ts.append(step - r)
+        base, low = 4 * p % mod, 4 * a * a - 4 * p
+        for b in range(isqrt(low) + 1 if low >= 0 else 0, a + 1):
+            ts = starts.get((b * b + base) % mod)
+            if ts is None:
                 continue
+            room = b * b - low
             tmax = isqrt(room)
             weight = 1 if b == 0 or b == a else 2  # (a, b, c) and (a, -b, c)
-            for r in classes.get((b * b + 4 * p) % mod, ()):
+            for r in ts:
                 for t in range(r, tmax + 1, step):
                     counts[t] += weight
             if weight == 2 and tmax * tmax == room:
                 counts[tmax] -= 1  # c = a: (a, -b, a) is not reduced
     return counts
 
-def _hurwitz_weighted(delta, big_h):
-    """H_w(delta): H(delta) with the order of discriminant -3 weighted 1/3
-    and that of -4 weighted 1/2, as an exact Fraction."""
-    for d0, off in ((3, Fraction(2, 3)), (4, Fraction(1, 2))):
+def _sixfold_weight(delta, big_h):
+    """6 H_w(delta): disc -3 weighs 1/3, -4 weighs 1/2."""
+    for d0, off in ((3, 4), (4, 3)):
         k, r = divmod(-delta, d0)
         if r == 0 and isqrt(k) ** 2 == k:
-            return big_h - off
-    return Fraction(big_h)
+            return 6 * big_h - off
+    return 6 * big_h
 
 def _semicircle_cdf(x):
     x = min(1.0, max(-1.0, x))
@@ -149,15 +148,7 @@ def summarize(rows, bins=40):
         target = _semicircle_cdf(hi) - _semicircle_cdf(lo)
         tv += abs(masses[i] - target)
     predicted = 4.0 * (1.0 - 1.0 / p) * math.sqrt(p)
-    return CensusSummary(
-        p=p,
-        class_count=len(rows),
-        curve_total=total,
-        bins=bins,
-        histogram=tuple(masses),
-        tv_to_semicircle=tv / 2.0,
-        predicted_class_count=predicted,
-    )
+    return CensusSummary(p, len(rows), total, bins, tuple(masses), tv / 2.0, predicted)
 
 def write_census_csv(rows, handle):
     writer = csv.writer(handle)

@@ -40,22 +40,27 @@ def integrate_simplex(n, density, start_points=None, tol=1e-8, max_doublings=4):
         start_points = {1: 64, 2: 64, 3: 48, 4: 20}[n]
 
     def once(points):
+        # one slice of the grid per outer node theta_n = t, so memory holds
+        # points^(n-1) tuples at a time, not points^n
         x, w = np.polynomial.legendre.leggauss(points)
-        axes_nodes = [math.pi / 2 * (x + 1)] + [(x + 1) / 2] * (n - 1)
-        axes_weights = [math.pi / 2 * w] + [w / 2] * (n - 1)
-        grids = np.meshgrid(*axes_nodes, indexing="ij")
-        weight = np.ones(grids[0].shape)
-        for axis, gw in enumerate(axes_weights):
-            shape = [1] * n
+        u, uw = (x + 1) / 2, w / 2
+        inner = np.meshgrid(*[u] * (n - 1), indexing="ij")
+        inner_weight = np.ones((points,) * (n - 1))
+        for axis in range(n - 1):
+            shape = [1] * (n - 1)
             shape[axis] = points
-            weight = weight * gw.reshape(shape)
-        # thetas, outermost first: theta_n = t, theta_{n-1} = t u_1, ...
-        thetas = [grids[0]]
-        for k in range(1, n):
-            thetas.append(thetas[-1] * grids[k])
-            weight = weight * thetas[k - 1]  # Jacobian d theta_k = theta_{k+1} du
-        stacked = np.stack(list(reversed(thetas)), axis=-1)  # ascending order
-        return float(np.sum(density(stacked) * weight))
+            inner_weight = inner_weight * uw.reshape(shape)
+        total = 0.0
+        for t, tw in zip(math.pi / 2 * (x + 1), math.pi / 2 * w):
+            # thetas, outermost first: theta_n = t, theta_{n-1} = t u_1, ...
+            thetas = [np.full(inner_weight.shape, t)]
+            weight = tw * inner_weight
+            for k in range(1, n):
+                thetas.append(thetas[-1] * inner[k - 1])
+                weight = weight * thetas[k - 1]  # Jacobian d theta_k = theta_{k+1} du
+            stacked = np.stack(list(reversed(thetas)), axis=-1)  # ascending order
+            total += float(np.sum(density(stacked) * weight))
+        return total
 
     points = start_points
     prev = once(points)

@@ -9,6 +9,29 @@ from ppav import census, quadratic, strata
 from ppav.errors import DomainError, InternalError
 
 
+def hurwitz_weighted(delta, big_h):
+    """Oracle: H_w(delta), H(delta) with the order of discriminant -3
+    weighted 1/3 and that of -4 weighted 1/2, as an exact Fraction."""
+    for d0, off in ((3, Fraction(2, 3)), (4, Fraction(1, 2))):
+        k, r = divmod(-delta, d0)
+        if r == 0 and isqrt(k) ** 2 == k:
+            return big_h - off
+    return Fraction(big_h)
+
+
+def reduced_forms(p):
+    """Oracle: every reduced form (a, b, c) of discriminant t^2 - 4p with
+    1 <= t <= sqrt(4p), as (a, b, c, t), found by stepping c for each (a, b)."""
+    for a in range(1, isqrt(4 * p // 3) + 1):
+        for b in range(-a + 1, a + 1):
+            c = a
+            while (square := b * b - 4 * a * c + 4 * p) >= 1:
+                t = isqrt(square)
+                if t * t == square and (c > a or b >= 0):
+                    yield a, b, c, t
+                c += 1
+
+
 class TestEnumerate:
     def test_p5(self):
         rows = census.enumerate_ec(5)
@@ -35,16 +58,22 @@ class TestEnumerate:
         # enumerate_ec checks the relation itself; recompute it here from
         # the rows it returns
         rows = census.enumerate_ec(p)
-        total = sum(census._hurwitz_weighted(r.delta, r.H) for r in rows)
-        total += census._hurwitz_weighted(-4 * p, quadratic.kronecker_class_number(-4 * p))
+        total = sum(hurwitz_weighted(r.delta, r.H) for r in rows)
+        total += hurwitz_weighted(-4 * p, quadratic.kronecker_class_number(-4 * p))
         assert total == 2 * p
 
     def test_hurwitz_weights(self):
-        assert census._hurwitz_weighted(-3, 1) == Fraction(1, 3)
-        assert census._hurwitz_weighted(-12, 2) == Fraction(4, 3)
-        assert census._hurwitz_weighted(-4, 1) == Fraction(1, 2)
-        assert census._hurwitz_weighted(-16, 2) == Fraction(3, 2)
-        assert census._hurwitz_weighted(-20, 2) == 2
+        assert hurwitz_weighted(-3, 1) == Fraction(1, 3)
+        assert hurwitz_weighted(-12, 2) == Fraction(4, 3)
+        assert hurwitz_weighted(-4, 1) == Fraction(1, 2)
+        assert hurwitz_weighted(-16, 2) == Fraction(3, 2)
+        assert hurwitz_weighted(-20, 2) == 2
+
+    def test_sixfold_weight_matches_oracle(self):
+        for delta in range(-3, -2000, -1):
+            if delta % 4 in (0, 1):
+                big_h = quadratic.kronecker_class_number(delta)
+                assert census._sixfold_weight(delta, big_h) == 6 * hurwitz_weighted(delta, big_h)
 
     def test_wrong_class_number_raises(self, monkeypatch):
         reduced_form_counts = census._reduced_form_counts
@@ -55,8 +84,44 @@ class TestEnumerate:
             return counts
 
         monkeypatch.setattr(census, "_reduced_form_counts", off_by_one)
-        with pytest.raises(InternalError):
+        # t = 3 and t = -3 each gain one curve, so the exact sum is 2p + 2
+        message = "Kronecker-Hurwitz sum 204 != 2p = 202 at p = 101"
+        with pytest.raises(InternalError, match=f"^{message}$"):
             census.enumerate_ec(101)
+
+
+class TestReducedFormWalk:
+    # the walk's half-size residue table and its starting b, against a
+    # direct enumeration of the reduced forms
+    SMALL_PRIMES = [p for p in range(5, 400) if census.arith.is_prime(p)]
+
+    def test_against_form_oracle(self):
+        for p in self.SMALL_PRIMES:
+            counts = [0] * (isqrt(4 * p) + 1)
+            for _, _, _, t in reduced_forms(p):
+                counts[t] += 1
+            assert census._reduced_form_counts(p) == counts
+
+    # each edge of the walk, as a predicate on a form (a, b, c) of trace t
+    EDGES = {
+        "r = a": lambda a, b, c, t, p: t % (2 * a) == a,  # its own partner 2a - r
+        "t = 0 (mod 2a)": lambda a, b, c, t, p: t % (2 * a) == 0,  # key 0
+        "b = a": lambda a, b, c, t, p: b == a,
+        "c = a": lambda a, b, c, t, p: c == a and b > 0,
+        "a > sqrt(p)": lambda a, b, c, t, p: a * a > p,  # b starts above 0
+    }
+
+    @pytest.mark.parametrize("edge", list(EDGES))
+    def test_edges_reached(self, edge):
+        reached = self.EDGES[edge]
+        hits = 0
+        for p in self.SMALL_PRIMES:
+            counts = census._reduced_form_counts(p)
+            for a, b, c, t in reduced_forms(p):
+                if reached(a, b, c, t, p):
+                    hits += 1
+                    assert counts[t] == quadratic.kronecker_class_number(t * t - 4 * p)
+        assert hits >= 10
 
 
 class TestSummarize:

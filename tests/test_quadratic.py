@@ -63,6 +63,13 @@ class TestImaginaryClassNumbers:
         for t in range(1, isqrt(4 * p) + 1):
             assert quadratic.kronecker_class_number(t * t - 4 * p) == counts[t]
 
+    def test_against_census_walk_every_small_prime(self):
+        # every trace of every prime 5 <= p < 1500, and of p = 10007
+        for p in [p for p in range(5, 1500) if arith.is_prime(p)] + [10007]:
+            counts = census._reduced_form_counts(p)
+            for t in range(1, isqrt(4 * p) + 1):
+                assert counts[t] == quadratic.kronecker_class_number(t * t - 4 * p), (p, t)
+
     def test_pinned_very_large_discriminants(self):
         # values from the earlier sieve over b, which factored every form coefficient
         for d, h in ((-40000000003, 29199), (-100000000003, 31057), (-4000000000003, 290436)):
