@@ -563,26 +563,14 @@ def isolate_real_roots(a, chain):
     return sorted(out)
 
 
-def _form_and_slope(p, n, d):
-    """(F, dF/dn) for the form F(n, d) = sum c_i n^i d^(deg - i) = d^deg p(n/d)."""
-    acc = slope = 0
-    dp = 1
-    for c in reversed(p):
-        slope = slope * n + acc
-        acc = acc * n + c * dp
-        dp *= d
-    return acc, slope
-
-
 def refine_root(a, chain, lo, hi, bits=80):
-    """The root of squarefree a, with Sturm chain chain, in its isolating
-    interval (lo, hi], on the grid lo + k (hi - lo) / 2^bits.
+    """Dyadic bisection of the isolating interval (lo, hi] of a root of
+    squarefree a, with Sturm chain chain.
 
-    Returns the root itself when it falls on a grid point, else the midpoint
-    of the grid cell holding it: the Fraction that `bits` dyadic bisection
-    steps reach, within 2^-bits of the initial width from the root.  The
-    bracket is kept as an integer numerator n over a denominator d, with
-    hi - lo = w / d; the cell is found by integer Newton steps on k.
+    Returns the root if a midpoint hits it, else the midpoint of its cell
+    after bits steps: within 2^-bits of the initial width from the root.
+    The bracket is an integer numerator n over a denominator d that doubles
+    each step, with hi - lo = w / d throughout.
     """
     lo, hi = Fraction(lo), Fraction(hi)
     d = lcm(lo.denominator, hi.denominator)
@@ -604,29 +592,15 @@ def refine_root(a, chain, lo, hi, bits=80):
                 n = mid
                 break
             s_hi = s_mid
-    # grid point k is (n + k w) / d; a has sign -s_hi at klo and s_hi at khi
-    n, d = n << bits, d << bits
-    klo, khi = 0, 1 << bits
-    k = khi >> 1
-    while khi - klo > 1:
-        x = n + k * w
-        value, slope = _form_and_slope(a, x, d)
-        if value == 0:
-            return Fraction(x, d)
-        if (value > 0) == (s_hi > 0):
-            khi = k
-        else:
-            klo = k
-        # the Newton step x - value / slope, rounded to the grid
-        den = slope * w
-        nxt = k - (2 * value + den) // (2 * den) if den else k
-        if nxt == k:
-            k += 1 if k == klo else -1  # Newton stalled: probe the neighbour
-        elif klo < nxt < khi:
-            k = nxt
-        else:
-            k = (klo + khi) >> 1
-    return Fraction(2 * (n + klo * w) + w, 2 * d)
+    for _ in range(bits):
+        n, d = 2 * n, 2 * d
+        mid = n + w
+        s_mid = _sign_at(a, mid, d)
+        if s_mid == 0:
+            return Fraction(mid, d)
+        if s_mid != s_hi:
+            n = mid
+    return Fraction(2 * n + w, 2 * d)
 
 
 def real_roots(a, chain, bits=80):

@@ -197,13 +197,11 @@ def _cmd_measures(args):
         "d_n_nominal": spec.d_n_nominal,
         "d_n_eff": spec.d_n_eff,
     }
-    if args.out:
-        with open(args.out, "w", newline="") as handle:
-            measures.write_density_csv(args.n, args.grid, handle)
+    # --out is opened before the constants print, so a failed open prints nothing
+    table = open(args.out, "w", newline="") if args.out else contextlib.nullcontext(sys.stdout)
+    with table as handle:
         print(_dumps(constants))
-    else:
-        print(_dumps(constants))
-        measures.write_density_csv(args.n, args.grid, sys.stdout)
+        measures.write_density_csv(args.n, args.grid, handle)
     return EXIT_OK
 
 

@@ -458,10 +458,13 @@ def lattice_from_json(data, ctx=None):
 
 
 def load_order_file(path):
-    """Context and lattice from a JSON order file; DomainError if malformed."""
-    with open(path) as handle:
+    """Context and lattice from a JSON order file; DomainError if malformed.
+
+    Read as bytes, so `json.loads` detects the encoding and drops a BOM.
+    """
+    with open(path, "rb") as handle:
         try:
-            data = json.load(handle)
+            data = json.loads(handle.read())
         except ValueError as exc:  # JSONDecodeError, or bytes that are not text
             raise DomainError(f"order file is not JSON: {exc}") from exc
     return lattice_from_json(data)

@@ -4,7 +4,8 @@ Elliptic isogeny classes get exact per-conductor counts from class numbers.
 For abelian surfaces the minimal stratum gets the square-root-of-discriminant
 estimator together with certificates (odd ramification, norm surjectivity)
 that pin down the exact class-number formula a user would apply; quartic
-class groups themselves are deliberately out of scope.
+class groups themselves are deliberately out of scope.  Both certificates
+come from one pass, `_certificates`, and reach users through `analyze`.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
-from . import arith, orders, quadratic, weil
+from . import arith, quadratic, weil
 from .errors import DomainError, InternalError, SearchLimitError
 
 
@@ -125,30 +126,17 @@ def _odd_valuation_primes(spec):
 
 
 def _certificates(spec):
-    """(odd_ramified, surjectivity) read off `_odd_valuation_primes`."""
+    """(odd_ramified, surjectivity) read off `_odd_valuation_primes`.
+
+    K/K+ is ramified at an odd prime if one divides (alpha^2 - 4q) to odd
+    valuation, and the class-group norm map is surjective if such a prime
+    does not divide the conductor of Z[alpha]; each is "certified" when
+    that holds, else "unknown", never a claim of the converse.
+    """
     _, conductor, _, ells = _odd_valuation_primes(spec)
     odd = "certified" if ells else "unknown"
     surj = "certified" if any(conductor % ell for ell in ells) else "unknown"
     return odd, surj
-
-
-def odd_ramification_certificate(spec):
-    """"certified" when K/K+ is provably ramified at an odd prime.
-
-    Sufficient criterion: some prime of odd residue characteristic divides
-    (alpha^2 - 4q) to odd valuation.  Returns "unknown" otherwise; never
-    claims unramifiedness.
-    """
-    return _certificates(spec)[0]
-
-
-def surjectivity_certificate(spec):
-    """"certified" when the class-group norm map is provably surjective.
-
-    Needs an odd prime with odd valuation in (alpha^2 - 4q) that does not
-    divide the conductor of Z[alpha] in the maximal real order.
-    """
-    return _certificates(spec)[1]
 
 
 def real_unit_index(spec):
@@ -389,28 +377,3 @@ def report_to_json(report):
         "norm_unit_index": report.norm_unit_index,
         "polarizations_per_variety": _int_str(report.polarizations_per_variety),
     }
-
-
-# ---------------------------------------------------------------------------
-# worked order from the inconvenient example, used by docs and tests
-
-
-def inconvenient_example_order():
-    """The conjugation-stable, Gorenstein, yet inconvenient order over F_19.
-
-    Spanned by 1, 2 sqrt(2), (pi - pibar)/2, (pi - pibar) sqrt(2)/2 inside
-    the quartic field of x^4 - 4x^3 + 10x^2 - 76x + 361.
-    """
-    p = 19
-    f = [p * p, -4 * p, 10, -4, 1]
-    ctx = orders.FieldContext(f, p)
-    sqrt2 = tuple((a - (2 if i == 0 else 0)) / 4 for i, a in enumerate(ctx.alpha))
-    pim = tuple(a - b for a, b in zip(ctx.pi, ctx.pibar))
-    half_pim = tuple(c / 2 for c in pim)
-    gens = [
-        list(ctx.one),
-        [2 * c for c in sqrt2],
-        list(half_pim),
-        list(ctx.mul(half_pim, sqrt2)),
-    ]
-    return ctx, orders.lattice_from_generators(ctx, gens)

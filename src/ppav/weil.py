@@ -2,10 +2,12 @@
 
 A degree-2n monic integer polynomial f is treated as the characteristic
 polynomial of Frobenius for an isogeny class of n-dimensional abelian
-varieties over F_q.  Validity (all complex roots of absolute value sqrt(q))
-is decided exactly: f must satisfy x^2n f(q/x) = q^n f(x), and the real
-companion polynomial g with x^n g(x + q/x) = f(x) must have all roots real
-and inside [-2 sqrt(q), 2 sqrt(q)].
+varieties over F_q.  `isogeny_class` is the one entry point: it decides
+validity (all complex roots of absolute value sqrt(q)) exactly, raising
+NotWeilShape when it fails, and returns the class with its Frobenius
+angles.  f must satisfy x^2n f(q/x) = q^n f(x), and the real companion
+polynomial g with x^n g(x + q/x) = f(x) must have all roots real and
+inside [-2 sqrt(q), 2 sqrt(q)].
 
 For a quadratic g = x^2 + Bx + C (the surfaces) that is a closed form
 (compare Maisner-Nart 2002): D = B^2 - 4C >= 0, B^2 <= 16q and
@@ -16,8 +18,9 @@ other g (linear, of degree >= 3, or quadratic with square D, the
 non-simple surfaces) is split into squarefree factors by their Sturm
 chains (`arith.squarefree_chains`); the chains, signed exactly at
 +-2 sqrt(q), decide validity, and the same chains isolate and refine the
-roots.  Both paths return the same ``Fraction`` for a root, so the angles
-do not depend on the path.
+roots.  Both paths return the same ``Fraction`` for a root, the midpoint
+of its cell on a dyadic grid, so the angles do not depend on the path and
+each is accurate to well below 1e-14.
 """
 
 from __future__ import annotations
@@ -53,21 +56,20 @@ class IsogenyClassSpec:
 
     @cached_property
     def simple(self):
-        """Irreducibility of f over Q, decided without factoring for ordinary n <= 2.
+        """Irreducibility of f over Q in closed form; UnsupportedDegree for n >= 3.
 
-        An ordinary class has no real root +-sqrt(q), which would make the
-        middle coefficient share a prime with q.  So for n = 1, t^2 < 4q; for
-        n = 2, every factor of f over Q is a product of conjugate pairs
-        x^2 - alpha x + q with alpha an integer root of g, and f is simple iff
-        disc(g) = a^2 - 4b + 8q is not a square (compare Maisner-Nart 2002).
-        Other classes go through the divisor search `is_simple`.
+        n = 1: disc f = t^2 - 4q <= 0 is a square iff it is 0.  n = 2: a
+        square disc g splits g and so f; else f splits iff alpha^2 - 4q,
+        alpha a root of g, is a square in Q(alpha).  It is totally
+        nonpositive, so only alpha^2 = 4q, g = x^2 - 4q, splits f, into
+        (x^2 - q)^2 (compare Maisner-Nart 2002).
         """
-        if self.n > 2 or not is_ordinary(self.f, self.q):
-            return is_simple(self.f)
         if self.n == 1:
-            return True
-        disc = self.discriminant_norms[1]
-        return isqrt(disc) ** 2 != disc
+            return self.f[1] ** 2 != 4 * self.q
+        if self.n == 2:
+            disc = self.discriminant_norms[1]
+            return isqrt(disc) ** 2 != disc and self.g != (-4 * self.q, 0, 1)
+        raise UnsupportedDegree("irreducibility test implemented up to degree 4")
 
 
 def real_weil_polynomial(f, q):
@@ -175,7 +177,7 @@ def _weil_factors(g, q):
     return out
 
 
-def _quadratic_is_weil(c, b, q):
+def _quadratic_in_weil_region(c, b, q):
     """Closed-form Weil test for g = x^2 + b x + c: real roots, the vertex
     -b/2 and both values g(+-2 sqrt(q)) = 4q + c +- 2b sqrt(q) in range.
     """
@@ -194,26 +196,12 @@ def _weil_split(g, q):
     """
     if len(g) != 3:
         return _weil_factors(g, q)
-    if not _quadratic_is_weil(g[0], g[1], q):
+    if not _quadratic_in_weil_region(g[0], g[1], q):
         return None
     disc = g[1] * g[1] - 4 * g[0]
     if isqrt(disc) ** 2 != disc:
         return [(g, 1, None)]
     return _weil_factors(g, q)
-
-
-def is_weil(f, q):
-    """True iff every complex root of f has absolute value sqrt(q)."""
-    f = arith.poly_trim(f)
-    if not f or f[-1] != 1 or (len(f) - 1) % 2 != 0 or len(f) < 3:
-        raise DomainError("need a monic polynomial of even degree >= 2")
-    if q < 2:
-        raise DomainError("q must be at least 2")
-    try:
-        g = real_weil_polynomial(f, q)
-    except NotWeilShape:
-        return False
-    return _weil_split(g, q) is not None
 
 
 def is_ordinary(f, q):
@@ -296,23 +284,6 @@ def _angles(g, factors, q):
             x = min(1.0, max(-1.0, x))
             angles.extend([math.acos(x)] * mult)
     return sorted(angles)
-
-
-def frobenius_angles(f, q):
-    """Frobenius angles arccos(r / 2 sqrt(q)) for the real roots r of g.
-
-    Each root is refined to the midpoint of its cell on a dyadic grid, so
-    each angle is accurate to well below 1e-14.  A quadratic g with
-    non-square discriminant (a simple surface class) gets that cell in
-    closed form, from integer square roots; every other g isolates and
-    refines its roots with Sturm chains.  Both give the same ``Fraction``
-    for a root, so the angles do not depend on the path.
-    """
-    g = real_weil_polynomial(f, q)
-    factors = _weil_split(g, q)
-    if factors is None:
-        raise DomainError("polynomial has roots off the circle of radius sqrt(q)")
-    return _angles(g, factors, q)
 
 
 def isogeny_class(f, q):

@@ -5,12 +5,19 @@ against the direct route kept here, which inverts a's basis and takes the
 dual of the functionals that test x b_i for membership in a.
 `orders.is_gorenstein` is checked against invertibility through `colon`,
 and `weil.real_discriminant_norms` against Sylvester resultants.
+`INCONVENIENT_ORDER` is the path of the worked inconvenient order over
+F_19, for `orders.load_order_file`.
 """
 
+import os
 from fractions import Fraction
 
 from ppav import arith, orders
 from ppav.errors import DomainError, RankError
+
+INCONVENIENT_ORDER = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), os.pardir, "data", "ex-inconvenient.json"
+)
 
 
 def colon_by_inverse(a, b):

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from lattice_oracle import INCONVENIENT_ORDER
 from ppav import census, measures, orders, quadratic, strata, weil
 from quadrature_oracle import integrate_simplex, vandermonde_sines
 
@@ -45,7 +46,7 @@ class criterion:
 
 def test_criterion_1_inconvenient_order_golden():
     with criterion(1, 1) as c:
-        ctx, lattice = strata.inconvenient_example_order()
+        ctx, lattice = orders.load_order_file(INCONVENIENT_ORDER)
         assert list(ctx.poly) == [361, -76, 10, -4, 1] and ctx.q == 19
         cert = orders.convenient_certificate(lattice)
         assert cert.stable_under_conjugation is True

@@ -14,8 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lattice_oracle import random_sublattice
-from ppav import arith, census, cli, orders, strata, weil
+from lattice_oracle import INCONVENIENT_ORDER, random_sublattice
+from ppav import arith, census, cli, orders, weil
 from ppav.errors import FactorError
 
 
@@ -285,7 +285,7 @@ class TestEcCensus:
 
 class TestConvenient:
     def test_inconvenient_example(self, capsys, tmp_path):
-        _, lattice = strata.inconvenient_example_order()
+        _, lattice = orders.load_order_file(INCONVENIENT_ORDER)
         path = tmp_path / "order.json"
         path.write_text(json.dumps(orders.lattice_to_json(lattice)))
         code, out, _ = run_cli(capsys, ["convenient", "--order-file", str(path)])
@@ -299,6 +299,21 @@ class TestConvenient:
         code, _, _ = run_cli(capsys, ["convenient", "--order-file", str(tmp_path / "no.json")])
         assert code == 4
 
+    def test_byte_order_mark(self, capsys, tmp_path):
+        plain = run_cli(capsys, ["convenient", "--order-file", INCONVENIENT_ORDER])
+        assert plain[0] == 0 and plain[1].count("\n") == 1
+        path = tmp_path / "order.json"
+        with open(INCONVENIENT_ORDER, "rb") as handle:
+            path.write_bytes(b"\xef\xbb\xbf" + handle.read())
+        assert run_cli(capsys, ["convenient", "--order-file", str(path)]) == plain
+
+    def test_undecodable_order_file(self, capsys, tmp_path):
+        path = tmp_path / "order.json"
+        path.write_bytes(b'{"den": \xff\xfe}\n')
+        code, out, err = run_cli(capsys, ["convenient", "--order-file", str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: order file is not JSON: ") and err.count("\n") == 1
+
     @staticmethod
     def _bad_order_file(capsys, tmp_path, text):
         path = tmp_path / "order.json"
@@ -311,7 +326,7 @@ class TestConvenient:
 
     @staticmethod
     def _order_payload():
-        _, lattice = strata.inconvenient_example_order()
+        _, lattice = orders.load_order_file(INCONVENIENT_ORDER)
         return orders.lattice_to_json(lattice)
 
     def test_non_json_order_file(self, capsys, tmp_path):
@@ -373,6 +388,22 @@ class TestMeasures:
         code, stdout, _ = run_cli(capsys, ["measures", "--n", "2", "--grid", "4"])
         assert code == 0
         assert "theta_1,theta_2,mu,nu_nominal,nu_effective" in stdout
+
+    def test_stdout_is_constants_then_table(self, capsys, tmp_path):
+        # stdout mode prints the constants line and then the bytes --out writes
+        table = tmp_path / "table.csv"
+        argv = ["measures", "--n", "2", "--grid", "4"]
+        code, constants, _ = run_cli(capsys, argv + ["--out", str(table)])
+        assert code == 0 and constants.count("\n") == 1
+        code, stdout, _ = run_cli(capsys, argv)
+        assert code == 0
+        assert stdout == constants + table.read_bytes().decode()
+
+    def test_unopenable_out_prints_nothing(self, capsys, tmp_path):
+        table = str(tmp_path / "missing" / "table.csv")
+        code, out, err = run_cli(capsys, ["measures", "--n", "2", "--grid", "4", "--out", table])
+        assert (code, out) == (4, "")
+        assert err.startswith("i/o error:") and err.count("\n") == 1
 
     def test_negative_grid_is_domain_error(self, capsys, tmp_path):
         code, out, err = run_cli(capsys, ["measures", "--n", "2", "--grid", "-1"])
@@ -549,7 +580,7 @@ class TestGoldenDigests:
             path = tmp_path / f"ring{len(paths)}.json"
             path.write_text(json.dumps(orders.lattice_to_json(ring)))
             paths.append(str(path))
-        paths.append(os.path.join(os.path.dirname(__file__), "..", "data", "ex-inconvenient.json"))
+        paths.append(INCONVENIENT_ORDER)
         h = hashlib.sha256()
         for path in paths:
             code, out, _ = run_cli(capsys, ["convenient", "--order-file", path])

@@ -3,12 +3,16 @@ from fractions import Fraction
 from math import isqrt
 
 import pytest
-from lattice_oracle import colon_by_inverse, is_invertible_over, random_sublattice
+from lattice_oracle import (
+    INCONVENIENT_ORDER,
+    colon_by_inverse,
+    is_invertible_over,
+    random_sublattice,
+)
 from test_arith import euclid_hnf
 
 from ppav import arith, orders, quadratic, weil
 from ppav.errors import DomainError, InternalError, RankError
-from ppav.strata import inconvenient_example_order
 
 F23 = [529, -138, 32, -6, 1]
 
@@ -105,8 +109,23 @@ class TestTraceDual:
         assert dual == scale_lattice(zi, Fraction(1, 2))
         assert orders.lattice_discriminant(zi) == -4
 
+    def test_inconvenient_example_file_spans_printed_generators(self):
+        # 1, 2 sqrt(2), (pi - pibar)/2 and (pi - pibar) sqrt(2)/2 in the
+        # quartic field of x^4 - 4x^3 + 10x^2 - 76x + 361 over F_19
+        ctx, lattice = orders.load_order_file(INCONVENIENT_ORDER)
+        assert list(ctx.poly) == [361, -76, 10, -4, 1] and ctx.q == 19
+        sqrt2 = tuple((a - (2 if i == 0 else 0)) / 4 for i, a in enumerate(ctx.alpha))
+        half_pim = tuple((a - b) / 2 for a, b in zip(ctx.pi, ctx.pibar))
+        gens = [
+            list(ctx.one),
+            [2 * c for c in sqrt2],
+            list(half_pim),
+            list(ctx.mul(half_pim, sqrt2)),
+        ]
+        assert lattice == orders.lattice_from_generators(ctx, gens)
+
     def test_inconvenient_example_matches_printed_generators(self):
-        ctx, lattice = inconvenient_example_order()
+        ctx, lattice = orders.load_order_file(INCONVENIENT_ORDER)
         dual = orders.trace_dual(lattice)
         sqrt2 = tuple((a - (2 if i == 0 else 0)) / 4 for i, a in enumerate(ctx.alpha))
         pim = tuple(a - b for a, b in zip(ctx.pi, ctx.pibar))
@@ -130,7 +149,7 @@ class TestGorenstein:
             assert orders.is_gorenstein(z_pi)
 
     def test_inconvenient_example_is_gorenstein(self):
-        _, lattice = inconvenient_example_order()
+        _, lattice = orders.load_order_file(INCONVENIENT_ORDER)
         assert orders.is_gorenstein(lattice)
 
     def test_z_plus_two_o_is_not(self):
@@ -155,7 +174,7 @@ class TestGorenstein:
         for _ in range(6):
             spec = weil.random_surface_spec(rng, qmax=500)
             contexts.append(orders.FieldContext(list(spec.f), spec.q))
-        _, inconvenient = inconvenient_example_order()
+        _, inconvenient = orders.load_order_file(INCONVENIENT_ORDER)
         rings = [inconvenient, orders.real_subring(inconvenient)]
         for ctx in contexts:
             minimal = orders.minimal_order(ctx)
@@ -182,7 +201,7 @@ class TestConvenience:
             assert orders.is_gorenstein(orders.minimal_order(ctx))
 
     def test_inconvenient_example(self):
-        _, lattice = inconvenient_example_order()
+        _, lattice = orders.load_order_file(INCONVENIENT_ORDER)
         cert = orders.convenient_certificate(lattice)
         assert cert.stable_under_conjugation is True
         assert cert.real_subring_gorenstein is True
@@ -271,7 +290,7 @@ class TestPureImaginaryIndex:
                 assert orders.pure_imaginary_index(ring) == index_by_generated_lattice(ring)
 
     def test_inconvenient_example(self):
-        _, lattice = inconvenient_example_order()
+        _, lattice = orders.load_order_file(INCONVENIENT_ORDER)
         assert orders.pure_imaginary_index(lattice) == index_by_generated_lattice(lattice) == 2
 
     def test_deficient_generators_raise(self, monkeypatch):
@@ -342,7 +361,7 @@ class TestEigenSublattice:
             self.check(orders.multiplier_ring(lat))
 
     def test_inconvenient_example(self):
-        _, lattice = inconvenient_example_order()
+        _, lattice = orders.load_order_file(INCONVENIENT_ORDER)
         self.check(lattice)
         self.check(orders.trace_dual(lattice))
 
@@ -555,7 +574,7 @@ class TestJson:
     def test_round_trip(self, tmp_path):
         import json
 
-        ctx, lattice = inconvenient_example_order()
+        ctx, lattice = orders.load_order_file(INCONVENIENT_ORDER)
         payload = orders.lattice_to_json(lattice)
         path = tmp_path / "order.json"
         path.write_text(json.dumps(payload))
@@ -564,7 +583,7 @@ class TestJson:
         assert lattice2.rows == lattice.rows
 
     def test_foreign_field_rejected(self):
-        ctx, lattice = inconvenient_example_order()
+        ctx, lattice = orders.load_order_file(INCONVENIENT_ORDER)
         payload = orders.lattice_to_json(lattice)
         other = orders.FieldContext(F23, 23)
         with pytest.raises(DomainError):

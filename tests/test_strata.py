@@ -150,42 +150,33 @@ class TestCertificates:
         rad, conductor, norm, ells = strata._odd_valuation_primes(spec)
         assert rad == 5 and conductor == 1
         assert norm == 701 and ells == [701]
-        assert strata.odd_ramification_certificate(spec) == "certified"
-        assert strata.surjectivity_certificate(spec) == "certified"
+        assert strata._certificates(spec) == ("certified", "certified")
 
     def test_f23(self):
         spec = weil.isogeny_class(F23, 23)
-        assert strata.odd_ramification_certificate(spec) == "certified"
-        assert strata.surjectivity_certificate(spec) == "certified"
+        assert strata._certificates(spec) == ("certified", "certified")
 
     def test_even_content_only_is_unknown(self):
         f, q = ODD_UNKNOWN
         spec = weil.isogeny_class(list(f), q)
-        assert strata.odd_ramification_certificate(spec) == "unknown"
-        assert strata.surjectivity_certificate(spec) == "unknown"
+        assert strata._certificates(spec) == ("unknown", "unknown")
 
     def test_odd_content_inside_conductor_declines(self):
         f, q = SURJ_UNKNOWN
         spec = weil.isogeny_class(list(f), q)
-        assert strata.odd_ramification_certificate(spec) == "certified"
-        assert strata.surjectivity_certificate(spec) == "unknown"
+        assert strata._certificates(spec) == ("certified", "unknown")
 
     def test_matches_ideal_factorization_oracle(self):
         rng = random.Random(5)
         for _ in range(300):
             spec = weil.random_surface_spec(rng, qmax=2000)
-            got = (
-                strata.odd_ramification_certificate(spec),
-                strata.surjectivity_certificate(spec),
-            )
-            assert got == oracle_certificates(spec), spec.f
+            assert strata._certificates(spec) == oracle_certificates(spec), spec.f
 
     def test_branch_classes(self):
         for f, q, odd, surj in BRANCH_CLASSES:
             spec = weil.isogeny_class(list(f), q)
             assert oracle_certificates(spec) == (odd, surj), f
-            assert strata.odd_ramification_certificate(spec) == odd, f
-            assert strata.surjectivity_certificate(spec) == surj, f
+            assert strata._certificates(spec) == (odd, surj), f
             (report,) = strata.analyze(spec)
             assert (report.odd_ramified, report.surjectivity) == (odd, surj), f
 

@@ -89,36 +89,49 @@ class TestRealWeil:
             assert weil.real_weil_polynomial(f, q) == expected == [b - 2 * q, a, 1]
 
 
+def weil_class_or_none(f, q):
+    """The isogeny class of f over F_q, or None when f is not Weil."""
+    try:
+        return weil.isogeny_class(f, q)
+    except NotWeilShape:
+        return None
+
+
 class TestIsWeil:
     def test_small_trace_true(self):
-        assert weil.is_weil([5, -3, 1], 5) is True
+        assert weil.isogeny_class([5, -3, 1], 5).n == 1
 
     def test_large_trace_false(self):
-        assert weil.is_weil([5, -5, 1], 5) is False
+        with pytest.raises(NotWeilShape):
+            weil.isogeny_class([5, -5, 1], 5)
 
     def test_f23(self):
-        assert weil.is_weil(F23, 23) is True
+        assert weil.isogeny_class(F23, 23).n == 2
 
     def test_functional_equation_failure_is_false(self):
-        assert weil.is_weil([1, 1, 1, 0, 1], 2) is False
+        with pytest.raises(NotWeilShape):
+            weil.isogeny_class([1, 1, 1, 0, 1], 2)
 
     def test_boundary_double_root_square_q(self):
         # x^2 - 6x + 9 = (x-3)^2 over F_9: both roots have absolute value 3
-        assert weil.is_weil([9, -6, 1], 9) is True
-        assert weil.is_weil([9, -7, 1], 9) is False
+        assert weil.isogeny_class([9, -6, 1], 9).n == 1
+        with pytest.raises(NotWeilShape):
+            weil.isogeny_class([9, -7, 1], 9)
 
     def test_companion_with_complex_roots(self):
         # g = x^2 + 1 has no real roots, so f = x^2 g(x + q/x) is not Weil
         q = 7
         f = [q * q, 0, 2 * q + 1, 0, 1]
-        assert weil.is_weil(f, q) is False
+        with pytest.raises(NotWeilShape):
+            weil.isogeny_class(f, q)
 
     def test_companion_with_straddling_roots(self):
         # g = (x - 1)(x - 3q): one root inside the bracket, one outside
         q = 5
         f = [q * q, -16 * q, 15 + 2 * q, -16, 1]
         assert weil.real_weil_polynomial(f, q) == [15, -16, 1]
-        assert weil.is_weil(f, q) is False
+        with pytest.raises(NotWeilShape):
+            weil.isogeny_class(f, q)
 
     @pytest.mark.parametrize(
         "q, g, expected",
@@ -136,9 +149,10 @@ class TestIsWeil:
     def test_companion_divisible_by_boundary(self, q, g, expected):
         f = compose_real_companion(g, q)
         assert weil.real_weil_polynomial(f, q) == g
-        assert weil.is_weil(f, q) is expected
+        spec = weil_class_or_none(f, q)
+        assert (spec is not None) is expected
         if expected:
-            angles = weil.frobenius_angles(f, q)
+            angles = spec.angles
             assert len(angles) == len(g) - 1
             assert any(min(a, math.pi - a) < 1e-6 for a in angles)  # a root at +-2 sqrt(q)
 
@@ -147,27 +161,22 @@ class TestIsWeil:
         q = 5
         f = poly_mul([q, 0, 1], [q, 0, 1])
         f = arith.poly_sub(f, [0, 0, 4 * q])  # (x^2+q)^2 - 4q x^2
-        assert weil.is_weil(f, q) is True
+        assert weil.isogeny_class(f, q).g == (-4 * q, 0, 1)
 
-
-def ordinary_weil_quartics(qmax):
-    """Every ordinary Weil quartic over F_q, q a prime power <= qmax, by the
-    region test of `random_surface_spec`, double roots of g included."""
-    for q in range(2, qmax + 1):
-        if arith.is_prime_power(q) is None:
-            continue
-        s = math.isqrt(16 * q)
-        for a in range(-s, s + 1):
-            for c in range(-4 * q, 4 * q + 1):
-                if a * a - 4 * c < 0 or a * a >= 16 * q:
-                    continue
-                if weil._sign_plus_root(4 * q + c, 2 * a, q) <= 0:
-                    continue
-                if weil._sign_plus_root(4 * q + c, -2 * a, q) <= 0:
-                    continue
-                b = c + 2 * q
-                if math.gcd(b, q) == 1:
-                    yield q, (q * q, a * q, b, a, 1), (c, a, 1)
+    @pytest.mark.parametrize(
+        "f, q",
+        [
+            ([2, 0, 1], 1),  # q below 2
+            ([4, 0, 2], 2),  # not monic
+            ([4, 0, 0, 1], 2),  # odd degree
+            ([1], 2),  # degree 0
+        ],
+    )
+    def test_bad_shape_or_field(self, f, q):
+        # a bad field size is a plain domain error, a bad shape NotWeilShape
+        with pytest.raises(DomainError) as raised:
+            weil.isogeny_class(f, q)
+        assert (type(raised.value) is NotWeilShape) is (q >= 2)
 
 
 class TestOrdinarySimple:
@@ -205,32 +214,41 @@ class TestOrdinarySimple:
         assert calls == [529]
 
     def test_closed_simplicity_against_search(self):
-        counts = {True: 0, False: 0}
-        for q, f, g in ordinary_weil_quartics(40):
-            spec = weil.IsogenyClassSpec(f=f, q=q, n=2, g=g, angles=())
-            assert spec.simple is weil.is_simple(f), (f, q)
-            counts[spec.simple] += 1
-        assert counts[True] > 5 * counts[False] > 0
+        # every Weil class with n <= 2 over F_q, q <= 40, non-ordinary included
+        kinds = [(n, ordinary, simple) for n in (1, 2) for ordinary in (1, 0) for simple in (1, 0)]
+        counts = dict.fromkeys(kinds, 0)
         for q in range(2, 41):
-            if arith.is_prime_power(q) is not None:
-                for t in range(-math.isqrt(4 * q), math.isqrt(4 * q) + 1):
-                    if math.gcd(t, q) == 1:
-                        f = (q, -t, 1)
-                        spec = weil.IsogenyClassSpec(f=f, q=q, n=1, g=(-t, 1), angles=())
-                        assert spec.simple is weil.is_simple(f) is True
+            if arith.is_prime_power(q) is None:
+                continue
+            s = isqrt(16 * q)
+            classes = [(q, -t, 1) for t in range(-isqrt(4 * q), isqrt(4 * q) + 1)]
+            for a in range(-s, s + 1):
+                lo, hi = region_bounds(q, a)
+                classes += [(q * q, a * q, b, a, 1) for b in range(lo, hi + 1)]
+            for f in classes:
+                spec = weil.isogeny_class(f, q)
+                assert spec.simple is weil.is_simple(f), (f, q)
+                counts[spec.n, weil.is_ordinary(f, q), spec.simple] += 1
+        # an ordinary elliptic class is always simple; every other kind occurs
+        assert counts.pop((1, True, False)) == 0
+        assert min(counts.values()) > 0
+        assert counts[2, True, True] > 5 * counts[2, True, False]
 
     def test_spec_simple_needs_no_divisors(self, monkeypatch):
-        def refuse(n):
-            raise AssertionError(f"divisors({n}) called")
+        def refuse(*args):
+            raise AssertionError(f"search called on {args}")
 
         monkeypatch.setattr(arith, "divisors", refuse)
+        monkeypatch.setattr(weil, "is_simple", refuse)
         assert weil.isogeny_class(F23, 23).simple is True
         assert weil.isogeny_class([25, -30, 19, -6, 1], 5).simple is False
         assert weil.isogeny_class([100000007, -3, 1], 100000007).simple is True
-        monkeypatch.undo()
-        # a non-ordinary class falls back to the divisor search
-        # (x^2 + 2x + 2)(x^2 - 2x + 2)
+        # non-ordinary classes: (x^2 + 2x + 2)(x^2 - 2x + 2) over F_2, and
+        # (x^2 - 5)^2 over F_5, whose companion is g = x^2 - 4q
         assert weil.isogeny_class([4, 0, 0, 0, 1], 2).simple is False
+        assert weil.isogeny_class([25, 0, -10, 0, 1], 5).simple is False
+        assert weil.isogeny_class([9, -6, 1], 9).simple is False
+        assert weil.isogeny_class([5, 0, 1], 5).simple is True
 
     def test_elliptic_simple(self):
         assert weil.is_simple([2, -1, 1]) is True
@@ -246,14 +264,18 @@ class TestOrdinarySimple:
     def test_degree_cap(self):
         with pytest.raises(UnsupportedDegree):
             weil.is_simple([1, 0, 0, 0, 0, 0, 1])
+        g = poly_mul(poly_mul([-1, 1], [-2, 1]), [3, 1])
+        spec = weil.isogeny_class(compose_real_companion(g, 7), 7)
+        with pytest.raises(UnsupportedDegree):
+            spec.simple
 
 
 class TestAngles:
     def test_symmetric_case(self):
-        assert weil.frobenius_angles([5, 0, 1], 5) == [math.pi / 2]
+        assert weil.isogeny_class([5, 0, 1], 5).angles == (math.pi / 2,)
 
     def test_f23_frozen_oracle_values(self):
-        angles = weil.frobenius_angles(F23, 23)
+        angles = weil.isogeny_class(F23, 23).angles
         # oracle: arccos((3 +- sqrt 23) / (2 sqrt 23)) via independent numerics
         assert abs(angles[0] - 0.6219024037599072) < 1e-12
         assert abs(angles[1] - 1.7591361948916167) < 1e-12
@@ -262,14 +284,14 @@ class TestAngles:
         q = 10007
         prev = math.pi
         for t in range(1, 2 * math.isqrt(q), 13):
-            theta = weil.frobenius_angles([q, -t, 1], q)[0]
+            theta = weil.isogeny_class([q, -t, 1], q).angles[0]
             assert 0 < theta < prev
             prev = theta
 
     def test_multiplicity(self):
         q = 5
         f = poly_mul([q, -3, 1], [q, -3, 1])
-        angles = weil.frobenius_angles(f, q)
+        angles = weil.isogeny_class(f, q).angles
         assert len(angles) == 2
         assert abs(angles[0] - angles[1]) < 1e-15
 
@@ -378,7 +400,7 @@ class TestSpecValidation:
         for _ in range(100):
             spec = weil.random_surface_spec(rng, qmax=5000)
             flipped = [c if i % 2 == 0 else -c for i, c in enumerate(spec.f)]
-            flipped_angles = weil.frobenius_angles(flipped, spec.q)
+            flipped_angles = weil.isogeny_class(flipped, spec.q).angles
             expected = sorted(math.pi - a for a in spec.angles)
             for got, want in zip(flipped_angles, expected):
                 assert abs(got - want) < 1e-12
@@ -447,7 +469,7 @@ def sturm_roots(g, bits):
 
 
 def angle_bits(g):
-    """The refinement depth `frobenius_angles` uses for g."""
+    """The refinement depth `isogeny_class` uses for the angles of g."""
     return 64 + max(abs(c) for c in g).bit_length()
 
 
@@ -516,7 +538,7 @@ class TestQuadraticClosedForm:
             label="b",
         )
         g = surface_companion(q, a, b)
-        assert weil._quadratic_is_weil(g[0], g[1], q) == (weil._weil_factors(g, q) is not None)
+        assert weil._quadratic_in_weil_region(g[0], g[1], q) == (weil._weil_factors(g, q) is not None)
         disc = a * a - 4 * g[0]
         if disc > 0 and isqrt(disc) ** 2 != disc:
             self.assert_roots_match(g)
@@ -535,20 +557,18 @@ class TestWeilRegion:
                 f = (q * q, a * q, b, a, 1)
                 g = surface_companion(q, a, b)
                 factors = weil._weil_factors(g, q)
-                assert weil.is_weil(f, q) == (factors is not None), (a, b)
+                spec = weil_class_or_none(f, q)
+                assert (spec is not None) == (factors is not None), (a, b)
                 if factors is None:
-                    with pytest.raises(NotWeilShape):
-                        weil.isogeny_class(f, q)
                     continue
                 found += 1
-                spec = weil.isogeny_class(f, q)
                 assert spec.angles == tuple(weil._angles(g, factors, q)), (a, b)
         assert found == count == weil_count(q)
 
     def test_q_101(self):
         q, s = 101, isqrt(16 * 101)
         found = sum(
-            weil._quadratic_is_weil(b - 2 * q, a, q)
+            weil._quadratic_in_weil_region(b - 2 * q, a, q)
             for a in range(-s - 1, s + 2)
             for b in range(-2 * q - 1, 6 * q + 2)
         )
@@ -558,9 +578,9 @@ class TestWeilRegion:
             lo, hi = region_bounds(q, a)
             for b, inside in ((lo - 1, False), (lo, True), (hi, True), (hi + 1, False)):
                 g = surface_companion(q, a, b)
-                assert weil._quadratic_is_weil(g[0], g[1], q) is inside, (a, b)
+                assert weil._quadratic_in_weil_region(g[0], g[1], q) is inside, (a, b)
                 assert (weil._weil_factors(g, q) is not None) is inside, (a, b)
         for a in (-s - 1, s + 1):
             g = surface_companion(q, a, a * a // 4 + 2 * q)
-            assert not weil._quadratic_is_weil(g[0], g[1], q)
+            assert not weil._quadratic_in_weil_region(g[0], g[1], q)
             assert weil._weil_factors(g, q) is None
