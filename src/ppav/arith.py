@@ -4,9 +4,6 @@ Conventions used throughout the package:
 
 * integer polynomials are lists/tuples of ``int`` coefficients in ascending
   degree, with a nonzero leading coefficient unless the polynomial is zero;
-* Sturm chains, and the squarefree split read off them, stay integer, and
-  real-root counting and bisection evaluate integer forms at n / d; a
-  ``Fraction`` appears only at the API edge (interval endpoints in and out);
 * a rational matrix is a pair (den, integer rows) standing for rows / den;
   ``Fraction`` entries are accepted only at the API edge (`integer_rows`,
   `lattice_hnf`), and every determinant, rank and inverse comes from one
@@ -65,10 +62,6 @@ def poly_eval(a, x):
     return acc
 
 
-def poly_derivative(a):
-    return poly_trim([i * c for i, c in enumerate(a)][1:])
-
-
 def trace_form(a):
     """The Gram matrix [Tr(x^(i+j))] of Z[x]/(a) for monic a; its determinant is disc a.
 
@@ -83,64 +76,6 @@ def trace_form(a):
             s -= a[m - i] * sums[k - i]
         sums.append(s)
     return [sums[i : i + m] for i in range(m)]
-
-
-def poly_divmod_exact(a, b):
-    """Long division of integer polynomials when the quotient is integral.
-
-    Exact for monic b, and by Gauss's lemma for any primitive b dividing a.
-    Raises DomainError if an inexact coefficient division occurs.
-    """
-    b = poly_trim(b)
-    if not b:
-        raise DomainError("division by zero polynomial")
-    rem = poly_trim(a)
-    lead = b[-1]
-    db = len(b) - 1
-    quot = [0] * max(0, len(rem) - db)
-    while rem and len(rem) - 1 >= db:
-        c = rem[-1]
-        if c % lead != 0:
-            raise DomainError("inexact polynomial division")
-        q = c // lead
-        shift = len(rem) - 1 - db
-        quot[shift] = q
-        rem = poly_sub(rem, poly_scale([0] * shift + list(b), q))
-    return poly_trim(quot), rem
-
-
-def poly_content(a):
-    g = 0
-    for c in a:
-        g = gcd(g, c)
-    return g
-
-
-def poly_primitive(a):
-    """Primitive part with positive leading coefficient."""
-    a = poly_trim(a)
-    if not a:
-        return []
-    g = poly_content(a)
-    if a[-1] < 0:
-        g = -g
-    return [c // g for c in a]
-
-
-def _pseudo_rem(a, b):
-    """Remainder of a by b times a power of |lc(b)|; stays over the integers.
-
-    The multiplier is positive, so the result has the sign of the true
-    remainder, as Sturm chains need.
-    """
-    r = poly_trim(a)
-    db = len(b) - 1
-    lb = abs(b[-1])
-    sb = 1 if b[-1] > 0 else -1
-    while r and len(r) - 1 >= db:
-        shift = len(r) - 1 - db
-        r = poly_sub(poly_scale(r, lb), poly_scale([0] * shift + list(b), sb * r[-1]))
-    return r
 
 
 # ---------------------------------------------------------------------------
@@ -454,80 +389,7 @@ def is_prime_power(q):
 
 
 # ---------------------------------------------------------------------------
-# Sturm chains and exact real-root counting
-
-
-def _positive_part(a):
-    """a divided by its content, keeping the sign of every coefficient."""
-    g = poly_content(a)
-    return [c // g for c in a] if g > 1 else a
-
-
-def sturm_chain(a):
-    """Integer Sturm chain of a, each term a positive multiple of the classical one.
-
-    The classical chain is a, a', -rem(a, a'), ...; here each remainder is a
-    pseudo-remainder scaled by a power of |lc|, reduced by its positive
-    content, so every sign count is the classical one.
-    """
-    chain = [poly_trim(a)]
-    chain.append(_positive_part(poly_derivative(chain[0])))
-    while len(chain[-1]) > 1:
-        r = _pseudo_rem(chain[-2], chain[-1])
-        if not r:
-            break
-        chain.append(_positive_part(poly_neg(r)))
-    return chain
-
-
-def _sign_at(p, n, d):
-    """Sign of p(n/d) for d > 0, from the form sum c_i n^i d^(deg - i)."""
-    acc = 0
-    dp = 1
-    for c in reversed(p):
-        acc = acc * n + c * dp
-        dp *= d
-    return (acc > 0) - (acc < 0)
-
-
-def _sign_variations(chain, n, d=1):
-    """Sign changes along the chain at x = n/d (d > 0), zeros skipped."""
-    variations = 0
-    last = 0
-    for p in chain:
-        s = _sign_at(p, n, d)
-        if s:
-            if last and s != last:
-                variations += 1
-            last = s
-    return variations
-
-
-def squarefree_chains(a):
-    """[(factor, multiplicity, Sturm chain of factor)] with a ~ prod factor^multiplicity.
-
-    Repeated gcds read off Sturm chains (Musser 1971; Cohen, GTM 138, 3.4):
-    d_0 = primitive(a) and d_(i+1) = primitive(last term of the chain of d_i)
-    = gcd(d_i, d_i'), so s_i = d_(i-1) / d_i is the product of the factors of
-    multiplicity >= i, and s_i / s_(i+1) the factor of multiplicity i.  Each
-    quotient is exact by Gauss's lemma, and none is taken by the constant 1.
-    Factors come primitive with positive leading coefficient, by increasing
-    multiplicity; a factor equal to some d_i reuses its chain.
-    """
-    d = [poly_primitive(a)]
-    chains = {}
-    while len(d[-1]) > 1:
-        chain = sturm_chain(d[-1])
-        chains[tuple(d[-1])] = chain
-        d.append(poly_primitive(chain[-1]))
-    # the last d_i is 1, so the last s_i takes no division
-    s = [poly_divmod_exact(x, y)[0] for x, y in zip(d, d[1:-1])] + d[-2:-1]
-    out = []
-    for i, si in enumerate(s):
-        factor = poly_divmod_exact(si, s[i + 1])[0] if i + 1 < len(s) else si
-        if len(factor) > 1:
-            out.append((factor, i + 1, chains.get(tuple(factor)) or sturm_chain(factor)))
-    return out
+# real roots of quadratics
 
 
 def cauchy_root_bound(a):
@@ -538,90 +400,19 @@ def cauchy_root_bound(a):
     return 2 + m // lead
 
 
-def isolate_real_roots(a, chain):
-    """Disjoint rational intervals (lo, hi], each holding one root of squarefree a.
-
-    chain is the Sturm chain of a.  Its last term is gcd(a, a') up to a
-    positive factor, so a has a repeated root, and DomainError is raised,
-    iff that term is not a constant.
-    """
-    if len(chain[-1]) > 1:
-        raise DomainError("polynomial is not squarefree; deflate first")
-    b = cauchy_root_bound(a)
-    out = []
-    # intervals (lo / 2^k, hi / 2^k] with their root counts
-    stack = [(-b, b, 0, _sign_variations(chain, -b) - _sign_variations(chain, b))]
-    while stack:
-        lo, hi, k, c = stack.pop()
-        if c == 1:
-            out.append((Fraction(lo, 1 << k), Fraction(hi, 1 << k)))
-        elif c > 1:
-            lo, mid, hi, d = 2 * lo, lo + hi, 2 * hi, 2 << k
-            cl = _sign_variations(chain, lo, d) - _sign_variations(chain, mid, d)
-            stack.append((lo, mid, k + 1, cl))
-            stack.append((mid, hi, k + 1, c - cl))
-    return sorted(out)
-
-
-def refine_root(a, chain, lo, hi, bits=80):
-    """Dyadic bisection of the isolating interval (lo, hi] of a root of
-    squarefree a, with Sturm chain chain.
-
-    Returns the root if a midpoint hits it, else the midpoint of its cell
-    after bits steps: within 2^-bits of the initial width from the root.
-    The bracket is an integer numerator n over a denominator d that doubles
-    each step, with hi - lo = w / d throughout.
-    """
-    lo, hi = Fraction(lo), Fraction(hi)
-    d = lcm(lo.denominator, hi.denominator)
-    n = lo.numerator * (d // lo.denominator)
-    w = hi.numerator * (d // hi.denominator) - n
-    s_hi = _sign_at(a, n + w, d)
-    if s_hi == 0:
-        return hi
-    if _sign_at(a, n, d) == 0:
-        # lo is a different root of a sitting on the excluded boundary;
-        # shrink with Sturm counts until the bracket has clean signs
-        while True:
-            n, d = 2 * n, 2 * d
-            mid = n + w
-            s_mid = _sign_at(a, mid, d)
-            if s_mid == 0:
-                return Fraction(mid, d)
-            if _sign_variations(chain, n, d) - _sign_variations(chain, mid, d) != 1:
-                n = mid
-                break
-            s_hi = s_mid
-    for _ in range(bits):
-        n, d = 2 * n, 2 * d
-        mid = n + w
-        s_mid = _sign_at(a, mid, d)
-        if s_mid == 0:
-            return Fraction(mid, d)
-        if s_mid != s_hi:
-            n = mid
-    return Fraction(2 * n + w, 2 * d)
-
-
-def real_roots(a, chain, bits=80):
-    """Refined real roots of a squarefree integer polynomial with Sturm chain
-    chain, ascending; DomainError if a has a repeated root.
-    """
-    return [refine_root(a, chain, lo, hi, bits) for (lo, hi) in isolate_real_roots(a, chain)]
-
-
 def quadratic_real_roots(a, bits=80):
-    """`real_roots` of a monic quadratic a = c + b x + x^2 whose discriminant
-    D = b^2 - 4c is positive and not a square, with no Sturm chain.
+    """The two real roots, ascending, of a monic quadratic a = c + b x + x^2
+    whose discriminant D = b^2 - 4c is positive and not a square, each as
+    the midpoint of a dyadic cell of (-B, B], B the Cauchy bound.
 
-    The roots r = (-b -+ sqrt(D)) / 2 are irrational, so neither sits on a
-    dyadic point, and at level k of the bisection of (-B, B], B the Cauchy
-    bound, r lies in cell floor((r + B) 2^k / 2B), a floor of
-    (P -+ sqrt(D 4^k)) / 4B with P = (2B - b) 2^k: one `isqrt` gives both
-    roots' cells.  `isolate_real_roots` stops at the first level where the
-    two cells differ, read off the top differing bit of the cells at any
-    level where cells are narrower than sqrt(D); `refine_root` returns the
-    midpoint of the cell holding r at bits levels further down.
+    Halving (-B, B] level by level, the isolating level is the first whose
+    cells part the two roots; each root is returned as the midpoint of its
+    cell bits levels further down, within 2^-bits * 2B of it.  The roots
+    r = (-b -+ sqrt(D)) / 2 are irrational, so neither sits on a dyadic
+    point, and at level k, r lies in cell floor((r + B) 2^k / 2B), a floor
+    of (P -+ sqrt(D 4^k)) / 4B with P = (2B - b) 2^k: one `isqrt` gives
+    both roots' cells.  The isolating level is read off the top differing
+    bit of the cells at any level where cells are narrower than sqrt(D).
     """
     c, b, lead = a
     disc = b * b - 4 * c

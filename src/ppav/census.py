@@ -120,9 +120,14 @@ def _semicircle_cdf(x):
     x = min(1.0, max(-1.0, x))
     return (x * math.sqrt(max(0.0, 1.0 - x * x)) + math.asin(x)) / math.pi + 0.5
 
+# each bin costs a histogram entry in memory and in the summary JSON
+MAX_BINS = 10**6
+
 def check_bins(bins):
     if bins < 1:
         raise DomainError(f"need at least one bin, got {bins}")
+    if bins > MAX_BINS:
+        raise DomainError(f"need at most {MAX_BINS} bins, got {bins}")
 
 def summarize(rows, bins=40):
     """Curve-weighted histogram of normalized traces and its total-variation

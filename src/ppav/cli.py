@@ -267,7 +267,9 @@ def build_parser():
 
     p_ec = sub.add_parser("ec-census", help="elliptic census over F_p")
     p_ec.add_argument("--p", required=True, type=int)
-    p_ec.add_argument("--bins", type=int, default=40)
+    p_ec.add_argument(
+        "--bins", type=int, default=40, help=f"histogram bins, 1 to {census.MAX_BINS} (default 40)"
+    )
     p_ec.add_argument("--out", required=True, help="CSV path; summary JSON gets .summary.json")
     p_ec.set_defaults(func=_cmd_ec_census)
 
@@ -289,7 +291,12 @@ def build_parser():
 
     p_ex = sub.add_parser("examples", help="sweep an example family, checking bounds")
     p_ex.add_argument("--family", required=True, choices=["small", "smaller", "smallest"])
-    p_ex.add_argument("--pmax", required=True, type=int)
+    p_ex.add_argument(
+        "--pmax",
+        required=True,
+        type=int,
+        help=f"sweep the primes below PMAX, which is at most {strata.FAMILY_PMAX_CAP}",
+    )
     p_ex.set_defaults(func=_cmd_examples)
 
     return parser

@@ -269,8 +269,16 @@ def example_family(kind, p):
     )
 
 
+# a sweep to 10^7 holds 166,237 reports in about 110 MB; the sieve alone
+# grows by a byte per integer, so a larger pmax is refused before sieving
+FAMILY_PMAX_CAP = 10**7
+
+
 def family_primes(pmax):
-    """The primes 7 <= p < pmax with p = 7 (mod 8), read off one sieve."""
+    """The primes 7 <= p < pmax with p = 7 (mod 8), read off one sieve;
+    DomainError when pmax exceeds FAMILY_PMAX_CAP."""
+    if pmax > FAMILY_PMAX_CAP:
+        raise DomainError(f"pmax = {pmax} is above the sweep cap {FAMILY_PMAX_CAP}")
     if pmax <= 7:
         return []
     return [p for p in arith._prime_sieve(pmax - 1) if p % 8 == 7]

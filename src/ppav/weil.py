@@ -2,25 +2,22 @@
 
 A degree-2n monic integer polynomial f is treated as the characteristic
 polynomial of Frobenius for an isogeny class of n-dimensional abelian
-varieties over F_q.  `isogeny_class` is the one entry point: it decides
-validity (all complex roots of absolute value sqrt(q)) exactly, raising
-NotWeilShape when it fails, and returns the class with its Frobenius
-angles.  f must satisfy x^2n f(q/x) = q^n f(x), and the real companion
-polynomial g with x^n g(x + q/x) = f(x) must have all roots real and
-inside [-2 sqrt(q), 2 sqrt(q)].
+varieties over F_q.  `isogeny_class` is the one entry point, for n <= 2
+(UnsupportedDegree above): it decides validity (all complex roots of
+absolute value sqrt(q)) exactly, raising NotWeilShape when it fails, and
+returns the class with its Frobenius angles.  f must satisfy
+x^2n f(q/x) = q^n f(x), and the real companion polynomial g with
+x^n g(x + q/x) = f(x) must have all roots real and inside
+[-2 sqrt(q), 2 sqrt(q)].
 
-For a quadratic g = x^2 + Bx + C (the surfaces) that is a closed form
-(compare Maisner-Nart 2002): D = B^2 - 4C >= 0, B^2 <= 16q and
+Both cases are closed forms.  An elliptic f = x^2 + f_1 x + q has
+g = x + f_1, Weil iff f_1^2 <= 4q, with the integer root -f_1.  For a
+quadratic g = x^2 + Bx + C (the surfaces; compare Maisner-Nart 2002) the
+test is D = B^2 - 4C >= 0, B^2 <= 16q and
 g(+-2 sqrt(q)) = 4q + C +- 2B sqrt(q) >= 0, integer comparisons in
-Z[sqrt(q)].  When D is not a square, `arith.quadratic_real_roots` gives
-the refined roots for the angles from two integer square roots.  Every
-other g (linear, of degree >= 3, or quadratic with square D, the
-non-simple surfaces) is split into squarefree factors by their Sturm
-chains (`arith.squarefree_chains`); the chains, signed exactly at
-+-2 sqrt(q), decide validity, and the same chains isolate and refine the
-roots.  Both paths return the same ``Fraction`` for a root, the midpoint
-of its cell on a dyadic grid, so the angles do not depend on the path and
-each is accurate to well below 1e-14.
+Z[sqrt(q)].  A square D gives the integer roots (-B -+ sqrt(D)) / 2; any
+other D gives irrational roots, which `arith.quadratic_real_roots` refines
+from two integer square roots to well below 1e-14.
 """
 
 from __future__ import annotations
@@ -149,34 +146,6 @@ def _sign_plus_root(a, b, q):
     return -1 if big_is_a else 1
 
 
-def _edge_signs(chain, q, side):
-    """Signs along the chain at side * 2 sqrt(q), exact in Z[sqrt(q)]."""
-    return [_sign_plus_root(e, 2 * side * o, q) for e, o in (_even_odd_at(p, q) for p in chain)]
-
-
-def _variations(signs):
-    signs = [s for s in signs if s]
-    return sum(s != t for s, t in zip(signs, signs[1:]))
-
-
-def _weil_factors(g, q):
-    """[(factor, multiplicity, Sturm chain of factor)] over the squarefree
-    split of g, or None when a root of g is not real or lies off
-    [-2 sqrt(q), 2 sqrt(q)].
-
-    A factor of degree m passes iff its chain counts m roots in the closed
-    interval: the variations at -2 sqrt(q) and 2 sqrt(q) count the roots in
-    (-2 sqrt(q), 2 sqrt(q)], and a root at -2 sqrt(q) adds one.
-    """
-    out = []
-    for factor, mult, chain in arith.squarefree_chains(g):
-        low, high = _edge_signs(chain, q, -1), _edge_signs(chain, q, 1)
-        if _variations(low) - _variations(high) + (low[0] == 0) != len(factor) - 1:
-            return None
-        out.append((factor, mult, chain))
-    return out
-
-
 def _quadratic_in_weil_region(c, b, q):
     """Closed-form Weil test for g = x^2 + b x + c: real roots, the vertex
     -b/2 and both values g(+-2 sqrt(q)) = 4q + c +- 2b sqrt(q) in range.
@@ -187,21 +156,6 @@ def _quadratic_in_weil_region(c, b, q):
         and _sign_plus_root(4 * q + c, 2 * b, q) >= 0
         and _sign_plus_root(4 * q + c, -2 * b, q) >= 0
     )
-
-
-def _weil_split(g, q):
-    """`_weil_factors`, with the closed form for quadratic g: None when g is
-    not Weil, and [(g, 1, None)] when its discriminant is not a square, the
-    chain None meaning that `arith.quadratic_real_roots` gives the roots.
-    """
-    if len(g) != 3:
-        return _weil_factors(g, q)
-    if not _quadratic_in_weil_region(g[0], g[1], q):
-        return None
-    disc = g[1] * g[1] - 4 * g[0]
-    if isqrt(disc) ** 2 != disc:
-        return [(g, 1, None)]
-    return _weil_factors(g, q)
 
 
 def is_ordinary(f, q):
@@ -268,40 +222,53 @@ def _signed_divisors(n):
     return out
 
 
-def _angles(g, factors, q):
-    # the isolation bracket is as wide as the coefficient bound, so pay for
+def _weil_roots(g, q):
+    """The roots of g, ascending and with multiplicity, or None when g is not Weil.
+
+    A linear g = x + c is Weil iff c^2 <= 4q, and its root is -c.  A
+    quadratic g = x^2 + b x + c must pass `_quadratic_in_weil_region`; when
+    D = b^2 - 4c is a square its roots are the integers (-b -+ sqrt(D)) / 2,
+    one root twice when D = 0, and otherwise `arith.quadratic_real_roots`
+    refines them.  Both g(+-2 sqrt(q)) >= 0 tests are exact, so a root on
+    the rim is Weil.
+    """
+    if len(g) == 2:
+        return [-g[0]] if g[0] * g[0] <= 4 * q else None
+    c, b, _ = g
+    if not _quadratic_in_weil_region(c, b, q):
+        return None
+    disc = b * b - 4 * c
+    s = isqrt(disc)
+    if s * s == disc:
+        return [(-b - s) // 2, (-b + s) // 2]
+    # the refinement bracket is as wide as the coefficient bound, so pay for
     # its bit length to keep the absolute root error near 2^-64
-    bits = 64 + max(abs(c) for c in g).bit_length()
+    return arith.quadratic_real_roots(g, 64 + max(abs(c), abs(b), 1).bit_length())
+
+
+def _angles(roots, q):
     two_sqrt_q = 2.0 * math.sqrt(q)
-    angles = []
-    for factor, mult, chain in factors:
-        if chain is None:
-            roots = arith.quadratic_real_roots(factor, bits)
-        else:
-            roots = arith.real_roots(factor, chain, bits)
-        for root in roots:
-            x = float(root) / two_sqrt_q
-            x = min(1.0, max(-1.0, x))
-            angles.extend([math.acos(x)] * mult)
-    return sorted(angles)
+    return sorted(math.acos(min(1.0, max(-1.0, float(r) / two_sqrt_q))) for r in roots)
 
 
 def isogeny_class(f, q):
-    """Validate f as the Weil polynomial of an isogeny class over F_q."""
+    """Validate f as the Weil polynomial of an isogeny class over F_q, n <= 2."""
     f = tuple(arith.poly_trim(f))
     if arith.is_prime_power(q) is None:
         raise DomainError(f"q = {q} is not a prime power")
     if not f or f[-1] != 1 or (len(f) - 1) % 2 != 0 or len(f) < 3:
         raise NotWeilShape("need a monic polynomial of even degree >= 2")
+    n = (len(f) - 1) // 2
+    if n > 2:
+        raise UnsupportedDegree("isogeny classes are implemented up to degree 4")
     try:
         g = real_weil_polynomial(f, q)
-        factors = _weil_split(g, q)
+        roots = _weil_roots(g, q)
     except NotWeilShape:
-        factors = None
-    if factors is None:
+        roots = None
+    if roots is None:
         raise NotWeilShape("roots are not all of absolute value sqrt(q)")
-    n = (len(f) - 1) // 2
-    return IsogenyClassSpec(f=f, q=q, n=n, g=tuple(g), angles=tuple(_angles(g, factors, q)))
+    return IsogenyClassSpec(f=f, q=q, n=n, g=tuple(g), angles=tuple(_angles(roots, q)))
 
 
 def random_surface_spec(rng, qmax=10_000, require_ordinary=True, require_simple=True):

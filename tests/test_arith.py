@@ -5,7 +5,9 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 import pytest
-from poly_oracle import poly_gcd, yun_decomposition
+from poly_oracle import isolate_real_roots, poly_derivative, poly_divmod_exact, poly_gcd
+from poly_oracle import poly_primitive, real_roots, refine_root, sign_variations, sturm_chain
+from poly_oracle import yun_decomposition
 
 from ppav import arith, orders
 from ppav.errors import DomainError, FactorError, RankError
@@ -92,17 +94,17 @@ def poly_mul(a, b):
 def squarefree_part(poly):
     """Product of the squarefree factors of poly: its primitive squarefree part."""
     out = [1]
-    for factor, _, _ in arith.squarefree_chains(poly):
+    for factor, _ in yun_decomposition(poly):
         out = poly_mul(out, factor)
     return out
 
 
 def sturm_count(a, lo, hi):
-    """Roots of squarefree a in (lo, hi], from the package's integer Sturm chain."""
-    chain = arith.sturm_chain(arith.poly_trim(a))
+    """Roots of squarefree a in (lo, hi], from the oracle's integer Sturm chain."""
+    chain = sturm_chain(arith.poly_trim(a))
     assert len(chain[-1]) == 1
     lo, hi = Fraction(lo), Fraction(hi)
-    return arith._sign_variations(chain, lo.numerator, lo.denominator) - arith._sign_variations(
+    return sign_variations(chain, lo.numerator, lo.denominator) - sign_variations(
         chain, hi.numerator, hi.denominator
     )
 
@@ -113,7 +115,7 @@ def random_squarefree(rng, lo_deg, hi_deg):
         deg = rng.randrange(lo_deg, hi_deg + 1)
         lead = rng.choice([-3, -2, -1, 1, 2, 3])
         poly = [rng.randrange(-9, 10) for _ in range(deg)] + [lead]
-        if len(poly_gcd(poly, arith.poly_derivative(poly))) == 1:
+        if len(poly_gcd(poly, poly_derivative(poly))) == 1:
             return poly
 
 
@@ -587,6 +589,9 @@ class TestPrimalityBound:
 
 
 class TestSturm:
+    """The reference Sturm path of `poly_oracle` against classical Fraction
+    chains, and `arith.quadratic_real_roots` against that reference."""
+
     def test_sqrt_two_in_unit_window(self):
         assert sturm_count([-2, 0, 1], 0, 2) == 1
 
@@ -604,19 +609,19 @@ class TestSturm:
 
     def test_rejects_non_squarefree(self):
         # the chain of (x + 1)^2 ends in gcd(a, a') = x + 1
-        chain = arith.sturm_chain([1, 2, 1])
+        chain = sturm_chain([1, 2, 1])
         assert chain[-1] == [1, 1]
         with pytest.raises(DomainError):
-            arith.isolate_real_roots([1, 2, 1], chain)
+            isolate_real_roots([1, 2, 1], chain)
 
     @pytest.mark.parametrize("poly", [[1, 2, 1], [1, -1, -1, 1]])
     def test_repeated_root_rejected(self, poly):
         # (x + 1)^2 and (x - 1)^2 (x + 1): refining them gave -4 and [-1, ~1e-24]
-        chain = arith.sturm_chain(poly)
+        chain = sturm_chain(poly)
         with pytest.raises(DomainError):
-            arith.real_roots(poly, chain)
+            real_roots(poly, chain)
         with pytest.raises(DomainError):
-            arith.isolate_real_roots(poly, chain)
+            isolate_real_roots(poly, chain)
 
     def test_against_grid_bisection_oracle(self):
         rng = random.Random(11)
@@ -651,11 +656,11 @@ class TestSturm:
             count = sturm_count(poly, Fraction(-bound), Fraction(bound))
             if count != oracle:
                 # grid may straddle a near-double root; verify with isolation
-                assert len(arith.isolate_real_roots(poly, arith.sturm_chain(poly))) == count
+                assert len(isolate_real_roots(poly, sturm_chain(poly))) == count
             checked += 1
 
     def test_real_roots_refined(self):
-        roots = arith.real_roots([-2, 0, 1], arith.sturm_chain([-2, 0, 1]))
+        roots = real_roots([-2, 0, 1], sturm_chain([-2, 0, 1]))
         assert len(roots) == 2
         assert abs(float(roots[0]) + 2**0.5) < 1e-15
         assert abs(float(roots[1]) - 2**0.5) < 1e-15
@@ -664,7 +669,7 @@ class TestSturm:
         rng = random.Random(21)
         for _ in range(150):
             poly = random_squarefree(rng, 2, 6)
-            chain, classical = arith.sturm_chain(poly), classical_sturm_chain(poly)
+            chain, classical = sturm_chain(poly), classical_sturm_chain(poly)
             assert len(chain) == len(classical)
             for term, ref in zip(chain, classical):
                 assert len(term) == len(ref)
@@ -680,20 +685,20 @@ class TestSturm:
             # rational roots make the bisection land on a root now and then
             if rng.random() < 0.3:
                 poly = poly_mul(poly, [rng.randrange(-6, 7), rng.choice([1, 2])])
-                if len(poly_gcd(poly, arith.poly_derivative(poly))) != 1:
+                if len(poly_gcd(poly, poly_derivative(poly))) != 1:
                     continue
             bits = rng.choice([0, 1, 5, 40, 80])
-            sturm = arith.sturm_chain(poly)
-            intervals = arith.isolate_real_roots(poly, sturm)
+            sturm = sturm_chain(poly)
+            intervals = isolate_real_roots(poly, sturm)
             bound = arith.cauchy_root_bound(poly)
             chain = classical_sturm_chain(poly)
             assert len(intervals) == frac_variations(chain, -bound) - frac_variations(chain, bound)
             oracle = [bisection_oracle(poly, lo, hi, bits) for lo, hi in intervals]
             for (lo, hi), want in zip(intervals, oracle):
                 assert frac_variations(chain, lo) - frac_variations(chain, hi) == 1
-                got = arith.refine_root(poly, sturm, lo, hi, bits)
+                got = refine_root(poly, sturm, lo, hi, bits)
                 assert type(got) is Fraction and got == want
-            assert arith.real_roots(poly, sturm, bits) == oracle
+            assert real_roots(poly, sturm, bits) == oracle
 
     @pytest.mark.parametrize(
         "poly, lo, hi",
@@ -706,7 +711,7 @@ class TestSturm:
     )
     def test_refinement_from_a_root_endpoint(self, poly, lo, hi):
         want = bisection_oracle(poly, lo, hi, 80)
-        assert arith.refine_root(poly, arith.sturm_chain(poly), lo, hi) == want
+        assert refine_root(poly, sturm_chain(poly), lo, hi) == want
 
 
     @pytest.mark.parametrize(
@@ -722,14 +727,14 @@ class TestSturm:
     )
     def test_refinement_of_a_root_on_the_grid(self, poly, lo, hi, bits):
         want = bisection_oracle(poly, lo, hi, bits)
-        assert arith.refine_root(poly, arith.sturm_chain(poly), lo, hi, bits) == want
+        assert refine_root(poly, sturm_chain(poly), lo, hi, bits) == want
 
     def test_refinement_in_non_dyadic_brackets(self):
         rng = random.Random(24)
         for _ in range(60):
             poly = random_squarefree(rng, 1, 5)
-            chain, sturm = classical_sturm_chain(poly), arith.sturm_chain(poly)
-            for lo, hi in arith.isolate_real_roots(poly, sturm):
+            chain, sturm = classical_sturm_chain(poly), sturm_chain(poly)
+            for lo, hi in isolate_real_roots(poly, sturm):
                 # pull both ends in by thirds and sevenths while one root stays inside
                 for _ in range(8):
                     a = lo + (hi - lo) * Fraction(rng.randrange(0, 3), 7)
@@ -737,7 +742,7 @@ class TestSturm:
                     if frac_variations(chain, a) - frac_variations(chain, b) == 1:
                         lo, hi = a, b
                 bits = rng.choice([3, 40, 80])
-                assert arith.refine_root(poly, sturm, lo, hi, bits) == bisection_oracle(poly, lo, hi, bits)
+                assert refine_root(poly, sturm, lo, hi, bits) == bisection_oracle(poly, lo, hi, bits)
 
     def test_refinement_of_huge_quadratics(self):
         # real companions y^2 + a y + (b - 2q) of surface classes with q ~ 10^72
@@ -751,9 +756,9 @@ class TestSturm:
             if isqrt(a * a - 4 * c) ** 2 == a * a - 4 * c:
                 continue
             bits = 64 + max(abs(x) for x in poly).bit_length()
-            chain = arith.sturm_chain(poly)
-            roots = arith.real_roots(poly, chain, bits)
-            intervals = arith.isolate_real_roots(poly, chain)
+            chain = sturm_chain(poly)
+            roots = real_roots(poly, chain, bits)
+            intervals = isolate_real_roots(poly, chain)
             assert roots == [bisection_oracle(poly, lo, hi, bits) for lo, hi in intervals]
             assert len(roots) == 2
 
@@ -771,8 +776,8 @@ class TestSturm:
             if disc <= 0 or isqrt(disc) ** 2 == disc:
                 continue
             bits = rng.choice([0, 1, 5, 80, 64 + max(abs(x) for x in poly).bit_length()])
-            assert arith.quadratic_real_roots(poly, bits) == arith.real_roots(
-                poly, arith.sturm_chain(poly), bits
+            assert arith.quadratic_real_roots(poly, bits) == real_roots(
+                poly, sturm_chain(poly), bits
             )
             checked += 1
 
@@ -783,6 +788,8 @@ class TestSturm:
 
 
 class TestPolyHelpers:
+    """Yun's squarefree split and the polynomial helpers of `poly_oracle`."""
+
     def test_squarefree_part(self):
         # (x-1)^2 (x+2)
         poly = poly_mul(poly_mul([-1, 1], [-1, 1]), [2, 1])
@@ -790,7 +797,7 @@ class TestPolyHelpers:
 
     def test_squarefree_decomposition(self):
         poly = poly_mul(poly_mul([-1, 1], [-1, 1]), [2, 1])
-        split = [(f, m) for f, m, _ in arith.squarefree_chains(poly)]
+        split = yun_decomposition(poly)
         assert split == [([2, 1], 1), ([-1, 1], 2)]
 
     def test_squarefree_decomposition_equal_multiplicities(self):
@@ -798,12 +805,12 @@ class TestPolyHelpers:
         poly = poly_mul(
             poly_mul([-1, 1], [-1, 1]), poly_mul([2, 1], [2, 1])
         )
-        split = [(f, m) for f, m, _ in arith.squarefree_chains(poly)]
+        split = yun_decomposition(poly)
         assert split == [(poly_mul([-1, 1], [2, 1]), 2)]
 
     def test_squarefree_decomposition_triple(self):
         poly = poly_mul(poly_mul([-1, 1], [-1, 1]), [-1, 1])
-        assert arith.squarefree_chains(poly) == [([-1, 1], 3, [[-1, 1], [1]])]
+        assert yun_decomposition(poly) == [([-1, 1], 3)]
 
     def test_squarefree_decomposition_identities(self):
         rng = random.Random(23)
@@ -815,42 +822,29 @@ class TestPolyHelpers:
                 ]
                 for _ in range(rng.randrange(1, 4)):
                     poly = poly_mul(poly, factor)
-            split = arith.squarefree_chains(poly)
+            split = yun_decomposition(poly)
             product = [1]
-            for factor, mult, chain in split:
-                assert factor == arith.poly_primitive(factor) and len(factor) > 1
-                assert chain == arith.sturm_chain(factor) and len(chain[-1]) == 1
-                assert poly_gcd(factor, arith.poly_derivative(factor)) == [1]
+            for factor, mult in split:
+                assert factor == poly_primitive(factor) and len(factor) > 1
+                assert poly_gcd(factor, poly_derivative(factor)) == [1]
                 for _ in range(mult):
                     product = poly_mul(product, factor)
-            assert product == arith.poly_primitive(poly)
-            mults = [m for _, m, _ in split]
+            assert product == poly_primitive(poly)
+            mults = [m for _, m in split]
             assert mults == sorted(set(mults))
-            for i, (f, _, _) in enumerate(split):
-                for g, _, _ in split[i + 1 :]:
+            for i, (f, _) in enumerate(split):
+                for g, _ in split[i + 1 :]:
                     assert poly_gcd(f, g) == [1]
 
-    def test_squarefree_chains_match_yun(self):
-        rng = random.Random(26)
-        for _ in range(600):
-            poly = [rng.choice([-12, -4, -1, 1, 2, 6, 9])]  # a content, often nontrivial
-            for _ in range(rng.randrange(0, 4)):
-                factor = [rng.randrange(-5, 6) for _ in range(rng.randrange(1, 4))] + [
-                    rng.choice([-3, -1, 1, 2])
-                ]
-                for _ in range(rng.randrange(1, 4)):
-                    poly = poly_mul(poly, factor)
-            assert [(f, m) for f, m, _ in arith.squarefree_chains(poly)] == yun_decomposition(poly)
-
     def test_divmod_exact(self):
-        q, r = arith.poly_divmod_exact([-4, 0, 1], [-2, 1])
+        q, r = poly_divmod_exact([-4, 0, 1], [-2, 1])
         assert q == [2, 1] and r == []
 
     def test_gcd(self):
         # (x + 1)^2 (x - 3) (x + 5): the chain of a ends in gcd(a, a') = x + 1
         a = poly_mul(poly_mul([1, 1], [-3, 1]), poly_mul([1, 1], [5, 1]))
-        assert arith.poly_primitive(arith.sturm_chain(a)[-1]) == [1, 1]
-        split = [(f, m) for f, m, _ in arith.squarefree_chains(a)]
+        assert poly_primitive(sturm_chain(a)[-1]) == [1, 1]
+        split = yun_decomposition(a)
         assert split == [(poly_mul([-3, 1], [5, 1]), 1), ([1, 1], 2)]
 
 

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lattice_oracle import INCONVENIENT_ORDER, random_sublattice
-from ppav import arith, census, cli, orders, weil
+from ppav import arith, census, cli, orders, strata, weil
 from ppav.errors import FactorError
 
 
@@ -129,6 +129,13 @@ class TestAnalyze:
         assert code == 3
         assert "error" in err
 
+    @pytest.mark.parametrize("weil_text", ["343,0,0,0,0,0,1", "1,0,0,0,0,0,1"])
+    def test_degree_above_four_is_exit_two(self, capsys, weil_text):
+        # a Weil sextic and one that breaks the functional equation alike
+        code, out, err = run_cli(capsys, ["analyze", "--weil", weil_text, "--q", "7"])
+        assert (code, out) == (2, "")
+        assert err == "error: isogeny classes are implemented up to degree 4\n"
+
     def test_parse_error_exit_code(self, capsys):
         code, _, _ = run_cli(capsys, ["analyze", "--weil", "5,a,1", "--q", "5"])
         assert code == 2
@@ -202,6 +209,20 @@ class TestEcCensus:
         assert code == 2
         assert err == "error: need at least one bin, got 0\n"
         assert not os.path.exists(out)
+
+    def test_bins_above_the_cap_checked_before_the_census(self, capsys, tmp_path, monkeypatch):
+        census.check_bins(census.MAX_BINS)
+
+        def no_census(p):
+            raise AssertionError("census ran with an invalid --bins")
+
+        monkeypatch.setattr(census, "enumerate_ec", no_census)
+        out = str(tmp_path / "census.csv")
+        argv = ["ec-census", "--p", "101", "--bins", str(10**15), "--out", out]
+        code, _, err = run_cli(capsys, argv)
+        assert code == 2
+        assert err == f"error: need at most {census.MAX_BINS} bins, got {10**15}\n"
+        assert os.listdir(tmp_path) == []
 
     def test_failed_internal_check_is_exit_two(self, capsys, tmp_path, monkeypatch):
         reduced_form_counts = census._reduced_form_counts
@@ -490,6 +511,18 @@ class TestExamples:
         assert [int(line["p"]) for line in lines] == [7, 23, 31, 47, 71, 79, 103, 127, 151, 167, 191, 199]
         assert all(line["bound_checked"] for line in lines)
 
+    def test_pmax_above_the_cap_is_refused_before_sieving(self, capsys, monkeypatch):
+        def no_sieve(limit):
+            raise AssertionError(f"sieved to {limit}")
+
+        monkeypatch.setattr(arith, "_prime_sieve", no_sieve)
+        code, out, err = run_cli(capsys, ["examples", "--family", "small", "--pmax", str(10**15)])
+        assert (code, out) == (2, "")
+        assert err == f"error: pmax = {10**15} is above the sweep cap {strata.FAMILY_PMAX_CAP}\n"
+        with pytest.raises(SystemExit):
+            cli.main(["examples", "--help"])
+        assert f"at most {strata.FAMILY_PMAX_CAP}" in " ".join(capsys.readouterr().out.split())
+
     def test_threads_option_accepted_and_env_ignored(self, capsys, monkeypatch):
         _, plain, _ = run_cli(capsys, ["examples", "--family", "small", "--pmax", "100"])
         monkeypatch.setenv("PPAV_THREADS", "abc")
@@ -698,6 +731,7 @@ class TestWeilFile:
             ("5,a,1 5", 2, "could not parse coefficients '5,a,1'"),
             ("6,-5,1 6", 2, "q = 6 is not a prime power"),
             ("25,-30,19,-6,1 5", 2, None),  # not simple
+            ("343,0,0,0,0,0,1 7", 2, "isogeny classes are implemented up to degree 4"),
             ("5,-3,1 x", 2, "could not parse q 'x'"),
             ("5,-3,1", 2, "need 'coeffs q', got '5,-3,1'"),
         ],

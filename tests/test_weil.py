@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from lattice_oracle import resultant
+from poly_oracle import poly_derivative, real_roots, sturm_chain, weil_angles
 
 from ppav import arith, strata, weil
 from ppav.errors import DomainError, NotWeilShape, UnsupportedDegree
@@ -137,13 +138,13 @@ class TestIsWeil:
         "q, g, expected",
         [
             (5, [-20, 0, 1], True),  # g = y^2 - 4q: roots exactly at +-2 sqrt(5)
-            (5, poly_mul([-20, 0, 1], [-1, 1]), True),
-            (5, poly_mul([-20, 0, 1], [-5, 1]), False),  # 5 > 2 sqrt(5)
-            (5, poly_mul([-20, 0, 1], [-20, 0, 1]), True),  # repeated boundary factor
-            (9, poly_mul([-36, 0, 1], [1, 1]), True),  # roots 6, -6, -1
+            (9, [6, 1], True),  # the elliptic class x^2 + 6x + 9, root -6
+            (9, [7, 1], False),  # 7 > 2 sqrt(9)
+            (9, poly_mul([-6, 1], [1, 1]), True),  # roots 6, -1: a square discriminant
+            (9, [-36, 0, 1], True),  # roots 6, -6
             (9, poly_mul([-6, 1], [-6, 1]), True),  # double root at 2 sqrt(9)
-            (9, poly_mul([-36, 0, 1], [7, 1]), False),
-            (9, poly_mul([-36, 0, 1], [1, 0, 1]), False),  # nonreal roots +-i
+            (9, poly_mul([-6, 1], [7, 1]), False),  # roots 6 and -7
+            (9, [1, 0, 1], False),  # nonreal roots +-i
         ],
     )
     def test_companion_divisible_by_boundary(self, q, g, expected):
@@ -264,8 +265,15 @@ class TestOrdinarySimple:
     def test_degree_cap(self):
         with pytest.raises(UnsupportedDegree):
             weil.is_simple([1, 0, 0, 0, 0, 0, 1])
+        # a Weil sextic and a sextic that breaks the functional equation are
+        # refused alike, after the shape check and before g is read off
         g = poly_mul(poly_mul([-1, 1], [-2, 1]), [3, 1])
-        spec = weil.isogeny_class(compose_real_companion(g, 7), 7)
+        for f in (compose_real_companion(g, 7), [1, 0, 0, 0, 0, 0, 1]):
+            with pytest.raises(UnsupportedDegree, match="implemented up to degree 4"):
+                weil.isogeny_class(f, 7)
+        with pytest.raises(NotWeilShape):
+            weil.isogeny_class([1, 0, 0, 0, 0, 1], 7)
+        spec = weil.IsogenyClassSpec(compose_real_companion(g, 7), 7, 3, tuple(g), ())
         with pytest.raises(UnsupportedDegree):
             spec.simple
 
@@ -315,48 +323,29 @@ class TestSpecValidation:
         assert spec.f[spec.n] == 32
 
     def test_one_pass_per_class(self, monkeypatch):
-        names = ("real_weil_polynomial", "squarefree_chains", "sturm_chain", "poly_divmod_exact")
-        calls = dict.fromkeys(names + ("remainder outside a chain",), 0)
-        open_chains = [0]
+        # one read-off of g per class; only irrational roots are refined
+        calls = {"real_weil_polynomial": 0, "quadratic_real_roots": 0}
+        for module in (weil, arith):
+            for name in calls:
+                if hasattr(module, name):
+                    fn = getattr(module, name)
 
-        def counting(module, name):
-            fn = getattr(module, name)
+                    def counted(*args, _fn=fn, _name=name):
+                        calls[_name] += 1
+                        return _fn(*args)
 
-            def counted(*args, **kwargs):
-                calls[name] += 1
-                open_chains[0] += name == "sturm_chain"
-                try:
-                    return fn(*args, **kwargs)
-                finally:
-                    open_chains[0] -= name == "sturm_chain"
-
-            monkeypatch.setattr(module, name, counted)
-
-        pseudo_rem = arith._pseudo_rem
-
-        def stray_remainder(a, b):
-            calls["remainder outside a chain"] += not open_chains[0]
-            return pseudo_rem(a, b)
-
-        counting(weil, "real_weil_polynomial")
-        for name in names[1:]:
-            counting(arith, name)
-        monkeypatch.setattr(arith, "_pseudo_rem", stray_remainder)
-        # quadratic g with non-square discriminant: closed-form roots, no chain
-        assert weil.isogeny_class(F23, 23).g == (-14, -6, 1)
-        assert list(calls.values()) == [1, 0, 0, 0, 0]
-        # squarefree g = (y - 1)(y - 2), square discriminant: one chain, no
-        # gcd and no division
-        calls.update(dict.fromkeys(calls, 0))
-        assert weil.isogeny_class(compose_real_companion([2, -3, 1], 7), 7).g == (2, -3, 1)
-        assert list(calls.values()) == [1, 1, 1, 0, 0]
-        # (y^2 - 3y - 1)^2 (y + 1): chains of g and of the gcd y^2 - 3y - 1,
-        # which the factor of multiplicity two reuses, and one of y + 1
-        calls.update(dict.fromkeys(calls, 0))
-        g = poly_mul(poly_mul([-1, -3, 1], [-1, -3, 1]), [1, 1])
-        spec = weil.isogeny_class(compose_real_companion(g, 7), 7)
-        assert len(spec.angles) == 5
-        assert list(calls.values()) == [1, 1, 3, 2, 0]
+                    monkeypatch.setattr(module, name, counted)
+        cases = [
+            (F23, 23, 1),  # g = y^2 - 6y - 14: irrational roots
+            (compose_real_companion([2, -3, 1], 7), 7, 0),  # (y - 1)(y - 2)
+            (compose_real_companion([9, -6, 1], 7), 7, 0),  # (y - 3)^2
+            ([5, -3, 1], 5, 0),  # g = y - 3
+        ]
+        for f, q, refined in cases:
+            calls.update(dict.fromkeys(calls, 0))
+            spec = weil.isogeny_class(f, q)
+            assert list(calls.values()) == [1, refined], f
+            assert list(spec.angles) == weil_angles(list(spec.g), q)
 
     def test_rejects_non_prime_power(self):
         with pytest.raises(DomainError):
@@ -414,7 +403,7 @@ class TestSpecValidation:
 
 def norms_by_resultants(g, q):
     """(|res(g, y^2 - 4q)|, |res(g, g')|): the Sylvester route."""
-    return abs(resultant(g, [-4 * q, 0, 1])), abs(resultant(g, arith.poly_derivative(g)))
+    return abs(resultant(g, [-4 * q, 0, 1])), abs(resultant(g, poly_derivative(g)))
 
 
 class TestDiscriminantNorms:
@@ -463,11 +452,6 @@ class TestDiscriminantNorms:
         assert zero_disc >= 40
 
 
-def sturm_roots(g, bits):
-    """Oracle: the roots of squarefree g by Sturm isolation and refinement."""
-    return arith.real_roots(g, arith.sturm_chain(g), bits)
-
-
 def angle_bits(g):
     """The refinement depth `isogeny_class` uses for the angles of g."""
     return 64 + max(abs(c) for c in g).bit_length()
@@ -476,6 +460,14 @@ def angle_bits(g):
 def surface_companion(q, a, b):
     """g = x^2 + a x + (b - 2q), the real companion of x^4 + a x^3 + b x^2 + qa x + q^2."""
     return [b - 2 * q, a, 1]
+
+
+def in_region(q, a, b):
+    """Whether x^4 + a x^3 + b x^2 + qa x + q^2 is Weil, from `region_bounds`."""
+    if a * a > 16 * q:
+        return False
+    lo, hi = region_bounds(q, a)
+    return lo <= b <= hi
 
 
 def region_bounds(q, a):
@@ -493,11 +485,12 @@ def weil_count(q):
 
 
 class TestQuadraticClosedForm:
-    """The closed-form test and roots for quadratic g against the Sturm path."""
+    """The closed-form test and roots for quadratic g against the region
+    bounds and the reference Sturm path."""
 
     def assert_roots_match(self, g):
         bits = angle_bits(g)
-        assert arith.quadratic_real_roots(g, bits) == sturm_roots(g, bits), g
+        assert arith.quadratic_real_roots(g, bits) == real_roots(g, sturm_chain(g), bits), g
 
     def test_golden_surfaces(self):
         from test_cli import GOLDEN_SURFACES
@@ -538,11 +531,11 @@ class TestQuadraticClosedForm:
             label="b",
         )
         g = surface_companion(q, a, b)
-        assert weil._quadratic_in_weil_region(g[0], g[1], q) == (weil._weil_factors(g, q) is not None)
+        assert weil._quadratic_in_weil_region(g[0], g[1], q) == in_region(q, a, b)
         disc = a * a - 4 * g[0]
         if disc > 0 and isqrt(disc) ** 2 != disc:
             self.assert_roots_match(g)
-            assert arith.quadratic_real_roots(g, 80) == sturm_roots(g, 80)
+            assert arith.quadratic_real_roots(g, 80) == real_roots(g, sturm_chain(g), 80)
 
 
 class TestWeilRegion:
@@ -554,15 +547,13 @@ class TestWeilRegion:
         found = 0
         for a in range(-s - 1, s + 2):
             for b in range(-2 * q - 1, 6 * q + 2):
-                f = (q * q, a * q, b, a, 1)
-                g = surface_companion(q, a, b)
-                factors = weil._weil_factors(g, q)
-                spec = weil_class_or_none(f, q)
-                assert (spec is not None) == (factors is not None), (a, b)
-                if factors is None:
+                spec = weil_class_or_none((q * q, a * q, b, a, 1), q)
+                assert (spec is not None) == in_region(q, a, b), (a, b)
+                if spec is None:
                     continue
                 found += 1
-                assert spec.angles == tuple(weil._angles(g, factors, q)), (a, b)
+                # the closed-form angles are the reference angles, bit for bit
+                assert list(spec.angles) == weil_angles(list(spec.g), q), (a, b)
         assert found == count == weil_count(q)
 
     def test_q_101(self):
@@ -573,14 +564,40 @@ class TestWeilRegion:
             for b in range(-2 * q - 1, 6 * q + 2)
         )
         assert found == weil_count(q) == 10865
-        # the rim: b at the bounds passes, one step outside fails, on both paths
+        # the rim: b at the bounds passes, one step outside fails, in the
+        # closed-form test and in `isogeny_class`
         for a in range(-s, s + 1):
             lo, hi = region_bounds(q, a)
             for b, inside in ((lo - 1, False), (lo, True), (hi, True), (hi + 1, False)):
                 g = surface_companion(q, a, b)
                 assert weil._quadratic_in_weil_region(g[0], g[1], q) is inside, (a, b)
-                assert (weil._weil_factors(g, q) is not None) is inside, (a, b)
+                assert (weil_class_or_none((q * q, a * q, b, a, 1), q) is not None) is inside
         for a in (-s - 1, s + 1):
-            g = surface_companion(q, a, a * a // 4 + 2 * q)
+            b = a * a // 4 + 2 * q
+            g = surface_companion(q, a, b)
             assert not weil._quadratic_in_weil_region(g[0], g[1], q)
-            assert weil._weil_factors(g, q) is None
+            assert weil_class_or_none((q * q, a * q, b, a, 1), q) is None
+
+    def test_traces_match_the_reference_angles(self):
+        # every trace over small fields, 3000 random traces, and 1000 split
+        # g = (y - r)(y - s), double roots and roots on the rim included
+        classes = []
+        for q in (2, 3, 4, 5, 7, 8, 9, 23, 25, 97, 1009):
+            classes += [((q, -t, 1), q) for t in range(-isqrt(4 * q), isqrt(4 * q) + 1)]
+        rng = random.Random(21)
+        for k in range(4000):
+            q = 1
+            while arith.is_prime_power(q) is None:
+                q = rng.randrange(2, 10 ** rng.randrange(2, 19))
+            m = isqrt(4 * q)
+            if k < 3000:
+                classes.append(((q, rng.randrange(-m, m + 1), 1), q))
+            else:
+                r, s = (rng.choice([rng.randrange(-m, m + 1), -m, 0, m]) for _ in range(2))
+                classes.append((compose_real_companion(poly_mul([-r, 1], [-s, 1]), q), q))
+        for p in (3, 101, 10**9 + 7):  # square q: the rim +-2 sqrt(q) is an integer
+            for g in ([-2 * p, 1], [2 * p, 1], [-4 * p * p, 0, 1], [p * p, 2 * p, 1]):
+                classes.append((compose_real_companion(g, p * p), p * p))
+        for f, q in classes:
+            spec = weil.isogeny_class(f, q)
+            assert list(spec.angles) == weil_angles(list(spec.g), q), (f, q)
