@@ -4,10 +4,9 @@ Conventions used throughout the package:
 
 * integer polynomials are lists/tuples of ``int`` coefficients in ascending
   degree, with a nonzero leading coefficient unless the polynomial is zero;
-* a rational matrix is a pair (den, integer rows) standing for rows / den;
-  ``Fraction`` entries are accepted only at the API edge (`integer_rows`,
-  `lattice_hnf`), and every determinant, rank and inverse comes from one
-  fraction-free elimination, `echelon`;
+* a rational matrix is a pair (den, integer rows) standing for rows / den,
+  never a matrix of ``Fraction`` entries, and every determinant, rank and
+  inverse comes from one fraction-free elimination, `echelon`;
 * the Hermite normal form is row-style: upper echelon, positive pivots,
   and entries above each pivot reduced into ``[0, pivot)``.  Two generator
   sets span the same lattice iff their HNFs are identical.  `hnf_int`
@@ -21,7 +20,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import compress
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 
 from .errors import DomainError, FactorError, RankError
 
@@ -436,15 +435,6 @@ def quadratic_real_roots(a, bits=80):
 # integer matrices and Hermite normal form
 
 
-def integer_rows(rows):
-    """(den, integer rows) with rows == integer rows / den, den the least such.
-
-    Entries may be ints or Fractions; this is where rational matrices enter.
-    """
-    den = lcm(*(x.denominator for row in rows for x in row))
-    return den, [[x.numerator * (den // x.denominator) for x in row] for row in rows]
-
-
 def _xgcd(a, b):
     """(g, s, t) with s a + t b = g = gcd(a, b) >= 0."""
     s, s1, t, t1 = 1, 0, 0, 1
@@ -509,15 +499,14 @@ def hnf_int(rows):
 def lattice_hnf(rows, dim, den=1):
     """Canonical (den, rows) pair for the lattice spanned by rows / den.
 
-    Rows hold ints or Fractions, den is a nonzero integer; the span must
-    have full rank `dim`, and redundant generators are fine.
+    Rows hold integers and den is a nonzero integer; the span must have
+    full rank `dim`, and redundant generators are fine.
     """
-    d, int_rows = integer_rows(rows)
-    h, rank = hnf_int(int_rows)
+    h, rank = hnf_int(rows)
     if rank < dim:
         raise RankError(f"generators span rank {rank} < {dim}")
     h = h[:rank]
-    den = abs(den * d)  # a lattice is its own negative
+    den = abs(den)  # a lattice is its own negative
     g = gcd(den, *(x for row in h for x in row))
     if g > 1:
         den //= g

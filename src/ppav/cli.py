@@ -226,9 +226,9 @@ def _cmd_examples(args):
     primes = strata.family_primes(args.pmax)
     if not primes:
         raise DomainError(f"no primes congruent to 7 mod 8 below {args.pmax}")
-
-    reports = [strata.example_family(args.family, p)[1] for p in primes]
-    for report in reports:
+    # each line prints as its report is made, so a failure keeps the lines before it
+    for p in primes:
+        report = strata.example_family(args.family, p)[1]
         print(
             _dumps(
                 {

@@ -1,13 +1,14 @@
 """Exact lattice and order arithmetic inside K = Q[x]/(f).
 
-Elements are coordinate row vectors over the power basis of pi (the class
-of x); lattices are full-rank Z-modules stored as (den, integer rows) in
-canonical Hermite normal form, so lattice equality is plain equality of
-(denominator, basis).  The lattice algebra runs on integer rows throughout;
-``Fraction`` appears only at the edge: `Lattice.basis`, element tuples and
-rational generators passed to `lattice_from_generators`.  The CM structure
-enters through the conjugation pi -> q/pi, whose fixed and negated
-subspaces carve out real subrings and pure imaginary parts.
+Elements are integer coordinate rows over the power basis of pi (the class
+of x), read over a denominator where they are not integral; lattices are
+full-rank Z-modules stored as (den, integer rows) in canonical Hermite
+normal form, so lattice equality is plain equality of (denominator,
+basis).  The order algebra has this one representation: products,
+duals, colons and certificates run on integer rows, and the only rational
+values it returns are discriminants.  The CM structure enters through the
+conjugation pi -> q/pi, an integer matrix over a denominator, whose fixed
+and negated subspaces carve out real subrings and pure imaginary parts.
 
 Deliberately not implemented: the norm map on invertible ideals down to
 the real subring (it exists and is unique, constructed prime by prime
@@ -23,7 +24,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import prod
 
 from . import arith
@@ -45,20 +45,6 @@ class RingContext:
         if self.trace_det == 0:
             raise DomainError("context polynomial must be separable")
 
-    @property
-    def one(self):
-        return tuple([Fraction(1)] + [Fraction(0)] * (self.dim - 1))
-
-    def element(self, coords):
-        coords = [Fraction(c) for c in coords]
-        if len(coords) > self.dim:
-            raise DomainError("coordinate vector too long")
-        coords += [Fraction(0)] * (self.dim - len(coords))
-        return tuple(coords)
-
-    def mul(self, u, v):
-        return tuple(Fraction(c) for c in arith.mat_mul([u], self.element_matrix(v))[0])
-
     def element_matrix(self, u):
         """Rows i = coordinates of x^i * u, so that y*u = y @ M; integral for integral u."""
         rows = [list(u)]
@@ -67,9 +53,6 @@ class RingContext:
             top = prev[-1]
             rows.append([s - top * c for s, c in zip([0] + prev[:-1], self.poly)])
         return rows
-
-    def trace(self, u):
-        return sum(c * self.trace_gram[0][i] for i, c in enumerate(u))
 
 
 class FieldContext(RingContext):
@@ -88,15 +71,12 @@ class FieldContext(RingContext):
         # and a0 = q^n > 0 by the functional equation
         a0 = self.poly[0]
         pibar = [-q * c for c in self.poly[1:]]
-        self.pi = self.element([0, 1])
-        self.pibar = tuple(Fraction(c, a0) for c in pibar)
         # the conjugation matrix (row i = pibar^i) as (den, integer rows)
         den, c = self._powers(pibar, a0, self.dim)
         self.conj_int = (den, c)
         square = [[den * den * (i == j) for j in range(self.dim)] for i in range(self.dim)]
         if arith.mat_mul(c, c) != square:
             raise InternalError("conjugation is not an involution")
-        self.alpha = tuple(u + v for u, v in zip(self.pi, self.pibar))
         self.real_ctx = RingContext(self.g)
         alpha = [x + a0 * (i == 1) for i, x in enumerate(pibar)]
         self.alpha_powers = self._powers(alpha, a0, self.n)  # alpha^k, k < n, as (den, rows)
@@ -122,19 +102,9 @@ class Lattice:
     den: int
     rows: tuple
 
-    @cached_property
-    def basis(self):
-        return [[Fraction(x, self.den) for x in row] for row in self.rows]
-
-    def det(self):
-        d = Fraction(1)
-        for i, row in enumerate(self.rows):
-            d *= Fraction(row[i], self.den)
-        return d
-
     def coordinates(self, coords, den=1):
         """Integer c with c @ rows / self.den == coords / den, or None if
-        coords / den is not in the lattice (coords ints or Fractions).
+        coords / den is not in the lattice (coords and den integers).
 
         Solved by substitution down the triangular HNF rows, whose pivots
         sit on the diagonal.
@@ -156,15 +126,13 @@ class Lattice:
         return out
 
     def contains(self, coords, den=1):
-        """Whether coords / den lies in the lattice (coords ints or Fractions)."""
+        """Whether coords / den lies in the lattice (coords and den integers)."""
         return self.coordinates(coords, den) is not None
 
 
 def lattice_from_generators(ctx, gen_rows, den=1):
-    """Canonical lattice spanned by generator rows / den (full rank required).
-
-    Rows hold ints or Fractions; den is a nonzero integer.
-    """
+    """Canonical lattice spanned by integer generator rows / den (full rank
+    required, den a nonzero integer)."""
     den, rows = arith.lattice_hnf(gen_rows, ctx.dim, den)
     return Lattice(ctx=ctx, den=den, rows=rows)
 
@@ -208,13 +176,14 @@ def trace_dual(lat):
 
 
 def lattice_discriminant(lat):
-    """Determinant of the trace Gram in the lattice basis, sign retained."""
-    d = lat.det()
-    return d * d * lat.ctx.trace_det
+    """Determinant of the trace Gram in the lattice basis, sign retained,
+    as a Fraction: (product of the HNF diagonal / den^dim)^2 * disc f."""
+    diag = prod(row[i] for i, row in enumerate(lat.rows))
+    return Fraction(diag * diag * lat.ctx.trace_det, lat.den ** (2 * lat.ctx.dim))
 
 
 def is_ring(lat):
-    if not lat.contains(lat.ctx.one):
+    if not lat.contains([1] + [0] * (lat.ctx.dim - 1)):
         return False
     return all(lat.contains(w, lat.den * lat.den) for w in _products(lat.ctx, lat.rows, lat.rows))
 

@@ -269,8 +269,9 @@ def example_family(kind, p):
     )
 
 
-# a sweep to 10^7 holds 166,237 reports in about 110 MB; the sieve alone
-# grows by a byte per integer, so a larger pmax is refused before sieving
+# a sweep prints each report as it is made, so its memory is the sieve's:
+# a byte per integer below pmax and the list of primes, about 50 MB at
+# 10^7; a larger pmax is refused before sieving
 FAMILY_PMAX_CAP = 10**7
 
 

@@ -247,7 +247,10 @@ def _weil_roots(g, q):
 
 
 def _angles(roots, q):
-    two_sqrt_q = 2.0 * math.sqrt(q)
+    try:
+        two_sqrt_q = 2.0 * math.sqrt(q)
+    except OverflowError:
+        raise DomainError(f"q of {q.bit_length()} bits is too large for float angles") from None
     return sorted(math.acos(min(1.0, max(-1.0, float(r) / two_sqrt_q))) for r in roots)
 
 

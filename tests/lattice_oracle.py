@@ -7,10 +7,18 @@ dual of the functionals that test x b_i for membership in a.
 and `weil.real_discriminant_norms` against Sylvester resultants.
 `INCONVENIENT_ORDER` is the path of the worked inconvenient order over
 F_19, for `orders.load_order_file`.
+
+The package keeps elements and lattices as integer rows over one
+denominator.  The helpers below build elements by hand as tuples of
+``Fraction`` coordinates over the power basis of pi instead, multiply
+them through `ctx.element_matrix`, read pi and pibar off `ctx.conj_int`,
+and turn rational rows into the (den, integer rows) pairs the package
+takes.
 """
 
 import os
 from fractions import Fraction
+from math import lcm, prod
 
 from ppav import arith, orders
 from ppav.errors import DomainError, RankError
@@ -18,6 +26,58 @@ from ppav.errors import DomainError, RankError
 INCONVENIENT_ORDER = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), os.pardir, "data", "ex-inconvenient.json"
 )
+
+
+def element(ctx, coords):
+    """The element with the given power-basis coordinates, as Fractions."""
+    coords = [Fraction(c) for c in coords]
+    return tuple(coords + [Fraction(0)] * (ctx.dim - len(coords)))
+
+
+def one(ctx):
+    return element(ctx, [1])
+
+
+def pi(ctx):
+    return element(ctx, [0, 1])
+
+
+def pibar(ctx):
+    """q / pi: row 1 of the conjugation matrix over its denominator."""
+    den, c = ctx.conj_int
+    return element(ctx, [Fraction(x, den) for x in c[1]])
+
+
+def alpha(ctx):
+    """pi + pibar, the generator of the real subfield."""
+    return tuple(u + v for u, v in zip(pi(ctx), pibar(ctx)))
+
+
+def times(ctx, u, v):
+    """The product u * v of two elements."""
+    return tuple(Fraction(c) for c in arith.mat_mul([list(u)], ctx.element_matrix(list(v)))[0])
+
+
+def integer_rows(rows):
+    """(den, integer rows) with rows == integer rows / den, den the least such."""
+    den = lcm(*(Fraction(x).denominator for row in rows for x in row))
+    return den, [[int(x * den) for x in row] for row in rows]
+
+
+def lattice_from_elements(ctx, elements):
+    """The lattice spanned by elements with rational coordinates."""
+    den, rows = integer_rows(elements)
+    return orders.lattice_from_generators(ctx, rows, den)
+
+
+def basis(lat):
+    """The HNF basis of a lattice as elements: its rows over its denominator."""
+    return [element(lat.ctx, [Fraction(x, lat.den) for x in row]) for row in lat.rows]
+
+
+def covolume(lat):
+    """The determinant of the lattice basis: the HNF diagonal product over den^dim."""
+    return Fraction(prod(row[i] for i, row in enumerate(lat.rows)), lat.den**lat.ctx.dim)
 
 
 def colon_by_inverse(a, b):

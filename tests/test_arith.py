@@ -5,6 +5,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 import pytest
+from lattice_oracle import integer_rows
 from poly_oracle import isolate_real_roots, poly_derivative, poly_divmod_exact, poly_gcd
 from poly_oracle import poly_primitive, real_roots, refine_root, sign_variations, sturm_chain
 from poly_oracle import yun_decomposition
@@ -145,7 +146,8 @@ class TestHnf:
 
     def test_fractional_fixed_point(self):
         half = Fraction(1, 2)
-        h = lattice_basis(arith.lattice_hnf([[half, 0], [0, half]], 2))
+        den, rows = integer_rows([[half, 0], [0, half]])
+        h = lattice_basis(arith.lattice_hnf(rows, 2, den))
         assert h == [[half, 0], [0, half]]
 
     def test_rank_error(self):
@@ -161,7 +163,8 @@ class TestHnf:
                 h = arith.lattice_hnf(m, 3)
             except RankError:
                 continue
-            assert arith.lattice_hnf(lattice_basis(h), 3) == h
+            den, rows = integer_rows(lattice_basis(h))
+            assert arith.lattice_hnf(rows, 3, den) == h
             done += 1
 
     def test_same_lattice_same_hnf(self):

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from lattice_oracle import INCONVENIENT_ORDER, random_sublattice
 from ppav import arith, census, cli, orders, strata, weil
-from ppav.errors import FactorError
+from ppav.errors import FactorError, InternalError
 
 
 def run_cli(capsys, argv):
@@ -135,6 +135,13 @@ class TestAnalyze:
         code, out, err = run_cli(capsys, ["analyze", "--weil", weil_text, "--q", "7"])
         assert (code, out) == (2, "")
         assert err == "error: isogeny classes are implemented up to degree 4\n"
+
+    def test_q_beyond_the_float_range_is_exit_two(self, capsys):
+        # the angles divide by the float 2 sqrt(q), which q = 2^1100 overflows
+        q = str(2**1100)
+        code, out, err = run_cli(capsys, ["analyze", "--weil", f"{q},1,1", "--q", q])
+        assert (code, out) == (2, "")
+        assert err == "error: q of 1101 bits is too large for float angles\n"
 
     def test_parse_error_exit_code(self, capsys):
         code, _, _ = run_cli(capsys, ["analyze", "--weil", "5,a,1", "--q", "5"])
@@ -314,6 +321,17 @@ class TestConvenient:
         payload = json.loads(out)
         assert payload["is_convenient"] is False
         assert payload["pure_imaginary_index"] == 2
+        assert payload["is_gorenstein"] is True
+
+    def test_sextic_minimal_order(self, capsys, tmp_path):
+        # Z[pi, pibar] for x^6 + x^5 + x^3 + 4x + 8 over F_2, an order of degree 6
+        minimal = orders.minimal_order(orders.FieldContext([8, 4, 0, 1, 0, 1, 1], 2))
+        path = tmp_path / "sextic.json"
+        path.write_text(json.dumps(orders.lattice_to_json(minimal)))
+        code, out, _ = run_cli(capsys, ["convenient", "--order-file", str(path)])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["is_convenient"] is True and payload["pure_imaginary_index"] == 1
         assert payload["is_gorenstein"] is True
 
     def test_missing_file_is_io_error(self, capsys, tmp_path):
@@ -510,6 +528,24 @@ class TestExamples:
         lines = [json.loads(line) for line in out.strip().splitlines()]
         assert [int(line["p"]) for line in lines] == [7, 23, 31, 47, 71, 79, 103, 127, 151, 167, 191, 199]
         assert all(line["bound_checked"] for line in lines)
+
+    def test_failure_keeps_the_lines_printed_before_it(self, capsys, monkeypatch):
+        argv = ["examples", "--family", "smaller", "--pmax", "200"]
+        _, full, _ = run_cli(capsys, argv)
+        example_family = strata.example_family
+        seen = []
+
+        def third_fails(kind, p):
+            seen.append(p)
+            if len(seen) == 3:
+                raise InternalError(f"smaller-family identity fails at p={p}")
+            return example_family(kind, p)
+
+        monkeypatch.setattr(strata, "example_family", third_fails)
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2 and seen == [7, 23, 31]
+        assert out == "".join(full.splitlines(keepends=True)[:2])
+        assert err == "error: smaller-family identity fails at p=31\n"
 
     def test_pmax_above_the_cap_is_refused_before_sieving(self, capsys, monkeypatch):
         def no_sieve(limit):

@@ -5,9 +5,19 @@ from math import isqrt
 import pytest
 from lattice_oracle import (
     INCONVENIENT_ORDER,
+    alpha,
+    basis,
     colon_by_inverse,
+    covolume,
+    element,
+    integer_rows,
     is_invertible_over,
+    lattice_from_elements,
+    one,
+    pi,
+    pibar,
     random_sublattice,
+    times,
 )
 from test_arith import euclid_hnf
 
@@ -27,7 +37,7 @@ def identity(n):
 
 def element_inverse(ctx, u):
     """Multiplicative inverse of a unit u, via its multiplication matrix."""
-    den, (w,) = arith.integer_rows([u])
+    den, (w,) = integer_rows([u])
     d, x = arith.inverse(ctx.element_matrix(w))
     return tuple(Fraction(den * c, d) for c in x[0])
 
@@ -47,17 +57,17 @@ class TestContext:
 
     def test_pi_times_pibar_is_q(self):
         ctx = f23_context()
-        prod = ctx.mul(ctx.pi, ctx.pibar)
-        assert prod == ctx.element([23])
+        assert times(ctx, pi(ctx), pibar(ctx)) == element(ctx, [23])
 
     def test_trace_of_one(self):
         ctx = f23_context()
-        assert ctx.trace(ctx.one) == 4
+        # Tr(u) pairs u with row 0 of the trace form, the traces of 1, pi, pi^2, ...
+        assert sum(c * t for c, t in zip(one(ctx), ctx.trace_gram[0])) == 4
 
     def test_element_inverse(self):
         ctx = f23_context()
-        u = ctx.element([3, 1, 0, 2])
-        assert ctx.mul(u, element_inverse(ctx, u)) == ctx.one
+        u = element(ctx, [3, 1, 0, 2])
+        assert times(ctx, u, element_inverse(ctx, u)) == one(ctx)
 
     def test_rejects_non_separable(self):
         with pytest.raises(DomainError):
@@ -90,7 +100,7 @@ class TestMultiplierRing:
             lat = random_sublattice(rng, ctx, base)
             ring = orders.multiplier_ring(lat)
             assert orders.is_ring(ring)
-            assert ring.contains(ctx.one)
+            assert ring.contains([1, 0, 0, 0])
 
 
 class TestTraceDual:
@@ -114,29 +124,29 @@ class TestTraceDual:
         # quartic field of x^4 - 4x^3 + 10x^2 - 76x + 361 over F_19
         ctx, lattice = orders.load_order_file(INCONVENIENT_ORDER)
         assert list(ctx.poly) == [361, -76, 10, -4, 1] and ctx.q == 19
-        sqrt2 = tuple((a - (2 if i == 0 else 0)) / 4 for i, a in enumerate(ctx.alpha))
-        half_pim = tuple((a - b) / 2 for a, b in zip(ctx.pi, ctx.pibar))
+        sqrt2 = tuple((a - (2 if i == 0 else 0)) / 4 for i, a in enumerate(alpha(ctx)))
+        half_pim = tuple((a - b) / 2 for a, b in zip(pi(ctx), pibar(ctx)))
         gens = [
-            list(ctx.one),
+            one(ctx),
             [2 * c for c in sqrt2],
-            list(half_pim),
-            list(ctx.mul(half_pim, sqrt2)),
+            half_pim,
+            times(ctx, half_pim, sqrt2),
         ]
-        assert lattice == orders.lattice_from_generators(ctx, gens)
+        assert lattice == lattice_from_elements(ctx, gens)
 
     def test_inconvenient_example_matches_printed_generators(self):
         ctx, lattice = orders.load_order_file(INCONVENIENT_ORDER)
         dual = orders.trace_dual(lattice)
-        sqrt2 = tuple((a - (2 if i == 0 else 0)) / 4 for i, a in enumerate(ctx.alpha))
-        pim = tuple(a - b for a, b in zip(ctx.pi, ctx.pibar))
+        sqrt2 = tuple((a - (2 if i == 0 else 0)) / 4 for i, a in enumerate(alpha(ctx)))
+        pim = tuple(a - b for a, b in zip(pi(ctx), pibar(ctx)))
         pim_inv = element_inverse(ctx, pim)
         gens = [
-            [c / 4 for c in ctx.one],
+            [c / 4 for c in one(ctx)],
             [c / 16 for c in sqrt2],
             [c / 2 for c in pim_inv],
-            [c / 4 for c in ctx.mul(sqrt2, pim_inv)],
+            [c / 4 for c in times(ctx, sqrt2, pim_inv)],
         ]
-        assert dual == orders.lattice_from_generators(ctx, gens)
+        assert dual == lattice_from_elements(ctx, gens)
 
 
 class TestGorenstein:
@@ -155,8 +165,8 @@ class TestGorenstein:
     def test_z_plus_two_o_is_not(self):
         ctx = f23_context()
         big = orders.minimal_order(ctx)
-        gens = [list(ctx.one)] + [[2 * x for x in row] for row in big.basis]
-        small = orders.lattice_from_generators(ctx, gens)
+        gens = [one(ctx)] + [[2 * x for x in row] for row in basis(big)]
+        small = lattice_from_elements(ctx, gens)
         assert orders.is_ring(small)
         assert not orders.is_gorenstein(small)
 
@@ -230,17 +240,17 @@ class TestConvenience:
             f = rng.choice(divisors)
             # B = Z + Z f w0, w0 = (d0 + sqrt(d0))/2, sqrt(d0) = (2 alpha + g1)/f0
             sqrt_d0 = tuple(
-                (2 * a + (g[1] if i == 0 else 0)) / f0 for i, a in enumerate(ctx.alpha)
+                (2 * a + (g[1] if i == 0 else 0)) / f0 for i, a in enumerate(alpha(ctx))
             )
             w0 = tuple((Fraction(d0 if i == 0 else 0) + c) / 2 for i, c in enumerate(sqrt_d0))
             beta = tuple(f * c for c in w0)
             gens = [
-                list(ctx.one),
-                list(beta),
-                list(ctx.pi),
-                list(ctx.mul(beta, ctx.pi)),
+                one(ctx),
+                beta,
+                pi(ctx),
+                times(ctx, beta, pi(ctx)),
             ]
-            lattice = orders.lattice_from_generators(ctx, gens)
+            lattice = lattice_from_elements(ctx, gens)
             assert orders.is_ring(lattice)
             cert = orders.convenient_certificate(lattice)
             assert cert.is_convenient, (spec.f, spec.q, f)
@@ -250,12 +260,12 @@ class TestConvenience:
 
 
 def index_by_generated_lattice(ring):
-    """[dual : generated ideal] from the HNF of the generated ideal and the det ratio."""
+    """[dual : generated ideal] from the HNF of the generated ideal and the covolume ratio."""
     dual = orders.trace_dual(ring)
     gens = orders._products(ring.ctx, ring.rows, orders.eigen_sublattice(dual, -1))
     generated = orders.lattice_from_generators(ring.ctx, gens, ring.den * dual.den)
     assert all(dual.contains(row, generated.den) for row in generated.rows)
-    ratio = abs(generated.det() / dual.det())
+    ratio = abs(covolume(generated) / covolume(dual))
     assert ratio.denominator == 1
     return int(ratio)
 
@@ -376,15 +386,16 @@ class TestMinimalOrder:
         ctx = f23_context()
         minimal = orders.minimal_order(ctx)
         gens = [
-            list(ctx.one),
-            list(ctx.pi),
-            list(ctx.pibar),
-            list(ctx.mul(ctx.pi, ctx.pi)),
+            one(ctx),
+            pi(ctx),
+            pibar(ctx),
+            times(ctx, pi(ctx), pi(ctx)),
         ]
-        assert minimal == orders.lattice_from_generators(ctx, gens)
+        assert minimal == lattice_from_elements(ctx, gens)
         assert orders.is_ring(minimal)
-        assert minimal.contains(ctx.pi)
-        assert minimal.contains(ctx.pibar)
+        den, c = ctx.conj_int
+        assert minimal.contains([0, 1, 0, 0])  # pi
+        assert minimal.contains(c[1], den)  # pibar
 
     def test_real_sublattice_is_z_alpha(self):
         ctx = f23_context()
@@ -412,7 +423,7 @@ class TestMinimalOrder:
 def times_pi_over_pibar(ctx, scaled_delta):
     """(s q, s delta pi^2) from (s, s delta): delta pi / pibar, of norm N(delta)."""
     scale, delta = scaled_delta
-    pi2 = [int(c) for c in ctx.mul(ctx.pi, ctx.pi)]
+    pi2 = [int(c) for c in times(ctx, pi(ctx), pi(ctx))]
     return scale * ctx.q, arith.mat_mul([delta], ctx.element_matrix(pi2))[0]
 
 
@@ -435,6 +446,12 @@ class TestMinimalOrderCertificate:
             cert = orders.minimal_order_certificate(minimal)
             assert cert == orders.convenient_certificate(minimal), ctx.poly
 
+    def test_matches_general_certificate_on_a_sextic(self):
+        # x^6 + x^5 + x^3 + 4x + 8 over F_2: the order algebra in degree 6
+        minimal = orders.minimal_order(orders.FieldContext([8, 4, 0, 1, 0, 1, 1], 2))
+        cert = orders.minimal_order_certificate(minimal)
+        assert cert.is_convenient and cert == orders.convenient_certificate(minimal)
+
     def test_dual_is_delta_inverse_times_ring(self):
         rng = random.Random(157)
         contexts = list(elliptic_contexts((5, 23)))
@@ -447,8 +464,8 @@ class TestMinimalOrderCertificate:
             den, c = ctx.conj_int
             assert arith.mat_mul([delta], c)[0] == [-den * x for x in delta]  # pure imaginary
             inverse = element_inverse(ctx, [Fraction(x, scale) for x in delta])
-            generated = orders.lattice_from_generators(
-                ctx, [ctx.mul(inverse, row) for row in minimal.basis]
+            generated = lattice_from_elements(
+                ctx, [times(ctx, inverse, row) for row in basis(minimal)]
             )
             assert generated == orders.trace_dual(minimal)
 
@@ -526,12 +543,10 @@ class TestIdealOps:
         ctx = f23_context()
         ring = orders.minimal_order(ctx)
         for _ in range(20):
-            x = ctx.element([rng.randrange(-4, 5) for _ in range(4)])
+            x = element(ctx, [rng.randrange(-4, 5) for _ in range(4)])
             if all(c == 0 for c in x):
                 continue
-            ideal = orders.lattice_from_generators(
-                ctx, [list(ctx.mul(ctx.element(row), x)) for row in ring.basis]
-            )
+            ideal = lattice_from_elements(ctx, [times(ctx, row, x) for row in basis(ring)])
             assert is_invertible_over(ideal, ring)
 
     def test_colon_against_inverse_oracle(self):
