@@ -4,9 +4,10 @@ Conventions used throughout the package:
 
 * integer polynomials are lists/tuples of ``int`` coefficients in ascending
   degree, with a nonzero leading coefficient unless the polynomial is zero;
-* a rational matrix is a pair (den, integer rows) standing for rows / den,
-  never a matrix of ``Fraction`` entries, and every determinant, rank and
-  inverse comes from one fraction-free elimination, `echelon`;
+* arith builds no ``Fraction``: a rational value is a pair (den, integers)
+  standing for integers / den, as a matrix (den, rows) or refined roots
+  (den, [n_lo, n_hi]), and every determinant, rank and inverse comes from
+  one fraction-free elimination, `echelon`;
 * the Hermite normal form is row-style: upper echelon, positive pivots,
   and entries above each pivot reduced into ``[0, pivot)``.  Two generator
   sets span the same lattice iff their HNFs are identical.  `hnf_int`
@@ -18,7 +19,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import random
-from fractions import Fraction
+from bisect import bisect_right
 from itertools import compress
 from math import gcd, isqrt
 
@@ -40,12 +41,8 @@ def poly_add(a, b):
     return poly_trim([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)])
 
 
-def poly_neg(a):
-    return [-x for x in a]
-
-
 def poly_sub(a, b):
-    return poly_add(a, poly_neg(b))
+    return poly_add(a, [-x for x in b])
 
 
 def poly_scale(a, s):
@@ -195,13 +192,19 @@ def kronecker_symbol(a, n):
 _SMALL_PRIMES: list[int] = []
 
 
-def _prime_sieve(limit):
+# one sieve, s[i] = 1 iff i <= limit is prime, with two readers:
+# `_prime_sieve` and `strata.family_primes`
+def _sieve(limit):
     sieve = bytearray([1]) * (limit + 1)
     sieve[0:2] = b"\x00\x00"
     for p in range(2, isqrt(limit) + 1):
         if sieve[p]:
             sieve[p * p :: p] = bytearray(len(range(p * p, limit + 1, p)))
-    return list(compress(range(limit + 1), sieve))
+    return sieve
+
+
+def _prime_sieve(limit):
+    return list(compress(range(limit + 1), _sieve(limit)))
 
 
 def small_primes():
@@ -210,18 +213,22 @@ def small_primes():
     return _SMALL_PRIMES
 
 
-# Miller-Rabin with the first 13 primes as bases is deterministic below
-# psi_13, the least strong pseudoprime to all of them (Sorenson-Webster).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_PROVEN_BELOW = 3_317_044_064_679_887_385_961_981
+_MR_PSI = (
+    2_047, 1_373_653, 25_326_001, 3_215_031_751, 2_152_302_898_747,
+    3_474_749_660_383, 341_550_071_728_321, 341_550_071_728_321,
+    3_825_123_056_546_413_051, 3_825_123_056_546_413_051,
+    3_825_123_056_546_413_051, 318_665_857_834_031_151_167_461,
+    3_317_044_064_679_887_385_961_981,
+)
 
 
 def is_prime(n):
-    """Primality of n, proven by Miller-Rabin with the bases `_MR_BASES`.
+    """Primality of n by Miller-Rabin on the first k `_MR_BASES`, k least
+    with n < psi_k, the least strong pseudoprime to them (`_MR_PSI`:
+    Jaeschke 1993, Sorenson-Webster 2017, OEIS A014233).
 
-    A witness proves n composite at any size.  Raises DomainError for an n
-    at or above psi_13 that no base witnesses, since it may be a strong
-    pseudoprime.
+    DomainError for an n >= psi_13 that no base witnesses composite.
     """
     if n < 2:
         return False
@@ -233,7 +240,8 @@ def is_prime(n):
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_BASES:
+    k = bisect_right(_MR_PSI, n)
+    for a in _MR_BASES[: k + 1]:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -243,14 +251,22 @@ def is_prime(n):
                 break
         else:
             return False
-    if n >= _MR_PROVEN_BELOW:
+    if k == len(_MR_PSI):
         raise DomainError("primality unproven above 3.3e24")
     return True
 
 
-def _pollard_brent(n, rng):
+# steps times bits per rho call: 16.8M steps at 96 bits, what the largest
+# semiprime in the tests needs, and 2.3M (about 15 s) at 929 bits
+RHO_BUDGET = 1 << 31
+
+
+def _pollard_brent(n, rng, budget=RHO_BUDGET):
+    """Brent's rho: a factor 1 < d < n of the composite n, or None once
+    steps * bits(n) would pass budget."""
     if n % 2 == 0:
         return 2
+    left = budget // n.bit_length()
     while True:
         y = rng.randrange(1, n)
         c = rng.randrange(1, n)
@@ -258,6 +274,9 @@ def _pollard_brent(n, rng):
         g = r = q = 1
         x = ys = y
         while g == 1:
+            left -= 2 * r  # r steps to move x, at most r to search
+            if left < 0:
+                return None
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -279,7 +298,7 @@ def _pollard_brent(n, rng):
             return g
 
 
-def factorize(n, max_rounds=64):
+def factorize(n, max_rounds=64, rho_budget=RHO_BUDGET):
     """Full prime factorization of n > 0 as a dict {prime: exponent}.
 
     Trial division by the sieved primes below 10^4.  Once a trial prime
@@ -287,8 +306,9 @@ def factorize(n, max_rounds=64):
     is recorded without a primality test.  Only a cofactor that outlives
     the whole trial-division table goes on to Miller-Rabin certification
     and Pollard-Brent rho.
-    Raises FactorError (with the partial factorization) if rho stalls, and
-    DomainError if a cofactor above 3.3e24 may be prime (see `is_prime`).
+    Raises FactorError (with the partial factorization) if rho stalls, past
+    max_rounds or rho_budget, and DomainError if a cofactor above 3.3e24
+    may be prime (see `is_prime`).
     """
     if n <= 0:
         raise DomainError("factorize requires n > 0")
@@ -314,18 +334,18 @@ def factorize(n, max_rounds=64):
             out[m] = out.get(m, 0) + 1
             continue
         rounds += 1
-        if rounds > max_rounds:
+        d = _pollard_brent(m, rng, rho_budget) if rounds <= max_rounds else None
+        if d is None:
             raise FactorError(f"factorization stalled at cofactor {m}", partial=out)
-        d = _pollard_brent(m, rng)
         stack.append(d)
         stack.append(m // d)
     return out
 
 
-def divisors_from_factorization(fac):
-    """Ascending divisors of the integer with factorization {prime: exponent}."""
+def divisors(n):
+    """Ascending divisors of n > 0."""
     divs = [1]
-    for p, e in fac.items():
+    for p, e in factorize(n).items():
         base = divs[:]
         pk = 1
         for _ in range(e):
@@ -333,10 +353,6 @@ def divisors_from_factorization(fac):
             divs += [d * pk for d in base]
     divs.sort()
     return divs
-
-
-def divisors(n):
-    return divisors_from_factorization(factorize(n))
 
 
 def squarefree_decompose(n):
@@ -391,18 +407,11 @@ def is_prime_power(q):
 # real roots of quadratics
 
 
-def cauchy_root_bound(a):
-    """Integer B such that all real roots lie strictly inside (-B, B)."""
-    a = poly_trim(a)
-    lead = abs(a[-1])
-    m = max(abs(c) for c in a[:-1]) if len(a) > 1 else 0
-    return 2 + m // lead
-
-
 def quadratic_real_roots(a, bits=80):
     """The two real roots, ascending, of a monic quadratic a = c + b x + x^2
     whose discriminant D = b^2 - 4c is positive and not a square, each as
-    the midpoint of a dyadic cell of (-B, B], B the Cauchy bound.
+    the midpoint of a dyadic cell of (-B, B] for the Cauchy bound
+    B = 2 + max(|b|, |c|), as (den, [n_lo, n_hi]) over a power of two den.
 
     Halving (-B, B] level by level, the isolating level is the first whose
     cells part the two roots; each root is returned as the midpoint of its
@@ -417,7 +426,7 @@ def quadratic_real_roots(a, bits=80):
     disc = b * b - 4 * c
     if lead != 1 or disc <= 0 or isqrt(disc) ** 2 == disc:
         raise DomainError("need a monic quadratic with positive non-square discriminant")
-    bound = cauchy_root_bound(a)
+    bound = 2 + max(abs(b), abs(c))
 
     def cells(level):
         s = isqrt(disc << 2 * level)
@@ -428,7 +437,7 @@ def quadratic_real_roots(a, bits=80):
     level = (2 * bound).bit_length() - (disc.bit_length() + 1) // 2 + 2
     low, high = cells(level)
     level += bits + 1 - (low ^ high).bit_length()
-    return [Fraction((2 * j + 1 - (1 << level)) * bound, 1 << level) for j in cells(level)]
+    return 1 << level, [(2 * j + 1 - (1 << level)) * bound for j in cells(level)]
 
 
 # ---------------------------------------------------------------------------

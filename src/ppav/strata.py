@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import gcd, isqrt
 
 from . import arith, quadratic, weil
@@ -270,19 +271,19 @@ def example_family(kind, p):
 
 
 # a sweep prints each report as it is made, so its memory is the sieve's:
-# a byte per integer below pmax and the list of primes, about 50 MB at
+# a byte per integer below pmax and the list of members, about 30 MB at
 # 10^7; a larger pmax is refused before sieving
 FAMILY_PMAX_CAP = 10**7
 
 
 def family_primes(pmax):
-    """The primes 7 <= p < pmax with p = 7 (mod 8), read off one sieve;
-    DomainError when pmax exceeds FAMILY_PMAX_CAP."""
+    """The primes 7 <= p < pmax with p = 7 (mod 8), read off every eighth
+    byte of one sieve; DomainError when pmax exceeds FAMILY_PMAX_CAP."""
     if pmax > FAMILY_PMAX_CAP:
         raise DomainError(f"pmax = {pmax} is above the sweep cap {FAMILY_PMAX_CAP}")
     if pmax <= 7:
         return []
-    return [p for p in arith._prime_sieve(pmax - 1) if p % 8 == 7]
+    return list(compress(range(7, pmax, 8), arith._sieve(pmax - 1)[7:pmax:8]))
 
 
 # ---------------------------------------------------------------------------

@@ -121,9 +121,16 @@ def delta_norm(g, q):
 
 def real_discriminant_norms(g, q):
     """(|N(alpha^2 - 4q)|, |disc g|) for alpha a root of the monic real Weil
-    polynomial g; disc g is the determinant of g's trace form, 1 for linear g.
+    polynomial g.  disc g is 1 for linear g and B^2 - 4C for g = x^2 + Bx + C;
+    above degree 2 it is the determinant of g's trace form.
     """
-    return delta_norm(g, q), abs(arith.det(arith.trace_form(g)))
+    if len(g) == 2:
+        disc = 1
+    elif len(g) == 3:
+        disc = g[1] * g[1] - 4 * g[0]
+    else:
+        disc = arith.det(arith.trace_form(g))
+    return delta_norm(g, q), abs(disc)
 
 
 def _sign_plus_root(a, b, q):
@@ -223,35 +230,42 @@ def _signed_divisors(n):
 
 
 def _weil_roots(g, q):
-    """The roots of g, ascending and with multiplicity, or None when g is not Weil.
+    """The roots of g as (den, numerators), ascending and with multiplicity,
+    or None when g is not Weil.
 
     A linear g = x + c is Weil iff c^2 <= 4q, and its root is -c.  A
     quadratic g = x^2 + b x + c must pass `_quadratic_in_weil_region`; when
     D = b^2 - 4c is a square its roots are the integers (-b -+ sqrt(D)) / 2,
     one root twice when D = 0, and otherwise `arith.quadratic_real_roots`
-    refines them.  Both g(+-2 sqrt(q)) >= 0 tests are exact, so a root on
-    the rim is Weil.
+    refines them over a power of two.  Integer roots have den 1.  Both
+    g(+-2 sqrt(q)) >= 0 tests are exact, so a root on the rim is Weil.
     """
     if len(g) == 2:
-        return [-g[0]] if g[0] * g[0] <= 4 * q else None
+        return (1, [-g[0]]) if g[0] * g[0] <= 4 * q else None
     c, b, _ = g
     if not _quadratic_in_weil_region(c, b, q):
         return None
     disc = b * b - 4 * c
     s = isqrt(disc)
     if s * s == disc:
-        return [(-b - s) // 2, (-b + s) // 2]
+        return 1, [(-b - s) // 2, (-b + s) // 2]
     # the refinement bracket is as wide as the coefficient bound, so pay for
     # its bit length to keep the absolute root error near 2^-64
     return arith.quadratic_real_roots(g, 64 + max(abs(c), abs(b), 1).bit_length())
 
 
 def _angles(roots, q):
+    """arccos(r / 2 sqrt(q)) for the roots (den, numerators), ascending.
+
+    Int true division rounds correctly, so n / den is the double nearest
+    the exact root.
+    """
+    den, nums = roots
     try:
         two_sqrt_q = 2.0 * math.sqrt(q)
     except OverflowError:
         raise DomainError(f"q of {q.bit_length()} bits is too large for float angles") from None
-    return sorted(math.acos(min(1.0, max(-1.0, float(r) / two_sqrt_q))) for r in roots)
+    return sorted(math.acos(min(1.0, max(-1.0, n / den / two_sqrt_q))) for n in nums)
 
 
 def isogeny_class(f, q):

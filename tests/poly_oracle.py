@@ -113,7 +113,7 @@ def sturm_chain(a):
         r = pseudo_rem(chain[-2], chain[-1])
         if not r:
             break
-        chain.append(_positive_part(arith.poly_neg(r)))
+        chain.append(_positive_part([-x for x in r]))
     return chain
 
 
@@ -133,13 +133,20 @@ def sign_variations(chain, n, d=1):
     return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
+def cauchy_root_bound(a):
+    """Integer B such that all real roots lie strictly inside (-B, B)."""
+    a = arith.poly_trim(a)
+    m = max(abs(c) for c in a[:-1]) if len(a) > 1 else 0
+    return 2 + m // abs(a[-1])
+
+
 def isolate_real_roots(a, chain):
     """Disjoint intervals (lo, hi], each holding one root of squarefree a,
     from dyadic bisection of the Cauchy bracket; DomainError when a has a
     repeated root (its Sturm chain then ends in a non-constant gcd(a, a'))."""
     if len(chain[-1]) > 1:
         raise DomainError("polynomial is not squarefree; deflate first")
-    b = arith.cauchy_root_bound(a)
+    b = cauchy_root_bound(a)
     out = []
     # intervals (lo / 2^k, hi / 2^k] with their root counts
     stack = [(-b, b, 0, sign_variations(chain, -b) - sign_variations(chain, b))]
@@ -197,6 +204,14 @@ def real_roots(a, chain, bits=80):
     """Refined real roots of a squarefree integer polynomial with Sturm chain
     chain, ascending."""
     return [refine_root(a, chain, lo, hi, bits) for lo, hi in isolate_real_roots(a, chain)]
+
+
+def cell_fractions(cells):
+    """The roots (den, numerators) of `arith.quadratic_real_roots` as
+    Fractions, with den checked to be a power of two."""
+    den, nums = cells
+    assert den > 0 and den & (den - 1) == 0, den
+    return [Fraction(n, den) for n in nums]
 
 
 def weil_angles(g, q):

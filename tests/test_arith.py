@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from bisect import bisect_right
 from fractions import Fraction
@@ -6,9 +7,9 @@ from math import gcd, isqrt
 
 import pytest
 from lattice_oracle import integer_rows
-from poly_oracle import isolate_real_roots, poly_derivative, poly_divmod_exact, poly_gcd
-from poly_oracle import poly_primitive, real_roots, refine_root, sign_variations, sturm_chain
-from poly_oracle import yun_decomposition
+from poly_oracle import cauchy_root_bound, cell_fractions, isolate_real_roots, poly_derivative
+from poly_oracle import poly_divmod_exact, poly_gcd, poly_primitive, real_roots, refine_root
+from poly_oracle import sign_variations, sturm_chain, yun_decomposition
 
 from ppav import arith, orders
 from ppav.errors import DomainError, FactorError, RankError
@@ -545,10 +546,24 @@ class TestFactorize:
         assert prod == n
 
     def test_factor_error_carries_partial(self):
-        n = (2**48 - 59) * (2**48 - 257) * 12
-        with pytest.raises(FactorError) as err:
-            arith.factorize(n, max_rounds=0)
-        assert err.value.partial.get(2) == 2
+        n = (2**48 - 59) * (2**48 - 257)
+        # no rho round at all, or one that spends a small budget
+        for limits in ({"max_rounds": 0}, {"rho_budget": 96 << 12}):
+            with pytest.raises(FactorError) as err:
+                arith.factorize(12 * n, **limits)
+            assert err.value.partial == {2: 2, 3: 1}
+            assert str(err.value) == f"factorization stalled at cofactor {n}"
+
+    def test_rho_budget_bounds_one_call(self):
+        # with this seed rho splits the 40-bit m in the doubling r = 256,
+        # which it may enter only with 2 (1 + 2 + ... + 256) = 1022 steps
+        # of budget left; the budget counts steps times bits
+        m = 1_000_003 * 1_000_033
+        assert arith._pollard_brent(m, random.Random(1), budget=40 * 1022) in (1_000_003, 1_000_033)
+        assert arith._pollard_brent(m, random.Random(1), budget=40 * 1022 - 1) is None
+        # about 2^24 steps on this 96-bit semiprime
+        n = (2**48 - 59) * (2**48 - 257)
+        assert arith._pollard_brent(n, random.Random(1), budget=96 << 12) is None
 
     def test_rejects_nonpositive(self):
         with pytest.raises(DomainError):
@@ -573,8 +588,56 @@ class TestFactorize:
         assert 1_000_003 in calls and 1_000_033 in calls
 
 
+def strong_probable_prime(n, a):
+    """Whether the odd n > 2 passes the Miller-Rabin round to base a."""
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(r - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
 class TestPrimalityBound:
     PSI_13 = 3_317_044_064_679_887_385_961_981
+    # psi_k, the least strong pseudoprime to the first k prime bases, as its
+    # factorization (Jaeschke 1993, Sorenson-Webster 2017, OEIS A014233)
+    PSI_FACTORS = [
+        (23, 89),
+        (829, 1657),
+        (2251, 11251),
+        (151, 751, 28351),
+        (6763, 10627, 29947),
+        (1303, 16927, 157543),
+        (10670053, 32010157),
+        (10670053, 32010157),
+        (149491, 747451, 34233211),
+        (149491, 747451, 34233211),
+        (149491, 747451, 34233211),
+        (399165290221, 798330580441),
+        (1287836182261, 2575672364521),
+    ]
+
+    def test_psi_table(self):
+        assert arith._MR_PSI == tuple(math.prod(f) for f in self.PSI_FACTORS)
+        assert arith._MR_PSI[-1] == self.PSI_13
+
+    def test_each_psi_is_a_composite_strong_pseudoprime_to_its_prefix(self):
+        for k, psi in enumerate(arith._MR_PSI, 1):
+            assert min(self.PSI_FACTORS[k - 1]) > 1
+            assert all(strong_probable_prime(psi, a) for a in arith._MR_BASES[:k]), k
+            if k < 13:
+                # the next base that tells it apart is in the prefix for psi_k
+                assert arith.is_prime(psi) is False, k
+
+    def test_agrees_with_the_sieve(self):
+        limit = 2 * 10**5
+        assert [n for n in range(limit) if arith.is_prime(n)] == arith._prime_sieve(limit - 1)
 
     def test_below_bound_is_decided(self):
         assert arith.is_prime(self.PSI_13 - 2) is False
@@ -635,7 +698,7 @@ class TestSturm:
             poly = squarefree_part(poly)
             if len(poly) < 3:
                 continue
-            bound = arith.cauchy_root_bound(poly)
+            bound = cauchy_root_bound(poly)
             # oracle: sign changes on a fine grid, refined to rule out misses
             steps = 4096
             # x_i = -bound + 2 bound i / steps = n_i / steps; steps^deg * poly(x_i)
@@ -693,7 +756,7 @@ class TestSturm:
             bits = rng.choice([0, 1, 5, 40, 80])
             sturm = sturm_chain(poly)
             intervals = isolate_real_roots(poly, sturm)
-            bound = arith.cauchy_root_bound(poly)
+            bound = cauchy_root_bound(poly)
             chain = classical_sturm_chain(poly)
             assert len(intervals) == frac_variations(chain, -bound) - frac_variations(chain, bound)
             oracle = [bisection_oracle(poly, lo, hi, bits) for lo, hi in intervals]
@@ -779,7 +842,7 @@ class TestSturm:
             if disc <= 0 or isqrt(disc) ** 2 == disc:
                 continue
             bits = rng.choice([0, 1, 5, 80, 64 + max(abs(x) for x in poly).bit_length()])
-            assert arith.quadratic_real_roots(poly, bits) == real_roots(
+            assert cell_fractions(arith.quadratic_real_roots(poly, bits)) == real_roots(
                 poly, sturm_chain(poly), bits
             )
             checked += 1

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from functools import partial
 from math import gcd, isqrt
 
 import pytest
@@ -142,6 +143,16 @@ class TestAnalyze:
         code, out, err = run_cli(capsys, ["analyze", "--weil", f"{q},1,1", "--q", q])
         assert (code, out) == (2, "")
         assert err == "error: q of 1101 bits is too large for float angles\n"
+
+    def test_rho_stall_is_one_line_exit_two(self, capsys, monkeypatch):
+        # t^2 - 4q = 1 - 2^1002 leaves a cofactor no rho budget splits; a
+        # small budget reaches the same exit at once
+        monkeypatch.setattr(arith, "factorize", partial(arith.factorize, rho_budget=1 << 16))
+        q = str(2**1000)
+        code, out, err = run_cli(capsys, ["analyze", "--weil", f"{q},1,1", "--q", q])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: factorization stalled at cofactor ")
+        assert len(err.splitlines()) == 1
 
     def test_parse_error_exit_code(self, capsys):
         code, _, _ = run_cli(capsys, ["analyze", "--weil", "5,a,1", "--q", "5"])
@@ -551,7 +562,8 @@ class TestExamples:
         def no_sieve(limit):
             raise AssertionError(f"sieved to {limit}")
 
-        monkeypatch.setattr(arith, "_prime_sieve", no_sieve)
+        # both sieve readers go through the one bytearray sieve
+        monkeypatch.setattr(arith, "_sieve", no_sieve)
         code, out, err = run_cli(capsys, ["examples", "--family", "small", "--pmax", str(10**15)])
         assert (code, out) == (2, "")
         assert err == f"error: pmax = {10**15} is above the sweep cap {strata.FAMILY_PMAX_CAP}\n"

@@ -272,6 +272,10 @@ class TestExampleFamilies:
 
         for pmax in [*range(-5, 401), 10**4]:
             assert strata.family_primes(pmax) == trial(pmax), pmax
+        # every eighth sieve byte against the filtered list of all primes
+        for pmax in (7, 8, 15, 16, 10007):
+            primes = arith._prime_sieve(pmax - 1)
+            assert strata.family_primes(pmax) == [p for p in primes if p % 8 == 7], pmax
 
 
 class TestPrimePowerFields:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from lattice_oracle import resultant
-from poly_oracle import poly_derivative, real_roots, sturm_chain, weil_angles
+from poly_oracle import cell_fractions, poly_derivative, real_roots, sturm_chain, weil_angles
 
 from ppav import arith, strata, weil
 from ppav.errors import DomainError, NotWeilShape, UnsupportedDegree
@@ -490,7 +490,36 @@ class TestQuadraticClosedForm:
 
     def assert_roots_match(self, g):
         bits = angle_bits(g)
-        assert arith.quadratic_real_roots(g, bits) == real_roots(g, sturm_chain(g), bits), g
+        cells = arith.quadratic_real_roots(g, bits)
+        assert cell_fractions(cells) == real_roots(g, sturm_chain(g), bits), g
+
+    def test_cell_division_is_the_fraction_float(self):
+        # `_angles` divides n / den; int true division rounds correctly, so
+        # it gives the double float(Fraction(n, den)) does, past 2^53 too,
+        # and float(n) for the integer roots (den 1)
+        rng = random.Random(27)
+        cells = []
+        while len(cells) < 300:
+            size = 10 ** rng.choice([3, 12, 40])
+            b, c = rng.randrange(-size, size + 1), rng.randrange(-size, size + 1)
+            disc = b * b - 4 * c
+            if disc > 0 and isqrt(disc) ** 2 != disc:
+                cells.append(arith.quadratic_real_roots([c, b, 1], angle_bits([c, b, 1])))
+        for k in range(400):
+            n = rng.choice([-1, 1]) * rng.getrandbits(rng.randrange(54, 400))
+            cells.append((1 << rng.randrange(0, 300) if k % 4 else 1, [n]))
+        wide = 0
+        for den, nums in cells:
+            for n in nums:
+                x, exact = n / den, Fraction(n, den)
+                assert x == float(exact), (n, den)
+                assert den > 1 or x == float(n), n
+                # no neighbouring double is nearer the exact value
+                err = abs(Fraction(x) - exact)
+                for toward in (-math.inf, math.inf):
+                    assert err <= abs(Fraction(math.nextafter(x, toward)) - exact), (n, den)
+                wide += abs(n) >= 2**53
+        assert wide >= 900
 
     def test_golden_surfaces(self):
         from test_cli import GOLDEN_SURFACES
@@ -535,7 +564,8 @@ class TestQuadraticClosedForm:
         disc = a * a - 4 * g[0]
         if disc > 0 and isqrt(disc) ** 2 != disc:
             self.assert_roots_match(g)
-            assert arith.quadratic_real_roots(g, 80) == real_roots(g, sturm_chain(g), 80)
+            cells = arith.quadratic_real_roots(g, 80)
+            assert cell_fractions(cells) == real_roots(g, sturm_chain(g), 80)
 
 
 class TestWeilRegion:
