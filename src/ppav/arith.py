@@ -16,8 +16,6 @@ Conventions used throughout the package:
   transform: a kernel is read off the HNF of an augmented matrix.
 """
 
-from __future__ import annotations
-
 import random
 from bisect import bisect_right
 from itertools import compress
@@ -256,17 +254,20 @@ def is_prime(n):
     return True
 
 
-# steps times bits per rho call: 16.8M steps at 96 bits, what the largest
-# semiprime in the tests needs, and 2.3M (about 15 s) at 929 bits
+# steps times bits over all rho calls of one factorization: 16.8M steps at
+# 96 bits, what the largest semiprime in the tests needs, and 2.3M (about
+# 15 s) at 929 bits
 RHO_BUDGET = 1 << 31
 
 
-def _pollard_brent(n, rng, budget=RHO_BUDGET):
+def _pollard_brent(n, rng, budget=RHO_BUDGET, spent=None):
     """Brent's rho: a factor 1 < d < n of the composite n, or None once
-    steps * bits(n) would pass budget."""
+    spent[0] plus its steps * bits(n) would pass budget.  `spent`, a
+    one-item list, carries that sum across the calls of one factorization."""
     if n % 2 == 0:
         return 2
-    left = budget // n.bit_length()
+    spent = [0] if spent is None else spent
+    bits = n.bit_length()
     while True:
         y = rng.randrange(1, n)
         c = rng.randrange(1, n)
@@ -274,9 +275,10 @@ def _pollard_brent(n, rng, budget=RHO_BUDGET):
         g = r = q = 1
         x = ys = y
         while g == 1:
-            left -= 2 * r  # r steps to move x, at most r to search
-            if left < 0:
+            cost = 2 * r * bits  # r steps to move x, at most r to search
+            if spent[0] + cost > budget:
                 return None
+            spent[0] += cost
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -306,9 +308,10 @@ def factorize(n, max_rounds=64, rho_budget=RHO_BUDGET):
     is recorded without a primality test.  Only a cofactor that outlives
     the whole trial-division table goes on to Miller-Rabin certification
     and Pollard-Brent rho.
-    Raises FactorError (with the partial factorization) if rho stalls, past
-    max_rounds or rho_budget, and DomainError if a cofactor above 3.3e24
-    may be prime (see `is_prime`).
+    At most max_rounds rho calls, which share rho_budget between them.
+    Raises FactorError (with the partial factorization and the cofactor)
+    if rho stalls, past either limit, and DomainError if a cofactor above
+    3.3e24 may be prime (see `is_prime`).
     """
     if n <= 0:
         raise DomainError("factorize requires n > 0")
@@ -326,6 +329,7 @@ def factorize(n, max_rounds=64, rho_budget=RHO_BUDGET):
     rng = random.Random(0xFAC7)
     stack = [n]
     rounds = 0
+    spent = [0]
     while stack:
         m = stack.pop()
         if m == 1:
@@ -334,9 +338,11 @@ def factorize(n, max_rounds=64, rho_budget=RHO_BUDGET):
             out[m] = out.get(m, 0) + 1
             continue
         rounds += 1
-        d = _pollard_brent(m, rng, rho_budget) if rounds <= max_rounds else None
+        d = _pollard_brent(m, rng, rho_budget, spent) if rounds <= max_rounds else None
         if d is None:
-            raise FactorError(f"factorization stalled at cofactor {m}", partial=out)
+            raise FactorError(
+                f"factorization stalled at a {m.bit_length()}-bit cofactor", partial=out, cofactor=m
+            )
         stack.append(d)
         stack.append(m // d)
     return out

@@ -16,33 +16,24 @@ j = 0 and j = 1728 would adjust at most two traces per field by O(1), and
 no weighting is applied for them.
 """
 
-from __future__ import annotations
-
 import csv
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 from math import isqrt
 
 from . import arith, quadratic
 from .errors import DomainError, InternalError
 
-@dataclass(frozen=True)
-class CensusRow:
-    t: int
-    delta: int
-    H: int
-    normalized_trace: float
+class CensusRow(namedtuple("CensusRow", "t delta H normalized_trace")):
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class CensusSummary:
-    p: int
-    class_count: int
-    curve_total: int
-    bins: int
-    histogram: tuple
-    tv_to_semicircle: float
-    predicted_class_count: float
+class CensusSummary(
+    namedtuple(
+        "CensusSummary",
+        "p class_count curve_total bins histogram tv_to_semicircle predicted_class_count",
+    )
+):
+    __slots__ = ()
 
 def ordinary_traces(p):
     s = isqrt(4 * p)
@@ -71,6 +62,8 @@ def enumerate_ec(p):
     total = sum(_sixfold_weight(r.delta, r.H) for r in rows)
     total += _sixfold_weight(-4 * p, quadratic.kronecker_class_number(-4 * p))
     if total != 12 * p:
+        from fractions import Fraction
+
         exact = Fraction(total, 6)
         raise InternalError(f"Kronecker-Hurwitz sum {exact} != 2p = {2 * p} at p = {p}")
     return rows

@@ -15,9 +15,10 @@ output is deterministic: keys sorted, floats in shortest round-trip form
 
 The argument parser is built on the first `main` call, not at import, and
 reused by every later call in the process: a parse reads only its argv.
+Importing this module loads what the other subcommands run on (argparse,
+json, csv and the pipeline modules) and no more; `measures`, which needs
+`fractions`, is imported by its subcommand.
 """
-
-from __future__ import annotations
 
 import argparse
 import contextlib
@@ -188,8 +189,9 @@ def _cmd_measures(args):
     # imported here so that no other subcommand pays for compiling the module
     from . import measures
 
-    measures.check_grid(args.grid)  # before the constants print or --out is truncated
+    # both checks before the constants print or --out is truncated
     spec = measures.measure_spec(args.n)
+    measures.check_grid(args.n, args.grid)
     constants = {
         "n": args.n,
         "v_n": str(spec.v_n),
@@ -279,7 +281,15 @@ def build_parser():
 
     p_me = sub.add_parser("measures", help="angle-density tables and constants")
     p_me.add_argument("--n", required=True, type=int)
-    p_me.add_argument("--grid", type=int, default=64)
+    # the cap is measures.MAX_GRID_ROWS, written out so the parser need not
+    # import measures
+    p_me.add_argument(
+        "--grid",
+        type=int,
+        default=64,
+        help="grid points on [0, pi] (default 64); the table has C(GRID + N - 1, N) rows, "
+        "at most 10000000",
+    )
     p_me.add_argument("--out", help="CSV path (default: stdout)")
     p_me.set_defaults(func=_cmd_measures)
 

@@ -22,11 +22,13 @@ class UnsupportedDegree(DomainError):
 
 
 class FactorError(PpavError):
-    """Factorization gave up; carries the partial factorization found so far."""
+    """Factorization gave up; carries the partial factorization found so far
+    and the cofactor it could not split."""
 
-    def __init__(self, message, partial=None):
+    def __init__(self, message, partial=None, cofactor=None):
         super().__init__(message)
         self.partial = partial or {}
+        self.cofactor = cofactor
 
 
 class SearchLimitError(PpavError):

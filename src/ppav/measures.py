@@ -14,11 +14,9 @@ are reported side by side without blending; they differ by exactly
 The densities take one ascending tuple of n angles and use `math` only.
 """
 
-from __future__ import annotations
-
 import csv
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -95,13 +93,10 @@ def density_nu(n, theta, constant="nominal"):
     return d * _vandermonde_sines(theta)
 
 
-@dataclass(frozen=True)
-class MeasureSpec:
-    n: int
-    v_n: Fraction
-    c_n: float
-    d_n_nominal: float
-    d_n_eff: float
+class MeasureSpec(namedtuple("MeasureSpec", "n v_n c_n d_n_nominal d_n_eff")):
+    """v_n is the exact Fraction of `constant_v`; the other constants are floats."""
+
+    __slots__ = ()
 
 
 # the dimensions `measures` tabulates: the grid has C(points + n - 1, n)
@@ -146,19 +141,30 @@ def isogeny_class_count_estimate(n, q):
     return float(constant_v(n)) * (phi / q) * float(q) ** (n * (n + 1) / 4)
 
 
-def check_grid(points):
+# a table of n angles on `points` grid points has C(points + n - 1, n) rows,
+# written at about 10 us a row: 10^7 rows is about 100 s, and the default
+# n = 4 on 64 points is 766,480
+MAX_GRID_ROWS = 10**7
+
+
+def check_grid(n, points):
     if points < 0:
         raise DomainError(f"grid needs a nonnegative number of points, got {points}")
+    rows = math.comb(points + n - 1, n) if points else 0
+    if rows > MAX_GRID_ROWS:
+        raise DomainError(
+            f"grid of {points} points has {rows} rows at n = {n}, above the cap {MAX_GRID_ROWS}"
+        )
 
 
 def simplex_grid(n, points):
     """Ascending n-tuples from a regular grid on [0, pi], made one at a time.
 
     The axis is i * pi/(points - 1) with its last entry exactly pi, as
-    `numpy.linspace(0, pi, points)` gives it.  `points` is checked here,
-    before the first tuple is asked for.
+    `numpy.linspace(0, pi, points)` gives it.  `points` and the row count
+    are checked here, before the first tuple is asked for.
     """
-    check_grid(points)
+    check_grid(n, points)
     step = math.pi / (points - 1) if points > 1 else 0.0
     axis = [i * step + 0.0 for i in range(points)]
     if points > 1:

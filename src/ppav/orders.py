@@ -19,11 +19,8 @@ and certificate layer in `strata` consumes only the quadratic shadows of
 these objects, which `quadratic` computes exactly.
 """
 
-from __future__ import annotations
-
 import json
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 from math import prod
 
 from . import arith
@@ -90,17 +87,14 @@ class FieldContext(RingContext):
         return den ** (count - 1), rows
 
 
-@dataclass(frozen=True)
-class Lattice:
+class Lattice(namedtuple("Lattice", "ctx den rows")):
     """Full-rank Z-lattice in its context algebra, canonical HNF basis.
 
     Equality of lattices is equality of (context, den, rows); the stored
     basis is rows/den with rows in canonical integer HNF.
     """
 
-    ctx: RingContext
-    den: int
-    rows: tuple
+    __slots__ = ()
 
     def coordinates(self, coords, den=1):
         """Integer c with c @ rows / self.den == coords / den, or None if
@@ -178,8 +172,21 @@ def trace_dual(lat):
 def lattice_discriminant(lat):
     """Determinant of the trace Gram in the lattice basis, sign retained,
     as a Fraction: (product of the HNF diagonal / den^dim)^2 * disc f."""
+    return _fraction(*_discriminant_parts(lat))
+
+
+def _discriminant_parts(lat):
+    """(num, den), not reduced, with lattice_discriminant(lat) = num / den."""
     diag = prod(row[i] for i, row in enumerate(lat.rows))
-    return Fraction(diag * diag * lat.ctx.trace_det, lat.den ** (2 * lat.ctx.dim))
+    return diag * diag * lat.ctx.trace_det, lat.den ** (2 * lat.ctx.dim)
+
+
+def _fraction(num, den):
+    # fractions is imported by the paths that return or print a rational,
+    # not by the pipelines, which compare in integers
+    from fractions import Fraction
+
+    return Fraction(num, den)
 
 
 def is_ring(lat):
@@ -231,8 +238,9 @@ def minimal_order(ctx):
     powers = [[den * (i == k) for i in range(ctx.dim)] for k in range(ctx.n + 1)]
     lat = lattice_from_generators(ctx, powers + c[1 : ctx.n], den)
     expected = ctx.real_ctx.trace_det**2 * delta_norm(ctx.g, ctx.q)
-    found = abs(lattice_discriminant(lat))
-    if found != expected:
+    num, den = _discriminant_parts(lat)
+    if abs(num) != expected * den:
+        found = abs(_fraction(num, den))
         raise InternalError(
             f"disc Z[pi, pibar] = {found}, but disc(g)^2 |N(alpha^2 - 4q)| = {expected}"
         )
@@ -262,12 +270,13 @@ def real_subring(ring):
     return lattice_from_generators(ctx.real_ctx, rows, ring.den * e)
 
 
-@dataclass(frozen=True)
-class ConvenienceCertificate:
-    stable_under_conjugation: bool
-    real_subring_gorenstein: bool
-    pure_imaginary_index: int
-    is_convenient: bool
+class ConvenienceCertificate(
+    namedtuple(
+        "ConvenienceCertificate",
+        "stable_under_conjugation real_subring_gorenstein pure_imaginary_index is_convenient",
+    )
+):
+    __slots__ = ()
 
 
 def pure_imaginary_index(ring):
@@ -351,22 +360,22 @@ def minimal_order_certificate(minimal):
     scale, delta = _different_generator(ctx)
 
     def failed(what):
-        return InternalError(f"{what}; delta = {[str(Fraction(x, scale)) for x in delta]}")
+        return InternalError(f"{what}; delta = {[str(_fraction(x, scale)) for x in delta]}")
 
     # M(s delta) X = d I with d = N(s delta) = s^dim N(delta); the first row
     # of X over d is the coordinate row of (s delta)^-1
     norm, adjugate = arith.inverse(ctx.element_matrix(delta))
-    disc = lattice_discriminant(minimal)
-    if abs(norm) != abs(disc) * scale**ctx.dim:
-        found = abs(Fraction(norm, scale**ctx.dim))
-        raise failed(f"|N(delta)| = {found}, but |disc Z[pi, pibar]| = {abs(disc)}")
+    num, den = _discriminant_parts(minimal)
+    if abs(norm) * den != abs(num) * scale**ctx.dim:
+        found, disc = abs(_fraction(norm, scale**ctx.dim)), abs(_fraction(num, den))
+        raise failed(f"|N(delta)| = {found}, but |disc Z[pi, pibar]| = {disc}")
     # Tr(delta^-1 b_i / den) = s (b_i . T x) / (d den), T the trace form
     column = [sum(t * x for t, x in zip(row, adjugate[0])) for row in ctx.trace_gram]
     modulus = norm * minimal.den
     for i, row in enumerate(minimal.rows):
         value = scale * sum(b * t for b, t in zip(row, column))
         if value % modulus:
-            raise failed(f"Tr(delta^-1 b_{i}) = {Fraction(value, modulus)} is not integral")
+            raise failed(f"Tr(delta^-1 b_{i}) = {_fraction(value, modulus)} is not integral")
     return ConvenienceCertificate(
         stable_under_conjugation=True,
         real_subring_gorenstein=True,

@@ -7,9 +7,6 @@ parity of one continued-fraction period.  Everything is integer
 arithmetic, no floating point.
 """
 
-from __future__ import annotations
-
-from fractions import Fraction
 from math import isqrt
 
 from . import arith
@@ -206,6 +203,8 @@ def h_over_H_bound(delta):
 
     The ratio is at most the bound whenever delta0 < -4.
     """
+    from fractions import Fraction
+
     strata = stratified_class_numbers(delta)
     conductor, h = strata[-1]  # the last divisor of the conductor is itself
     ratio = Fraction(h, sum(count for _, count in strata))

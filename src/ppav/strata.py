@@ -8,11 +8,8 @@ class groups themselves are deliberately out of scope.  Both certificates
 come from one pass, `_certificates`, and reach users through `analyze`.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 from itertools import compress
 from math import gcd, isqrt
 
@@ -151,19 +148,18 @@ def real_unit_index(spec):
 # heavy isogeny classes: small h / H
 
 
-@dataclass(frozen=True)
-class HeavyClassWitness:
-    p: int
-    t: int
-    delta: int
-    conductor: int
-    ratio: Fraction
-    bound: Fraction
-    x: int
-    y: int
-    # delta = t^2 - 4p expands to 4 m^2 y^2 delta0, so the conductor is
-    # 2my (not my); only divisibility by m is asserted or needed
-    conductor_note: str = "conductor = 2my; certified property is m | conductor"
+# delta = t^2 - 4p expands to 4 m^2 y^2 delta0, so the conductor is 2my
+# (not my); only divisibility by m is asserted or needed
+class HeavyClassWitness(
+    namedtuple(
+        "HeavyClassWitness",
+        "p t delta conductor ratio bound x y conductor_note",
+        defaults=("conductor = 2my; certified property is m | conductor",),
+    )
+):
+    """ratio and bound are the Fractions of `quadratic.h_over_H_bound`."""
+
+    __slots__ = ()
 
 
 def find_heavy_isogeny_class(m, delta0, search_limit=10_000):
@@ -211,14 +207,8 @@ def find_heavy_isogeny_class(m, delta0, search_limit=10_000):
 # the three example families of abelian surfaces
 
 
-@dataclass(frozen=True)
-class FamilyReport:
-    kind: str
-    p: int
-    f: tuple
-    ratio_exact: int
-    angles: tuple
-    bound_checked: bool
+class FamilyReport(namedtuple("FamilyReport", "kind p f ratio_exact angles bound_checked")):
+    __slots__ = ()
 
 
 def _family_polynomial(kind, p):
@@ -290,19 +280,17 @@ def family_primes(pmax):
 # report assembly
 
 
-@dataclass(frozen=True)
-class StratumReport:
-    spec: weil.IsogenyClassSpec
-    stratum: str
-    exact_count: int | None
-    estimate: float | None
-    ratio_exact: int
-    ratio_trig: float
-    surjectivity: str
-    odd_ramified: str
-    unit_index_real: int
-    norm_unit_index: str
-    polarizations_per_variety: int | None
+class StratumReport(
+    namedtuple(
+        "StratumReport",
+        "spec stratum exact_count estimate ratio_exact ratio_trig surjectivity odd_ramified "
+        "unit_index_real norm_unit_index polarizations_per_variety",
+    )
+):
+    """spec is the weil.IsogenyClassSpec; exact_count, estimate and
+    polarizations_per_variety may be None."""
+
+    __slots__ = ()
 
 
 def _ec_odd_ramified(delta0):

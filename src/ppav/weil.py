@@ -20,10 +20,8 @@ other D gives irrational roots, which `arith.quadratic_real_roots` refines
 from two integer square roots to well below 1e-14.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from math import comb, gcd, isqrt
 
@@ -31,20 +29,15 @@ from . import arith
 from .errors import DomainError, NotWeilShape, UnsupportedDegree
 
 
-@dataclass(frozen=True)
-class IsogenyClassSpec:
+class IsogenyClassSpec(namedtuple("IsogenyClassSpec", "f q n g angles")):
     """A validated Weil polynomial with its derived data.
 
     f: monic degree-2n integer polynomial, ascending coefficients.
     g: the real companion polynomial, monic of degree n.
     angles: the n Frobenius angles in [0, pi], ascending.
-    """
 
-    f: tuple
-    q: int
-    n: int
-    g: tuple
-    angles: tuple
+    No __slots__: the two cached properties keep their values in __dict__.
+    """
 
     @cached_property
     def discriminant_norms(self):

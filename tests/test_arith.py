@@ -552,7 +552,8 @@ class TestFactorize:
             with pytest.raises(FactorError) as err:
                 arith.factorize(12 * n, **limits)
             assert err.value.partial == {2: 2, 3: 1}
-            assert str(err.value) == f"factorization stalled at cofactor {n}"
+            assert err.value.cofactor == n
+            assert str(err.value) == "factorization stalled at a 96-bit cofactor"
 
     def test_rho_budget_bounds_one_call(self):
         # with this seed rho splits the 40-bit m in the doubling r = 256,
@@ -564,6 +565,22 @@ class TestFactorize:
         # about 2^24 steps on this 96-bit semiprime
         n = (2**48 - 59) * (2**48 - 257)
         assert arith._pollard_brent(n, random.Random(1), budget=96 << 12) is None
+
+    def test_rho_budget_is_shared_by_the_calls(self):
+        # four primes above the trial-division table take three rho splits,
+        # of 80, 60 and 40 bits, each in the doubling r = 512, so with
+        # 2 (1 + 2 + ... + 512) = 2046 steps each
+        primes = (1_000_003, 1_000_033, 1_000_037, 1_000_039)
+        n = math.prod(primes)
+        assert arith.factorize(12 * n) == {2: 2, 3: 1, **dict.fromkeys(primes, 1)}
+        # a budget that covers the first and largest call leaves nothing
+        # for the second
+        with pytest.raises(FactorError) as err:
+            arith.factorize(12 * n, rho_budget=80 * 2046)
+        assert err.value.partial == {2: 2, 3: 1}
+        assert err.value.cofactor == n // 1_000_033
+        assert str(err.value) == "factorization stalled at a 60-bit cofactor"
+        assert arith.factorize(12 * n, rho_budget=(80 + 60 + 40) * 2046) == arith.factorize(12 * n)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(DomainError):

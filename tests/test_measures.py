@@ -207,6 +207,14 @@ class TestCsv:
             axis = [theta for (theta,) in measures.simplex_grid(1, points)]
             assert axis == np.linspace(0.0, math.pi, points).tolist()
 
+    def test_row_cap(self):
+        measures.check_grid(4, 64)  # the CLI default, 766,480 rows
+        measures.check_grid(1, measures.MAX_GRID_ROWS)
+        for n, points in ((1, measures.MAX_GRID_ROWS + 1), (4, 130), (2, 4472)):
+            assert math.comb(points + n - 1, n) > measures.MAX_GRID_ROWS
+            with pytest.raises(DomainError, match="above the cap"):
+                measures.simplex_grid(n, points)
+
     def test_bad_grid_writes_nothing(self):
         handle = io.StringIO()
         with pytest.raises(DomainError):
