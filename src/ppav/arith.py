@@ -300,7 +300,7 @@ def _pollard_brent(n, rng, budget=RHO_BUDGET, spent=None):
             return g
 
 
-def factorize(n, max_rounds=64, rho_budget=RHO_BUDGET):
+def factorize(n, rho_budget=RHO_BUDGET):
     """Full prime factorization of n > 0 as a dict {prime: exponent}.
 
     Trial division by the sieved primes below 10^4.  Once a trial prime
@@ -308,10 +308,11 @@ def factorize(n, max_rounds=64, rho_budget=RHO_BUDGET):
     is recorded without a primality test.  Only a cofactor that outlives
     the whole trial-division table goes on to Miller-Rabin certification
     and Pollard-Brent rho.
-    At most max_rounds rho calls, which share rho_budget between them.
-    Raises FactorError (with the partial factorization and the cofactor)
-    if rho stalls, past either limit, and DomainError if a cofactor above
-    3.3e24 may be prime (see `is_prime`).
+    The rho calls share rho_budget between them: each one either splits a
+    composite or spends the rest of the budget, so there are at most
+    Omega(n) - 1 of them.  Raises FactorError (with the partial
+    factorization and the cofactor) if rho stalls past the budget, and
+    DomainError if a cofactor above 3.3e24 may be prime (see `is_prime`).
     """
     if n <= 0:
         raise DomainError("factorize requires n > 0")
@@ -328,7 +329,6 @@ def factorize(n, max_rounds=64, rho_budget=RHO_BUDGET):
     # the cofactor outlived the table: certify it or split it
     rng = random.Random(0xFAC7)
     stack = [n]
-    rounds = 0
     spent = [0]
     while stack:
         m = stack.pop()
@@ -337,8 +337,7 @@ def factorize(n, max_rounds=64, rho_budget=RHO_BUDGET):
         if is_prime(m):
             out[m] = out.get(m, 0) + 1
             continue
-        rounds += 1
-        d = _pollard_brent(m, rng, rho_budget, spent) if rounds <= max_rounds else None
+        d = _pollard_brent(m, rng, rho_budget, spent)
         if d is None:
             raise FactorError(
                 f"factorization stalled at a {m.bit_length()}-bit cofactor", partial=out, cofactor=m

@@ -63,7 +63,7 @@ def _analyze_class(coeffs, q, as_json):
     """Print the full report for one isogeny class."""
     spec = weil.isogeny_class(coeffs, q)
     reports = strata.analyze(spec)  # ordinary and simple, before any orders work
-    ctx = orders.FieldContext(list(spec.f), spec.q)
+    ctx = orders.FieldContext(spec.f, spec.q)
     minimal = orders.minimal_order(ctx)
     cert = orders.minimal_order_certificate(minimal)
     header = {
@@ -73,7 +73,7 @@ def _analyze_class(coeffs, q, as_json):
         "n": str(spec.n),
         "real_weil": [str(c) for c in spec.g],
         "angles": list(spec.angles),
-        "ordinary": weil.is_ordinary(list(spec.f), spec.q),
+        "ordinary": spec.ordinary,
         "simple": spec.simple,
         "minimal_order": {
             "den": str(minimal.den),

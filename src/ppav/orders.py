@@ -295,10 +295,8 @@ def pure_imaginary_index(ring):
         if c is None:
             raise InternalError("generated ideal escapes the trace dual")
         coords.append(c)
-    h, rank = arith.hnf_int(coords)
-    if rank < ring.ctx.dim:
-        raise RankError(f"generators span rank {rank} < {ring.ctx.dim}")
-    return prod(h[i][i] for i in range(rank))
+    _, h = arith.lattice_hnf(coords, ring.ctx.dim)
+    return prod(h[i][i] for i in range(ring.ctx.dim))
 
 
 def convenient_certificate(ring):

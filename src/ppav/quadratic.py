@@ -19,16 +19,7 @@ def check_discriminant(delta):
 
 
 def is_fundamental(delta):
-    if delta == 1 or delta == 0:
-        return False
-    if delta % 4 == 1:
-        s, f = arith.squarefree_decompose(abs(delta))
-        return f == 1
-    if delta % 4 == 0:
-        m = delta // 4
-        s, f = arith.squarefree_decompose(abs(m))
-        return f == 1 and m % 4 in (2, 3)
-    return False
+    return delta % 4 in (0, 1) and delta not in (0, 1) and fundamental_decomposition(delta)[1] == 1
 
 
 def fundamental_decomposition(delta):

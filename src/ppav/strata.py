@@ -6,6 +6,10 @@ estimator together with certificates (odd ramification, norm surjectivity)
 that pin down the exact class-number formula a user would apply; quartic
 class groups themselves are deliberately out of scope.  Both certificates
 come from one pass, `_certificates`, and reach users through `analyze`.
+
+Every reader here takes a class from `weil.isogeny_class`, so n <= 2, and
+reads its ordinarity, simplicity and discriminant norms off the record;
+none of them is decided, or the degree guarded, a second time.
 """
 
 import math
@@ -23,8 +27,6 @@ def disc_ratio_exact(spec):
     It is |N(alpha^2 - 4q)| * |disc g| for alpha = pi + pibar with minimal
     polynomial g, read off `spec.discriminant_norms`.
     """
-    if spec.n > 2:
-        raise DomainError("exact discriminant ratios are implemented for n <= 2")
     norm_delta, disc_g = spec.discriminant_norms
     return norm_delta * disc_g
 
@@ -93,8 +95,6 @@ def _odd_valuation_primes(spec):
     c is odd.  N and disc g come from `spec.discriminant_norms`; the closed
     form |A^2 - B'^2 rad| = 4N is checked against them.
     """
-    if spec.n != 2:
-        raise DomainError("certificates are defined for abelian surfaces")
     big_b, big_c = spec.g[1], spec.g[0]  # g = x^2 + B x + C
     norm, disc_g = spec.discriminant_norms
     if disc_g == 0:
@@ -193,9 +193,7 @@ def find_heavy_isogeny_class(m, delta0, search_limit=10_000):
                 raise InternalError("discriminant decomposition disagrees")
             if conductor % m != 0:
                 raise InternalError("conductor lost the factor m")
-            ratio, bound = quadratic.h_over_H_bound(delta)
-            if ratio > bound:
-                raise InternalError("h/H bound violated by witness")
+            ratio, bound = quadratic.h_over_H_bound(delta)  # raises InternalError if ratio > bound
             return HeavyClassWitness(
                 p=p, t=t, delta=delta, conductor=conductor,
                 ratio=ratio, bound=bound, x=x, y=y,
@@ -234,8 +232,8 @@ def example_family(kind, p):
     if not arith.is_prime(p) or p % 8 != 7:
         raise DomainError("family members are indexed by primes p = 7 mod 8")
     f = _family_polynomial(kind, p)
-    spec = weil.isogeny_class(list(f), p)
-    if not weil.is_ordinary(list(f), p):
+    spec = weil.isogeny_class(f, p)
+    if not spec.ordinary:
         raise InternalError(f"family member p={p} is not ordinary")
     if not spec.simple:
         raise InternalError(f"family member p={p} is not simple")
@@ -301,9 +299,7 @@ def _ec_odd_ramified(delta0):
 
 def analyze(spec):
     """Stream of per-stratum reports for a validated simple ordinary class."""
-    if spec.n > 2:
-        raise DomainError("analysis is implemented for n <= 2")
-    if not weil.is_ordinary(list(spec.f), spec.q):
+    if not spec.ordinary:
         raise DomainError("isogeny class is not ordinary")
     if not spec.simple:
         raise DomainError("isogeny class is not simple")

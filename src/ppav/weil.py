@@ -5,7 +5,8 @@ polynomial of Frobenius for an isogeny class of n-dimensional abelian
 varieties over F_q.  `isogeny_class` is the one entry point, for n <= 2
 (UnsupportedDegree above): it decides validity (all complex roots of
 absolute value sqrt(q)) exactly, raising NotWeilShape when it fails, and
-returns the class with its Frobenius angles.  f must satisfy
+returns the whole class record: Frobenius angles, ordinarity, simplicity
+and the two discriminant norms, each decided once there.  f must satisfy
 x^2n f(q/x) = q^n f(x), and the real companion polynomial g with
 x^n g(x + q/x) = f(x) must have all roots real and inside
 [-2 sqrt(q), 2 sqrt(q)].
@@ -22,44 +23,26 @@ from two integer square roots to well below 1e-14.
 
 import math
 from collections import namedtuple
-from functools import cached_property
 from math import comb, gcd, isqrt
 
 from . import arith
 from .errors import DomainError, NotWeilShape, UnsupportedDegree
 
 
-class IsogenyClassSpec(namedtuple("IsogenyClassSpec", "f q n g angles")):
-    """A validated Weil polynomial with its derived data.
+class IsogenyClassSpec(
+    namedtuple("IsogenyClassSpec", "f q n g angles ordinary simple discriminant_norms")
+):
+    """A validated Weil polynomial with its derived data, built by `isogeny_class`.
 
     f: monic degree-2n integer polynomial, ascending coefficients.
     g: the real companion polynomial, monic of degree n.
     angles: the n Frobenius angles in [0, pi], ascending.
-
-    No __slots__: the two cached properties keep their values in __dict__.
+    ordinary: the middle coefficient f_n is coprime to q.
+    simple: f is irreducible over Q.
+    discriminant_norms: (|N(alpha^2 - 4q)|, |disc g|), alpha a root of g.
     """
 
-    @cached_property
-    def discriminant_norms(self):
-        """(|N(alpha^2 - 4q)|, |disc g|), computed once per class."""
-        return real_discriminant_norms(self.g, self.q)
-
-    @cached_property
-    def simple(self):
-        """Irreducibility of f over Q in closed form; UnsupportedDegree for n >= 3.
-
-        n = 1: disc f = t^2 - 4q <= 0 is a square iff it is 0.  n = 2: a
-        square disc g splits g and so f; else f splits iff alpha^2 - 4q,
-        alpha a root of g, is a square in Q(alpha).  It is totally
-        nonpositive, so only alpha^2 = 4q, g = x^2 - 4q, splits f, into
-        (x^2 - q)^2 (compare Maisner-Nart 2002).
-        """
-        if self.n == 1:
-            return self.f[1] ** 2 != 4 * self.q
-        if self.n == 2:
-            disc = self.discriminant_norms[1]
-            return isqrt(disc) ** 2 != disc and self.g != (-4 * self.q, 0, 1)
-        raise UnsupportedDegree("irreducibility test implemented up to degree 4")
+    __slots__ = ()
 
 
 def real_weil_polynomial(f, q):
@@ -113,16 +96,11 @@ def delta_norm(g, q):
 
 
 def real_discriminant_norms(g, q):
-    """(|N(alpha^2 - 4q)|, |disc g|) for alpha a root of the monic real Weil
-    polynomial g.  disc g is 1 for linear g and B^2 - 4C for g = x^2 + Bx + C;
-    above degree 2 it is the determinant of g's trace form.
+    """(|N(alpha^2 - 4q)|, |disc g|) for alpha a root of the linear or
+    quadratic monic real Weil polynomial g: disc g is 1 for linear g and
+    B^2 - 4C for g = x^2 + Bx + C.
     """
-    if len(g) == 2:
-        disc = 1
-    elif len(g) == 3:
-        disc = g[1] * g[1] - 4 * g[0]
-    else:
-        disc = arith.det(arith.trace_form(g))
+    disc = 1 if len(g) == 2 else g[1] * g[1] - 4 * g[0]
     return delta_norm(g, q), abs(disc)
 
 
@@ -156,18 +134,6 @@ def _quadratic_in_weil_region(c, b, q):
         and _sign_plus_root(4 * q + c, 2 * b, q) >= 0
         and _sign_plus_root(4 * q + c, -2 * b, q) >= 0
     )
-
-
-def is_ordinary(f, q):
-    """Middle coefficient coprime to q.
-
-    This is the standard ordinarity test for abelian surfaces and elliptic
-    curves; it is adopted as the operative definition for every dimension,
-    which is exact for n <= 2.
-    """
-    f = arith.poly_trim(f)
-    n = (len(f) - 1) // 2
-    return gcd(f[n], q) == 1
 
 
 def is_simple(f):
@@ -278,7 +244,21 @@ def isogeny_class(f, q):
         roots = None
     if roots is None:
         raise NotWeilShape("roots are not all of absolute value sqrt(q)")
-    return IsogenyClassSpec(f=f, q=q, n=n, g=tuple(g), angles=tuple(_angles(roots, q)))
+    g = tuple(g)
+    norms = real_discriminant_norms(g, q)
+    # f is irreducible over Q in closed form.  n = 1: disc f = f_1^2 - 4q <= 0
+    # is a square iff it is 0.  n = 2: a square disc g splits g and so f;
+    # else f splits iff alpha^2 - 4q, alpha a root of g, is a square in
+    # Q(alpha).  It is totally nonpositive, so only alpha^2 = 4q, g = x^2 - 4q,
+    # splits f, into (x^2 - q)^2 (compare Maisner-Nart 2002).
+    if n == 1:
+        simple = f[1] ** 2 != 4 * q
+    else:
+        simple = isqrt(norms[1]) ** 2 != norms[1] and g != (-4 * q, 0, 1)
+    return IsogenyClassSpec(
+        f=f, q=q, n=n, g=g, angles=tuple(_angles(roots, q)),
+        ordinary=gcd(f[n], q) == 1, simple=simple, discriminant_norms=norms,
+    )
 
 
 def random_surface_spec(rng, qmax=10_000, require_ordinary=True, require_simple=True):
@@ -304,9 +284,7 @@ def random_surface_spec(rng, qmax=10_000, require_ordinary=True, require_simple=
         if _sign_plus_root(4 * q + c, -2 * a, q) <= 0:
             continue
         b = c + 2 * q
-        if require_ordinary and gcd(b, q) != 1:
-            continue
         spec = isogeny_class((q * q, a * q, b, a, 1), q)
-        if require_simple and not spec.simple:
+        if (require_ordinary and not spec.ordinary) or (require_simple and not spec.simple):
             continue
         return spec

@@ -547,13 +547,12 @@ class TestFactorize:
 
     def test_factor_error_carries_partial(self):
         n = (2**48 - 59) * (2**48 - 257)
-        # no rho round at all, or one that spends a small budget
-        for limits in ({"max_rounds": 0}, {"rho_budget": 96 << 12}):
-            with pytest.raises(FactorError) as err:
-                arith.factorize(12 * n, **limits)
-            assert err.value.partial == {2: 2, 3: 1}
-            assert err.value.cofactor == n
-            assert str(err.value) == "factorization stalled at a 96-bit cofactor"
+        # one rho call that spends a small budget
+        with pytest.raises(FactorError) as err:
+            arith.factorize(12 * n, rho_budget=96 << 12)
+        assert err.value.partial == {2: 2, 3: 1}
+        assert err.value.cofactor == n
+        assert str(err.value) == "factorization stalled at a 96-bit cofactor"
 
     def test_rho_budget_bounds_one_call(self):
         # with this seed rho splits the 40-bit m in the doubling r = 256,
@@ -581,6 +580,14 @@ class TestFactorize:
         assert err.value.cofactor == n // 1_000_033
         assert str(err.value) == "factorization stalled at a 60-bit cofactor"
         assert arith.factorize(12 * n, rho_budget=(80 + 60 + 40) * 2046) == arith.factorize(12 * n)
+
+    def test_many_rho_splits_within_the_budget(self):
+        # 65 rho splits of an 880-bit product of small primes above the
+        # trial-division table; only the shared budget bounds their number
+        primes = [p for p in range(10_001, 11_000, 2) if trial_division(p) == {p: 1}][:66]
+        assert len(primes) == 66
+        assert arith.factorize(math.prod(primes)) == dict.fromkeys(primes, 1)
+        assert arith.factorize(10_007**70) == {10_007: 70}
 
     def test_rejects_nonpositive(self):
         with pytest.raises(DomainError):

@@ -1,5 +1,7 @@
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 
@@ -38,8 +40,7 @@ def test_records_are_frozen_named_tuples(record):
             setattr(one, name, None)
     # a wrapped __init__ would add a span to perfbench's trace
     assert "__init__" not in vars(record)
-    # the two cached properties of IsogenyClassSpec live in its __dict__
-    assert hasattr(one, "__dict__") == (record is weil.IsogenyClassSpec)
+    assert record.__slots__ == () and not hasattr(one, "__dict__")
 
 
 def test_heavy_witness_note_defaults():
@@ -48,10 +49,13 @@ def test_heavy_witness_note_defaults():
     assert witness.conductor_note == "conductor = 2my; certified property is m | conductor"
 
 
-def test_spec_caches_its_properties():
+def test_spec_fields_are_closed_forms():
+    # g = x^2 - 6x - 14: disc g = 36 + 56, N(alpha^2 - 92) = g(sqrt 92) g(-sqrt 92)
     spec = weil.isogeny_class([529, -138, 32, -6, 1], 23)
-    assert spec.simple and spec.discriminant_norms == spec.discriminant_norms
-    assert set(vars(spec)) == {"simple", "discriminant_norms"}
+    assert spec.g == (-14, -6, 1)
+    assert spec.ordinary is (math.gcd(32, 23) == 1) is True
+    assert spec.discriminant_norms == (abs((92 - 14) ** 2 - 36 * 92), 36 + 56) == (2772, 92)
+    assert spec.simple is (math.isqrt(92) ** 2 != 92) is True
     assert spec == weil.isogeny_class([529, -138, 32, -6, 1], 23)
 
 
@@ -90,3 +94,16 @@ def test_cli_import_leaves_out_dataclasses_inspect_and_fractions():
     assert banned & set(probe["import"]) == set()
     # no command pays for a module the import left out
     assert {"dataclasses", "fractions"} & set(probe["ops"]) == set()
+
+
+def test_readme_python_blocks_run():
+    # each ```python block of the README runs, and gives the values its comments state
+    readme = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as handle:
+        blocks = re.findall(r"^```python\n(.*?)^```$", handle.read(), re.DOTALL | re.MULTILINE)
+    assert blocks
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    assert namespace["ratio"] == 255024
+    assert namespace["cert"].is_convenient is True

@@ -286,3 +286,21 @@ class TestDecomposition:
         assert not quadratic.is_fundamental(-16)
         assert quadratic.is_fundamental(92)
         assert not quadratic.is_fundamental(45)
+
+    def test_is_fundamental_sweep(self):
+        # d = 1 mod 4 squarefree, or d = 4m with m = 2, 3 mod 4 squarefree;
+        # squarefree |d| below 20000 from a sieve over the squares
+        bound = 20_000
+        squarefree = [True] * (bound + 1)
+        squarefree[0] = False
+        for k in range(2, isqrt(bound) + 1):
+            squarefree[k * k :: k * k] = [False] * (bound // (k * k))
+        fundamental = 0
+        for d in range(-bound, bound):
+            expected = d != 1 and (
+                (d % 4 == 1 and squarefree[abs(d)])
+                or (d % 4 == 0 and d // 4 % 4 in (2, 3) and squarefree[abs(d) // 4])
+            )
+            assert quadratic.is_fundamental(d) is expected, d
+            fundamental += expected
+        assert fundamental > 12_000  # about 6/pi^2 of the sweep

@@ -364,8 +364,8 @@ class TestAnalyze:
     def test_surface_factorizes_twice(self, monkeypatch):
         # one fundamental decomposition and one factorization of
         # N(alpha^2 - 4q) for the certificates, none for the unit index; the
-        # two class norms once per class across every strata reader
-        spec = weil.isogeny_class(F23, 23)
+        # two class norms once per class, in isogeny_class, and never again
+        # in a strata reader
         calls = {"factorize": 0, "real_discriminant_norms": 0}
         for module, name in ((arith, "factorize"), (weil, "real_discriminant_norms")):
             original = getattr(module, name)
@@ -375,6 +375,7 @@ class TestAnalyze:
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(module, name, counting)
+        spec = weil.isogeny_class(F23, 23)
         strata.analyze(spec)
         assert strata.disc_ratio_exact(spec) == 2772 * 92
         strata.h_minus_estimate(spec)
