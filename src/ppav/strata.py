@@ -93,14 +93,12 @@ def _odd_valuation_primes(spec):
     gives c, a ramified ell gives v (Cohen, GTM 138, 5.2).  So some
     valuation above ell is odd iff v is odd, or ell does not divide rad and
     c is odd.  N and disc g come from `spec.discriminant_norms`; the closed
-    form |A^2 - B'^2 rad| = 4N is checked against them.
+    form |A^2 - B'^2 rad| = 4N is checked against them.  Both are nonzero
+    for a simple class: disc g is no square, and a root of g at +-2 sqrt(q)
+    would make g = x^2 - 4q (not simple) or, for square q, reducible.
     """
     big_b, big_c = spec.g[1], spec.g[0]  # g = x^2 + B x + C
     norm, disc_g = spec.discriminant_norms
-    if disc_g == 0:
-        raise InternalError("real companion of a surface class must be squarefree")
-    if norm == 0:
-        raise DomainError("alpha^2 - 4q vanishes")
     d0, conductor = quadratic.fundamental_decomposition(disc_g)
     rad = d0 if d0 % 4 == 1 else d0 // 4
     e = conductor if d0 % 4 == 1 else 2 * conductor  # sqrt(disc_g) = e sqrt(rad)

@@ -259,32 +259,3 @@ def isogeny_class(f, q):
         f=f, q=q, n=n, g=g, angles=tuple(_angles(roots, q)),
         ordinary=gcd(f[n], q) == 1, simple=simple, discriminant_norms=norms,
     )
-
-
-def random_surface_spec(rng, qmax=10_000, require_ordinary=True, require_simple=True):
-    """Random valid n=2 isogeny class over F_q, q prime, by rejection.
-
-    Samples integer (a, b) uniformly over the region where the companion
-    g = x^2 + a x + (b - 2q) has two distinct real roots strictly inside
-    (-2 sqrt(q), 2 sqrt(q)).
-    """
-    while True:
-        q = rng.randrange(3, qmax + 1)
-        if not arith.is_prime(q):
-            continue
-        s = isqrt(4 * q)
-        a = rng.randrange(-2 * s - 1, 2 * s + 2)
-        c = rng.randrange(-6 * q, 6 * q + 1)
-        if a * a - 4 * c <= 0:
-            continue
-        if a * a >= 16 * q:
-            continue
-        if _sign_plus_root(4 * q + c, 2 * a, q) <= 0:
-            continue
-        if _sign_plus_root(4 * q + c, -2 * a, q) <= 0:
-            continue
-        b = c + 2 * q
-        spec = isogeny_class((q * q, a * q, b, a, 1), q)
-        if (require_ordinary and not spec.ordinary) or (require_simple and not spec.simple):
-            continue
-        return spec

@@ -14,8 +14,9 @@ from fractions import Fraction
 import numpy as np
 
 from lattice_oracle import INCONVENIENT_ORDER
-from ppav import census, measures, orders, quadratic, strata, weil
+from ppav import census, measures, orders, quadratic, strata
 from quadrature_oracle import integrate_simplex, vandermonde_sines
+from surface_sampler import random_surface_spec
 
 
 class criterion:
@@ -64,7 +65,7 @@ def test_criterion_2_minimal_orders_convenient():
         rng = random.Random(0xC2)
         failures = 0
         for _ in range(500):
-            spec = weil.random_surface_spec(rng, qmax=10_000)
+            spec = random_surface_spec(rng, qmax=10_000)
             ctx = orders.FieldContext(list(spec.f), spec.q)
             cert = orders.convenient_certificate(orders.minimal_order(ctx))
             if not cert.is_convenient:
@@ -78,7 +79,7 @@ def test_criterion_3_disc_ratio_cross_check():
         rng = random.Random(0xC3)
         worst = 0.0
         for _ in range(1000):
-            spec = weil.random_surface_spec(rng, qmax=1_000_000)
+            spec = random_surface_spec(rng, qmax=1_000_000)
             exact = strata.disc_ratio_exact(spec)
             trig = strata.disc_ratio_trig(spec)
             worst = max(worst, abs(trig / exact - 1))

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lattice_oracle import INCONVENIENT_ORDER, random_sublattice
+from surface_sampler import random_surface_spec
 from ppav import arith, census, cli, measures, orders, strata, weil
 from ppav.errors import FactorError, InternalError
 
@@ -69,20 +70,6 @@ class TestAnalyze:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("weil_text, q", [("529,-138,32,-6,1", "23"), ("5,-3,1", "5")])
-    def test_failed_closed_form_dual_is_exit_two(self, capsys, monkeypatch, weil_text, q):
-        different_generator = orders._different_generator
-
-        def plus_one(ctx):
-            scale, delta = different_generator(ctx)
-            return scale, [delta[0] + scale] + delta[1:]
-
-        monkeypatch.setattr(orders, "_different_generator", plus_one)
-        code, out, err = run_cli(capsys, ["analyze", "--weil", weil_text, "--q", q, "--json"])
-        assert code == 2 and out == ""
-        assert err.startswith("error: |N(delta)| = ") and "; delta = [" in err
-        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
-
-    @pytest.mark.parametrize("weil_text, q", [("529,-138,32,-6,1", "23"), ("5,-3,1", "5")])
     def test_certificate_builds_no_hnf_after_the_minimal_order(
         self, capsys, monkeypatch, weil_text, q
     ):
@@ -102,12 +89,18 @@ class TestAnalyze:
         def no_dual(lat):
             raise AssertionError("analyze built a trace dual")
 
+        def no_inverse(rows):
+            raise AssertionError("analyze inverted a matrix")
+
+        # the certificate is the theorem MINIMAL_ORDER_CERTIFICATE: no trace
+        # dual and no inverse, and the one HNF is the minimal order's
         monkeypatch.setattr(orders, "minimal_order", recorded)
         monkeypatch.setattr(arith, "lattice_hnf", counted)
         monkeypatch.setattr(orders, "trace_dual", no_dual)
+        monkeypatch.setattr(arith, "inverse", no_inverse)
         code, out, _ = run_cli(capsys, ["analyze", "--weil", weil_text, "--q", q, "--json"])
         assert code == 0 and json.loads(out.splitlines()[0])["convenient"]["is_convenient"]
-        assert len(built) == 1 and hnf_calls == [0]  # the one HNF is the minimal order's
+        assert len(built) == 1 and hnf_calls == [0]
 
     def test_elliptic_factors_each_number_once(self, capsys, monkeypatch):
         # t^2 - 4q for the strata and the conductor 1 twice; the prime-power
@@ -599,7 +592,7 @@ class TestExamples:
 
 
 # (q, a, b) for the surface class x^4 + a x^3 + b x^2 + a q x + q^2: 44 from
-# weil.random_surface_spec, then prime-power fields and the q = 23 golden class
+# random_surface_spec, then prime-power fields and the q = 23 golden class
 GOLDEN_SURFACES = [
     (6563, 94, 8511), (419, 46, 1225), (10853, 251, 36109), (103, -5, 78),
     (3299, 24, 1135), (47, 5, -11), (347, -22, 314), (443, 1, 746),
@@ -669,7 +662,7 @@ class TestGoldenDigests:
         paths = []
         while len(paths) < 40:
             if len(paths) % 2:
-                spec = weil.random_surface_spec(rng, qmax=500)
+                spec = random_surface_spec(rng, qmax=500)
                 ctx = orders.FieldContext(list(spec.f), spec.q)
             else:
                 q = rng.choice((5, 7, 11, 23, 97, 1009))

@@ -19,9 +19,10 @@ from lattice_oracle import (
     random_sublattice,
     times,
 )
+from surface_sampler import random_surface_spec, simple_ordinary_surfaces
 from test_arith import euclid_hnf
 
-from ppav import arith, orders, quadratic, weil
+from ppav import arith, orders, quadratic
 from ppav.errors import DomainError, InternalError, RankError
 
 F23 = [529, -138, 32, -6, 1]
@@ -153,7 +154,7 @@ class TestGorenstein:
     def test_monogenic_orders(self):
         rng = random.Random(29)
         for _ in range(25):
-            spec = weil.random_surface_spec(rng, qmax=500)
+            spec = random_surface_spec(rng, qmax=500)
             ctx = orders.FieldContext(list(spec.f), spec.q)
             z_pi = orders.lattice_from_generators(ctx, identity(4))
             assert orders.is_gorenstein(z_pi)
@@ -182,7 +183,7 @@ class TestGorenstein:
         rng = random.Random(47)
         contexts = [orders.FieldContext([q, -t, 1], q) for q, t in ((5, 3), (7, 1), (97, 5))]
         for _ in range(6):
-            spec = weil.random_surface_spec(rng, qmax=500)
+            spec = random_surface_spec(rng, qmax=500)
             contexts.append(orders.FieldContext(list(spec.f), spec.q))
         _, inconvenient = orders.load_order_file(INCONVENIENT_ORDER)
         rings = [inconvenient, orders.real_subring(inconvenient)]
@@ -203,7 +204,7 @@ class TestConvenience:
     def test_minimal_orders_random(self):
         rng = random.Random(37)
         for _ in range(50):
-            spec = weil.random_surface_spec(rng, qmax=2000)
+            spec = random_surface_spec(rng, qmax=2000)
             ctx = orders.FieldContext(list(spec.f), spec.q)
             cert = orders.convenient_certificate(orders.minimal_order(ctx))
             assert cert.is_convenient
@@ -231,7 +232,7 @@ class TestConvenience:
         rng = random.Random(41)
         done = 0
         while done < 100:
-            spec = weil.random_surface_spec(rng, qmax=2000)
+            spec = random_surface_spec(rng, qmax=2000)
             ctx = orders.FieldContext(list(spec.f), spec.q)
             g = spec.g
             disc_g = g[1] * g[1] - 4 * g[0]
@@ -274,7 +275,7 @@ class TestPureImaginaryIndex:
     def test_surface_minimal_orders(self):
         rng = random.Random(61)
         for _ in range(200):
-            spec = weil.random_surface_spec(rng)
+            spec = random_surface_spec(rng)
             ring = orders.minimal_order(orders.FieldContext(list(spec.f), spec.q))
             assert orders.pure_imaginary_index(ring) == index_by_generated_lattice(ring)
 
@@ -283,7 +284,7 @@ class TestPureImaginaryIndex:
         rng = random.Random(67)
         indices = set()
         for _ in range(40):
-            spec = weil.random_surface_spec(rng, qmax=500)
+            spec = random_surface_spec(rng, qmax=500)
             ctx = orders.FieldContext(list(spec.f), spec.q)
             ring = orders.multiplier_ring(random_sublattice(rng, ctx, orders.minimal_order(ctx)))
             index = orders.pure_imaginary_index(ring)
@@ -353,7 +354,7 @@ class TestEigenSublattice:
         rng = random.Random(73)
         contexts = list(elliptic_contexts())
         for _ in range(40):
-            spec = weil.random_surface_spec(rng, qmax=2000)
+            spec = random_surface_spec(rng, qmax=2000)
             contexts.append(orders.FieldContext(list(spec.f), spec.q))
         for ctx in contexts:
             minimal = orders.minimal_order(ctx)
@@ -364,7 +365,7 @@ class TestEigenSublattice:
         rng = random.Random(79)
         contexts = list(elliptic_contexts())[::3]
         for _ in range(30):
-            spec = weil.random_surface_spec(rng, qmax=500)
+            spec = random_surface_spec(rng, qmax=500)
             contexts.append(orders.FieldContext(list(spec.f), spec.q))
         for ctx in contexts:
             lat = random_sublattice(rng, ctx, orders.minimal_order(ctx))
@@ -420,96 +421,37 @@ class TestMinimalOrder:
             orders.minimal_order(orders.FieldContext([2, -1, 1], 2))
 
 
-def times_pi_over_pibar(ctx, scaled_delta):
-    """(s q, s delta pi^2) from (s, s delta): delta pi / pibar, of norm N(delta)."""
-    scale, delta = scaled_delta
-    pi2 = [int(c) for c in times(ctx, pi(ctx), pi(ctx))]
-    return scale * ctx.q, arith.mat_mul([delta], ctx.element_matrix(pi2))[0]
-
-
 class TestMinimalOrderCertificate:
-    """The closed form R^dual = delta^-1 R against the general certificate."""
+    """The theorem `MINIMAL_ORDER_CERTIFICATE` against the general certificate."""
+
+    @staticmethod
+    def check(ctx):
+        minimal = orders.minimal_order(ctx)
+        assert orders.convenient_certificate(minimal) == orders.MINIMAL_ORDER_CERTIFICATE, ctx.poly
+
+    def test_matches_general_certificate_on_every_small_field_surface(self):
+        count = 0
+        for q in (2, 3, 4, 5, 7, 8, 9):
+            for spec in simple_ordinary_surfaces(q):
+                self.check(orders.FieldContext(list(spec.f), q))
+                count += 1
+        assert count == 529
 
     def test_matches_general_certificate_on_surfaces(self):
         rng = random.Random(151)
         for _ in range(300):
-            spec = weil.random_surface_spec(rng, qmax=10**4)
-            minimal = orders.minimal_order(orders.FieldContext(list(spec.f), spec.q))
-            cert = orders.minimal_order_certificate(minimal)
-            assert cert == orders.convenient_certificate(minimal), spec.f
+            spec = random_surface_spec(rng, qmax=10**4)
+            self.check(orders.FieldContext(list(spec.f), spec.q))
 
     def test_matches_general_certificate_on_elliptic_classes(self):
         contexts = list(elliptic_contexts((2, 3, 4, 5, 8, 9, 23, 25, 97, 1009)))
         assert len(contexts) == 230
         for ctx in contexts:
-            minimal = orders.minimal_order(ctx)
-            cert = orders.minimal_order_certificate(minimal)
-            assert cert == orders.convenient_certificate(minimal), ctx.poly
+            self.check(ctx)
 
     def test_matches_general_certificate_on_a_sextic(self):
-        # x^6 + x^5 + x^3 + 4x + 8 over F_2: the order algebra in degree 6
-        minimal = orders.minimal_order(orders.FieldContext([8, 4, 0, 1, 0, 1, 1], 2))
-        cert = orders.minimal_order_certificate(minimal)
-        assert cert.is_convenient and cert == orders.convenient_certificate(minimal)
-
-    def test_dual_is_delta_inverse_times_ring(self):
-        rng = random.Random(157)
-        contexts = list(elliptic_contexts((5, 23)))
-        for _ in range(30):
-            spec = weil.random_surface_spec(rng, qmax=2000)
-            contexts.append(orders.FieldContext(list(spec.f), spec.q))
-        for ctx in contexts:
-            minimal = orders.minimal_order(ctx)
-            scale, delta = orders._different_generator(ctx)
-            den, c = ctx.conj_int
-            assert arith.mat_mul([delta], c)[0] == [-den * x for x in delta]  # pure imaginary
-            inverse = element_inverse(ctx, [Fraction(x, scale) for x in delta])
-            generated = lattice_from_elements(
-                ctx, [times(ctx, inverse, row) for row in basis(minimal)]
-            )
-            assert generated == orders.trace_dual(minimal)
-
-    @pytest.mark.parametrize("ctx", [f23_context(), orders.FieldContext([5, -3, 1], 5)])
-    def test_patched_delta_fails_the_norm_check(self, monkeypatch, ctx):
-        different_generator = orders._different_generator
-
-        def plus_one(ctx):
-            scale, delta = different_generator(ctx)
-            return scale, [delta[0] + scale] + delta[1:]
-
-        monkeypatch.setattr(orders, "_different_generator", plus_one)
-        with pytest.raises(InternalError, match=r"^\|N\(delta\)\| = .*; delta = \["):
-            orders.minimal_order_certificate(orders.minimal_order(ctx))
-
-    @pytest.mark.parametrize("ctx", [f23_context(), orders.FieldContext([5, -3, 1], 5)])
-    def test_delta_times_pi_over_pibar_fails_the_trace_check(self, monkeypatch, ctx):
-        # pi / pibar has norm 1 but is not a unit of R, so only the trace check sees it
-        different_generator = orders._different_generator
-        monkeypatch.setattr(
-            orders,
-            "_different_generator",
-            lambda ctx: times_pi_over_pibar(ctx, different_generator(ctx)),
-        )
-        with pytest.raises(InternalError, match=r"^Tr\(delta\^-1 b_\d\) = .* is not integral"):
-            orders.minimal_order_certificate(orders.minimal_order(ctx))
-
-    def test_patched_basis_row_fails(self):
-        rng = random.Random(163)
-        for _ in range(20):
-            spec = weil.random_surface_spec(rng, qmax=2000)
-            minimal = orders.minimal_order(orders.FieldContext(list(spec.f), spec.q))
-            rows = [list(row) for row in minimal.rows]
-            assert rows[2][2] > 1  # so the patched row leaves the lattice
-            rows[1][2] += 1  # the determinant stays, so only the trace check sees it
-            patched = orders.Lattice(minimal.ctx, minimal.den, tuple(map(tuple, rows)))
-            with pytest.raises(InternalError, match=r"^Tr\(delta\^-1 b_1\)"):
-                orders.minimal_order_certificate(patched)
-        # Z[pi, pibar] = Z[pi] for n = 1: a doubled row changes the covolume
-        minimal = orders.minimal_order(orders.FieldContext([5, -3, 1], 5))
-        patched = orders.Lattice(minimal.ctx, minimal.den, ((2, 0), (0, 1)))
-        message = r"^\|N\(delta\)\| = 11, but \|disc Z\[pi, pibar\]\| = 44;"
-        with pytest.raises(InternalError, match=message):
-            orders.minimal_order_certificate(patched)
+        # x^6 + x^5 + x^3 + 4x + 8 over F_2: the proof holds in every degree
+        self.check(orders.FieldContext([8, 4, 0, 1, 0, 1, 1], 2))
 
 
 class TestDiscriminants:
@@ -553,7 +495,7 @@ class TestIdealOps:
         rng = random.Random(83)
         contexts = [f23_context(), orders.FieldContext([5, -3, 1], 5)]
         for _ in range(8):
-            spec = weil.random_surface_spec(rng, qmax=500)
+            spec = random_surface_spec(rng, qmax=500)
             contexts.append(orders.FieldContext(list(spec.f), spec.q))
         pairs = mixed = 0
         for ctx in contexts:

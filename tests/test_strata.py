@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from ideal_oracle import RealQuadElement, brute_force_unit_norm, factor_element_ideal
+from surface_sampler import random_surface_spec
 from ppav import arith, orders, quadratic, strata, weil
 from ppav.errors import DomainError, InternalError, SearchLimitError
 
@@ -59,7 +60,7 @@ class TestDiscRatios:
     def test_trig_matches_exact(self):
         rng = random.Random(59)
         for _ in range(50):
-            spec = weil.random_surface_spec(rng, qmax=10_000)
+            spec = random_surface_spec(rng, qmax=10_000)
             exact = strata.disc_ratio_exact(spec)
             trig = strata.disc_ratio_trig(spec)
             assert abs(trig / exact - 1) < 1e-9
@@ -71,7 +72,7 @@ class TestDiscRatios:
     def test_matches_lattice_discriminant_quotient(self):
         rng = random.Random(61)
         for _ in range(25):
-            spec = weil.random_surface_spec(rng, qmax=2000)
+            spec = random_surface_spec(rng, qmax=2000)
             ctx = orders.FieldContext(list(spec.f), spec.q)
             minimal = orders.minimal_order(ctx)
             real = orders.real_subring(minimal)
@@ -169,7 +170,7 @@ class TestCertificates:
     def test_matches_ideal_factorization_oracle(self):
         rng = random.Random(5)
         for _ in range(300):
-            spec = weil.random_surface_spec(rng, qmax=2000)
+            spec = random_surface_spec(rng, qmax=2000)
             assert strata._certificates(spec) == oracle_certificates(spec), spec.f
 
     def test_branch_classes(self):
@@ -188,7 +189,7 @@ class TestCertificates:
         rng = random.Random(61)
         seen = []
         for _ in range(100):
-            spec = weil.random_surface_spec(rng, qmax=500)
+            spec = random_surface_spec(rng, qmax=500)
             norm = brute_force_unit_norm(spec.g[1] ** 2 - 4 * spec.g[0], 10**4)
             if norm is not None:
                 seen.append(strata.real_unit_index(spec))

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from lattice_oracle import resultant
 from poly_oracle import cell_fractions, poly_derivative, real_roots, sturm_chain, weil_angles
+from surface_sampler import random_surface_spec
 
 from ppav import arith, strata, weil
 from ppav.errors import DomainError, NotWeilShape, UnsupportedDegree
@@ -306,7 +307,7 @@ class TestAngles:
 
         rng = random.Random(12)
         for _ in range(50):
-            spec = weil.random_surface_spec(rng, qmax=5000)
+            spec = random_surface_spec(rng, qmax=5000)
             roots = np.roots(list(reversed(spec.f)))
             oracle = sorted(abs(float(np.angle(r))) for r in roots)[::2]
             for got, want in zip(spec.angles, sorted(oracle)):
@@ -356,7 +357,7 @@ class TestSpecValidation:
     def test_functional_equation_exact_on_random_specs(self):
         rng = random.Random(4)
         for _ in range(100):
-            spec = weil.random_surface_spec(rng, qmax=2000)
+            spec = random_surface_spec(rng, qmax=2000)
             f, q, n = list(spec.f), spec.q, spec.n
             # x^(2n) f(q/x) = q^n f(x): coefficient of x^j is f_(2n-j) q^(2n-j)
             lhs = [f[2 * n - j] * q ** (2 * n - j) for j in range(2 * n + 1)]
@@ -366,7 +367,7 @@ class TestSpecValidation:
     def test_angle_coefficient_round_trip(self):
         rng = random.Random(8)
         for _ in range(1000):
-            spec = weil.random_surface_spec(
+            spec = random_surface_spec(
                 rng, qmax=10_000, require_ordinary=False, require_simple=False
             )
             q = spec.q
@@ -385,7 +386,7 @@ class TestSpecValidation:
     def test_sign_flip(self):
         rng = random.Random(6)
         for _ in range(100):
-            spec = weil.random_surface_spec(rng, qmax=5000)
+            spec = random_surface_spec(rng, qmax=5000)
             flipped = [c if i % 2 == 0 else -c for i, c in enumerate(spec.f)]
             flipped_angles = weil.isogeny_class(flipped, spec.q).angles
             expected = sorted(math.pi - a for a in spec.angles)
@@ -395,7 +396,7 @@ class TestSpecValidation:
     def test_strict_inequalities_for_simple_ordinary(self):
         rng = random.Random(10)
         for _ in range(200):
-            spec = weil.random_surface_spec(rng, qmax=10_000)
+            spec = random_surface_spec(rng, qmax=10_000)
             assert 0 < spec.angles[0] < spec.angles[1] < math.pi
 
 
@@ -418,7 +419,7 @@ class TestDiscriminantNorms:
     def test_surface_classes_against_resultants(self):
         rng = random.Random(17)
         for k in range(320):
-            spec = weil.random_surface_spec(
+            spec = random_surface_spec(
                 rng, qmax=10_000, require_ordinary=k % 2 == 0, require_simple=k % 4 == 0
             )
             assert spec.discriminant_norms == norms_by_resultants(list(spec.g), spec.q), spec
@@ -521,7 +522,7 @@ class TestQuadraticClosedForm:
     def test_random_surface_specs(self):
         rng = random.Random(5)
         for _ in range(3000):
-            self.assert_roots_match(list(weil.random_surface_spec(rng, qmax=10**6).g))
+            self.assert_roots_match(list(random_surface_spec(rng, qmax=10**6).g))
 
     @settings(max_examples=200, derandomize=True, deadline=None, database=None)
     @given(st.data())
