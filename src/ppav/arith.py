@@ -190,8 +190,9 @@ def kronecker_symbol(a, n):
 _SMALL_PRIMES: list[int] = []
 
 
-# one sieve, s[i] = 1 iff i <= limit is prime, with two readers:
-# `_prime_sieve` and `strata.family_primes`
+# one sieve, s[i] = 1 iff i <= limit is prime, with three readers:
+# `_prime_sieve`, `strata.family_primes` and
+# `quadratic._fundamental_class_number`
 def _sieve(limit):
     sieve = bytearray([1]) * (limit + 1)
     sieve[0:2] = b"\x00\x00"

@@ -83,8 +83,6 @@ def _split_valuation(x, ell, e):
         r = quadratic._hensel_sqrt(x.d, ell, k)
         mod = ell**k
         shift = 0
-    if r is None:
-        raise InternalError("split prime without a square root")
     t = (A + B * r) % mod
     v = 0
     while v < e + shift and t % ell == 0:

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from lattice_oracle import INCONVENIENT_ORDER, random_sublattice
 from surface_sampler import random_surface_spec
-from ppav import arith, census, cli, measures, orders, strata, weil
+from ppav import arith, census, cli, measures, orders, quadratic, strata, weil
 from ppav.errors import FactorError, InternalError
 
 
@@ -117,6 +117,14 @@ class TestAnalyze:
         code, out, _ = run_cli(capsys, argv)
         assert code == 0 and json.loads(out.splitlines()[0])["simple"] is True
         assert len(calls) <= 3, calls
+
+    def test_class_number_budget_is_exit_two(self, capsys, monkeypatch):
+        # t^2 - 4q = -400000019 is fundamental; the budget stops its count
+        monkeypatch.setattr(quadratic, "MAX_CLASS_NUMBER_DISC", 10**8)
+        argv = ["analyze", "--weil", "100000007,-3,1", "--q", "100000007", "--json"]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == "error: class number needs |delta0| <= 100000000, got a 29-bit delta0\n"
 
     def test_not_weil_exit_code(self, capsys):
         code, _, err = run_cli(capsys, ["analyze", "--weil", "4,0,5,0,1", "--q", "2"])

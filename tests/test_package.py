@@ -90,7 +90,7 @@ def test_cli_import_leaves_out_dataclasses_inspect_and_fractions():
     probe = json.loads(result.stdout)
     assert probe["codes"] == [0, 0, 0]
     assert "ppav.cli" in probe["import"]
-    banned = {"dataclasses", "inspect", "fractions", "decimal", "__future__"}
+    banned = {"dataclasses", "inspect", "fractions", "decimal", "__future__", "array"}
     assert banned & set(probe["import"]) == set()
     # no command pays for a module the import left out
     assert {"dataclasses", "fractions"} & set(probe["ops"]) == set()

@@ -4,6 +4,7 @@ from math import gcd, isqrt
 
 import pytest
 
+import class_number_oracle
 from ideal_oracle import RealQuadElement, brute_force_unit_norm, factor_element_ideal
 from ppav import arith, census, quadratic
 from ppav.errors import DomainError
@@ -97,6 +98,75 @@ class TestImaginaryClassNumbers:
         for d in (-23, -31, -59, -83, -107, -139, -211, -283, -307,
                   -331, -379, -499, -547, -643, -883, -907):
             assert quadratic.class_number_imaginary(d) == 3
+
+
+class TestFlatKernel:
+    """`_fundamental_class_number` against the list-based count it replaced."""
+
+    def test_every_small_fundamental_discriminant(self):
+        for d in range(-100_000, -2):
+            if d % 4 in (0, 1) and quadratic.is_fundamental(d):
+                h = class_number_oracle.fundamental_class_number(d)
+                assert quadratic._fundamental_class_number(d) == h, d
+
+    def test_random_fundamental_discriminants_near_a_billion(self):
+        rng = random.Random(27)
+        for _ in range(200):
+            d = random_fundamental(rng, 10**8, 10**9 + 1)
+            h = class_number_oracle.fundamental_class_number(d)
+            assert quadratic._fundamental_class_number(d) == h, d
+
+    def test_budget_refuses_before_the_sieve(self, monkeypatch):
+        def no_sieve(limit):
+            raise AssertionError("sieved past the class-number budget")
+
+        monkeypatch.setattr(quadratic, "MAX_CLASS_NUMBER_DISC", 10**6)
+        h = class_number_oracle.fundamental_class_number(-999_995)
+        assert quadratic.class_number_imaginary(-999_995) == h
+        monkeypatch.setattr(arith, "_sieve", no_sieve)
+        with pytest.raises(DomainError) as exc:
+            quadratic.class_number_imaginary(-1_000_003)
+        assert str(exc.value) == "class number needs |delta0| <= 1000000, got a 20-bit delta0"
+
+
+class TestSquareRoots:
+    def test_sqrt_mod_prime_every_residue_below_3000(self):
+        # p = 3 mod 4, 5 mod 8 and 1 mod 8 each take their own branch
+        for p in arith._prime_sieve(2999)[1:]:
+            roots = {}
+            for x in range(1, p):
+                roots.setdefault(x * x % p, set()).add(x)
+            for a, xs in roots.items():
+                assert quadratic._sqrt_mod_prime(a, p) in xs, (a, p)
+
+    def test_hensel_sqrt_to_the_fourth_power(self):
+        for p in arith._prime_sieve(49)[1:]:
+            residues = {x * x % p for x in range(1, p)}
+            for k in range(1, 5):
+                mod = p**k
+                for d in range(-2 * p * p, 2 * p * p):
+                    if d % p in residues:
+                        r = quadratic._hensel_sqrt(d, p, k)
+                        assert 0 <= r < mod and (r * r - d) % mod == 0, (d, p, k)
+
+    def test_callers_pass_only_residues(self, monkeypatch):
+        # the roots drop Euler's criterion: every caller must already know
+        # that a is a nonzero square mod p
+        sqrt_mod_prime = quadratic._sqrt_mod_prime
+        seen = []
+
+        def checked(a, p):
+            assert pow(a, p >> 1, p) == 1, (a, p)
+            seen.append(p)
+            return sqrt_mod_prime(a, p)
+
+        monkeypatch.setattr(quadratic, "_sqrt_mod_prime", checked)
+        for d in range(-5_000, -2):
+            if d % 4 in (0, 1):
+                quadratic.class_number_imaginary(d)
+        for a, b in ((4, 1), (7, 2), (9, 4), (23, 5), (-31, 7)):
+            factor_element_ideal(21, real_quad_element(a, b, 21))
+        assert {p % 8 for p in seen} == {1, 3, 5, 7}
 
 
 class TestFormula:
