@@ -8,11 +8,20 @@ basis).  The order algebra has this one representation: products,
 duals, colons and certificates run on integer rows, and the only rational
 values it returns are discriminants.  The CM structure enters through the
 conjugation pi -> q/pi, an integer matrix over a denominator, whose fixed
-and negated subspaces carve out real subrings and pure imaginary parts.
-Z[pi, pibar] is convenient by theorem (`MINIMAL_ORDER_CERTIFICATE`), backed
-at runtime by the discriminant identity `minimal_order` checks; the general
-`convenient_certificate` serves orders read from files, and the tests hold
-it against the theorem.
+and negated subspaces carve out real subrings and pure imaginary parts;
+a `FieldContext` builds that matrix on its first read.
+
+Z[pi, pibar] has closed-form rows for n = 1 (Z[pi], since pibar = t - pi)
+and for ordinary surfaces: pibar + a = -(b pi + a pi^2 + pi^3) / q gives den
+q and rows (q, 0, 0, 0), (0, 1, a b^-1 mod q, b^-1 mod q), (0, 0, q, 0),
+(0, 0, 0, q).  `minimal_order` checks that the rows hold pi^k for k <= n and
+pibar, so they contain Z[pi, pibar], and that their discriminant is
+disc(g)^2 |N(alpha^2 - 4q)|, that of Z[pi, pibar]: equal index, so equal
+lattices.  Every other context, n >= 3 or a non-ordinary surface, takes one
+HNF of the generators, which the tests also hold against the closed forms.
+Z[pi, pibar] is convenient by theorem (`MINIMAL_ORDER_CERTIFICATE`); the
+general `convenient_certificate` serves orders read from files, and the
+tests hold it against the theorem.
 
 Deliberately not implemented: the norm map on invertible ideals down to
 the real subring (it exists and is unique, constructed prime by prime
@@ -23,9 +32,10 @@ and certificate layer in `strata` consumes only the quadratic shadows of
 these objects, which `quadratic` computes exactly.
 """
 
+import functools
 import json
 from collections import namedtuple
-from math import prod
+from math import gcd, prod
 
 from . import arith
 from .errors import DomainError, InternalError, RankError
@@ -57,7 +67,12 @@ class RingContext:
 
 
 class FieldContext(RingContext):
-    """RingContext for a degree-2n CM algebra Q[x]/(f) with pi*conj(pi) = q."""
+    """RingContext for a degree-2n CM algebra Q[x]/(f) with pi*conj(pi) = q.
+
+    The conjugation matrix `conj_int`, the real context `real_ctx` and the
+    powers `alpha_powers` are computed on first read and kept: `analyze`
+    reads only `real_ctx`, and the general order algebra reads them all.
+    """
 
     def __init__(self, f, q):
         super().__init__(f)
@@ -68,19 +83,34 @@ class FieldContext(RingContext):
         self.q = q
         self.n = self.dim // 2
         self.g = tuple(real_weil_polynomial(list(self.poly), q))
+
+    def _pibar(self):
+        """(num, a0) with pibar = num / a0, integer coordinates over a0 = q^n."""
         # a0 pibar = q a0 / pi = -q (a1 + a2 pi + ... + pi^(m-1)) from f(pi) = 0,
         # and a0 = q^n > 0 by the functional equation
-        a0 = self.poly[0]
-        pibar = [-q * c for c in self.poly[1:]]
-        # the conjugation matrix (row i = pibar^i) as (den, integer rows)
-        den, c = self._powers(pibar, a0, self.dim)
-        self.conj_int = (den, c)
+        return [-self.q * c for c in self.poly[1:]], self.poly[0]
+
+    @functools.cached_property
+    def conj_int(self):
+        """The conjugation matrix (row i = pibar^i) as (den, integer rows),
+        checked to be an involution."""
+        den, c = self._powers(*self._pibar(), self.dim)
         square = [[den * den * (i == j) for j in range(self.dim)] for i in range(self.dim)]
         if arith.mat_mul(c, c) != square:
             raise InternalError("conjugation is not an involution")
-        self.real_ctx = RingContext(self.g)
-        alpha = [x + a0 * (i == 1) for i, x in enumerate(pibar)]
-        self.alpha_powers = self._powers(alpha, a0, self.n)  # alpha^k, k < n, as (den, rows)
+        return den, c
+
+    @functools.cached_property
+    def real_ctx(self):
+        """The degree-n context of the real Weil polynomial g."""
+        return RingContext(self.g)
+
+    @functools.cached_property
+    def alpha_powers(self):
+        """alpha^k for k < n, alpha = pi + pibar, as (den, rows)."""
+        num, a0 = self._pibar()
+        alpha = [x + a0 * (i == 1) for i, x in enumerate(num)]
+        return self._powers(alpha, a0, self.n)
 
     def _powers(self, num, den, count):
         """(den^(count-1), rows): row k = (num / den)^k scaled by den^(count-1), k < count."""
@@ -226,21 +256,65 @@ def eigen_sublattice(lat, sign):
     return [row[dim:] for row in h if not any(row[:dim])]
 
 
+def _closed_form_order(ctx):
+    """(den, rows) of Z[pi, pibar] in canonical HNF where it has a closed
+    form, else None.
+
+    n = 1: pibar = t - pi, so the ring is Z[pi], the identity rows over 1.
+    n = 2 with gcd(b, q) = 1 (an ordinary surface): f(pi) = 0 and
+    pi pibar = q give pibar + a = -(b pi + a pi^2 + pi^3) / q.  With
+    v = b^-1 mod q and u = a v mod q, -v (pibar + a) lies in
+    (pi + u pi^2 + v pi^3) / q + Z[pi], and q pibar lies in Z[pi], so
+    Z[pi, pibar] = Z[pi] + Z (pi + u pi^2 + v pi^3) / q: den q and rows
+    (q, 0, 0, 0), (0, 1, u, v), (0, 0, q, 0), (0, 0, 0, q).
+    """
+    if ctx.n == 1:
+        return 1, ((1, 0), (0, 1))
+    if ctx.n == 2 and gcd(ctx.poly[2], ctx.q) == 1:
+        q, b, a = ctx.q, ctx.poly[2], ctx.poly[3]
+        v = pow(b, -1, q)
+        return q, ((q, 0, 0, 0), (0, 1, a * v % q, v), (0, 0, q, 0), (0, 0, 0, q))
+    return None
+
+
+def _minimal_order_by_hnf(ctx):
+    """Z[pi, pibar] from one HNF of its generators, in any context; pibar^k
+    for k < n come from the powers of pibar.  The tests' reference for the
+    closed forms."""
+    den, c = ctx._powers(*ctx._pibar(), ctx.n)
+    powers = [[den * (i == k) for i in range(ctx.dim)] for k in range(ctx.n + 1)]
+    return lattice_from_generators(ctx, powers + c[1:], den)
+
+
 def minimal_order(ctx):
     """The order generated by pi and conj(pi): Z[pi, pibar] in HNF.
 
     A Z-basis is 1, pi, pibar, pi^2, pibar^2, ..., pi^(n-1), pibar^(n-1), pi^n.
-    Since n < 2n, pi^k is the k-th unit vector, and pibar^k = conj(pi^k) is
-    row k of the conjugation matrix.
+    Since n < 2n, pi^k is the k-th unit vector.  For n = 1 and for ordinary
+    surfaces the rows come in closed form (`_closed_form_order`); every
+    other context, n >= 3 or a non-ordinary surface, takes one HNF of these
+    generators, with pibar^k for k < n from the powers of pibar.
 
     Checked against the discriminant norms: Z[pi, pibar] = Z[alpha][pi] with
     pi^2 - alpha pi + q = 0 and alpha a root of g, so its discriminant has
     absolute value disc(g)^2 |N(alpha^2 - 4q)|, where disc(g) is the
-    trace-form determinant of the real context (1 for n = 1).
+    trace-form determinant of the real context (1 for n = 1).  A closed
+    form is checked to hold the generators 1, pi, ..., pi^n and pibar, so
+    it contains Z[pi, pibar]; with equal discriminants the index is 1, and
+    it is Z[pi, pibar].
     """
-    den, c = ctx.conj_int
-    powers = [[den * (i == k) for i in range(ctx.dim)] for k in range(ctx.n + 1)]
-    lat = lattice_from_generators(ctx, powers + c[1 : ctx.n], den)
+    closed = _closed_form_order(ctx)
+    if closed is None:
+        lat = _minimal_order_by_hnf(ctx)
+    else:
+        lat = Lattice(ctx, *closed)
+        num, a0 = ctx._pibar()
+        units = [[int(i == k) for i in range(ctx.dim)] for k in range(ctx.n + 1)]
+        if not (all(map(lat.contains, units)) and lat.contains(num, a0)):
+            raise InternalError(
+                f"closed form den={lat.den} rows={list(lat.rows)} misses Z[pi, pibar]"
+                f" (pibar = {num}/{a0})"
+            )
     expected = ctx.real_ctx.trace_det**2 * delta_norm(ctx.g, ctx.q)
     num, den = _discriminant_parts(lat)
     if abs(num) != expected * den:
@@ -327,9 +401,10 @@ def convenient_certificate(ring):
 # The certificate of Z[pi, pibar], which `minimal_order` returns, in every
 # degree.  (1) `minimal_order` checks |disc| of the lattice against
 # disc(g)^2 |N(alpha^2 - 4q)|, the discriminant of Z[alpha][pi]; the lattice
-# lies in Z[pi, pibar] = Z[alpha][pi] (pibar = alpha - pi), so it equals that
-# ring.  Hence it is a ring, it is stable under conjugation, and R ∩ K+ =
-# Z[alpha] (conj(a + b pi) = a + b alpha - b pi) is monogenic, so Gorenstein.
+# is spanned by generators of Z[pi, pibar] = Z[alpha][pi] (pibar = alpha - pi)
+# or, for a closed form, checked to hold them, so it equals that ring.  Hence
+# it is a ring, it is stable under conjugation, and R ∩ K+ = Z[alpha]
+# (conj(a + b pi) = a + b alpha - b pi) is monogenic, so Gorenstein.
 # (2) R is monogenic over Z[alpha], which is monogenic over Z, so Euler's
 # lemma on the duals of monogenic orders (Serre, Local Fields, III §6),
 # applied twice through Tr = Tr_{K+/Q} Tr_{K/K+}, gives R^dual = delta^-1 R

@@ -54,6 +54,32 @@ class TestAnalyze:
         assert err.startswith("error: disc Z[pi, pibar]") and len(err.strip().splitlines()) == 1
         assert "Traceback" not in err
 
+    def test_patched_minimal_order_closed_form_is_exit_two(self, capsys, monkeypatch):
+        # an off-diagonal entry of the closed form: pibar leaves the lattice
+        closed = orders._closed_form_order
+
+        def patched(ctx):
+            den, rows = closed(ctx)
+            return den, (rows[0], (0, 1, (rows[1][2] + 1) % den, rows[1][3]), *rows[2:])
+
+        monkeypatch.setattr(orders, "_closed_form_order", patched)
+        code, out, err = run_cli(capsys, ["analyze", "--weil", "529,-138,32,-6,1", "--q", "23"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: closed form den=23 rows=[(23, 0, 0, 0), (0, 1, 8, 18),")
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("weil_text, q", [("529,-138,32,-6,1", "23"), ("5,-3,1", "5")])
+    def test_patched_trace_det_is_exit_two(self, capsys, monkeypatch, weil_text, q):
+        class Patched(orders.FieldContext):
+            def __init__(self, f, q):
+                super().__init__(f, q)
+                self.trace_det += 1
+
+        monkeypatch.setattr(orders, "FieldContext", Patched)
+        code, out, err = run_cli(capsys, ["analyze", "--weil", weil_text, "--q", q])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: disc Z[pi, pibar]") and len(err.strip().splitlines()) == 1
+
     def test_failed_surface_closed_form_is_exit_two(self, capsys, monkeypatch):
         # the certificates check their closed form against the class norms
         norms = weil.real_discriminant_norms
@@ -74,33 +100,30 @@ class TestAnalyze:
         self, capsys, monkeypatch, weil_text, q
     ):
         built = []
-        hnf_calls = []
         minimal_order = orders.minimal_order
-        lattice_hnf = arith.lattice_hnf
 
         def recorded(ctx):
             built.append(minimal_order(ctx))
             return built[-1]
 
-        def counted(*args, **kwargs):
-            hnf_calls.append(len(built))
-            return lattice_hnf(*args, **kwargs)
+        def forbidden(what):
+            def raise_(*args, **kwargs):
+                raise AssertionError(f"analyze {what}")
 
-        def no_dual(lat):
-            raise AssertionError("analyze built a trace dual")
+            return raise_
 
-        def no_inverse(rows):
-            raise AssertionError("analyze inverted a matrix")
-
-        # the certificate is the theorem MINIMAL_ORDER_CERTIFICATE: no trace
-        # dual and no inverse, and the one HNF is the minimal order's
+        # the certificate is the theorem MINIMAL_ORDER_CERTIFICATE and the
+        # minimal order is a closed form: no HNF, no trace dual, no inverse,
+        # and no matrix product, so the context never built its conjugation
         monkeypatch.setattr(orders, "minimal_order", recorded)
-        monkeypatch.setattr(arith, "lattice_hnf", counted)
-        monkeypatch.setattr(orders, "trace_dual", no_dual)
-        monkeypatch.setattr(arith, "inverse", no_inverse)
+        monkeypatch.setattr(arith, "lattice_hnf", forbidden("ran an HNF"))
+        monkeypatch.setattr(arith, "mat_mul", forbidden("multiplied matrices"))
+        monkeypatch.setattr(orders, "trace_dual", forbidden("built a trace dual"))
+        monkeypatch.setattr(arith, "inverse", forbidden("inverted a matrix"))
         code, out, _ = run_cli(capsys, ["analyze", "--weil", weil_text, "--q", q, "--json"])
         assert code == 0 and json.loads(out.splitlines()[0])["convenient"]["is_convenient"]
-        assert len(built) == 1 and hnf_calls == [0]
+        assert len(built) == 1
+        assert "conj_int" not in vars(built[0].ctx) and "alpha_powers" not in vars(built[0].ctx)
 
     def test_elliptic_factors_each_number_once(self, capsys, monkeypatch):
         # t^2 - 4q for the strata and the conductor 1 twice; the prime-power
@@ -334,6 +357,21 @@ class TestConvenient:
         assert payload["is_convenient"] is False
         assert payload["pure_imaginary_index"] == 2
         assert payload["is_gorenstein"] is True
+
+    def test_involution_check_fires_on_first_read(self, capsys, monkeypatch):
+        # the order file's context builds its conjugation when the
+        # certificate first reads it, and the involution check runs there
+        powers = orders.FieldContext._powers
+
+        def perturbed(ctx, num, den, count):
+            d, rows = powers(ctx, num, den, count)
+            if count == ctx.dim:
+                rows[1][0] += 1
+            return d, rows
+
+        monkeypatch.setattr(orders.FieldContext, "_powers", perturbed)
+        code, out, err = run_cli(capsys, ["convenient", "--order-file", INCONVENIENT_ORDER])
+        assert (code, out, err) == (2, "", "error: conjugation is not an involution\n")
 
     def test_sextic_minimal_order(self, capsys, tmp_path):
         # Z[pi, pibar] for x^6 + x^5 + x^3 + 4x + 8 over F_2, an order of degree 6

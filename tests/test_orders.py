@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 from lattice_oracle import (
@@ -22,10 +22,11 @@ from lattice_oracle import (
 from surface_sampler import random_surface_spec, simple_ordinary_surfaces
 from test_arith import euclid_hnf
 
-from ppav import arith, orders, quadratic
+from ppav import arith, orders, quadratic, weil
 from ppav.errors import DomainError, InternalError, RankError
 
 F23 = [529, -138, 32, -6, 1]
+SEXTIC = [8, 4, 0, 1, 0, 1, 1]  # x^6 + x^5 + x^3 + 4x + 8 over F_2
 
 
 def f23_context():
@@ -73,6 +74,22 @@ class TestContext:
     def test_rejects_non_separable(self):
         with pytest.raises(DomainError):
             orders.RingContext([1, 2, 1])
+
+    def test_involution_check_fires_on_first_read(self, monkeypatch):
+        powers = orders.FieldContext._powers
+
+        def perturbed(ctx, num, den, count):
+            d, rows = powers(ctx, num, den, count)
+            if count == ctx.dim:
+                rows[1][0] += 1  # the constant coordinate of pibar
+            return d, rows
+
+        monkeypatch.setattr(orders.FieldContext, "_powers", perturbed)
+        ctx = f23_context()
+        minimal = orders.minimal_order(ctx)  # a closed form reads no conjugation
+        assert "conj_int" not in vars(ctx)
+        with pytest.raises(InternalError, match="not an involution"):
+            orders.convenient_certificate(minimal)
 
 
 class TestMultiplierRing:
@@ -404,12 +421,41 @@ class TestMinimalOrder:
         assert real == orders.lattice_from_generators(ctx.real_ctx, identity(2))
         assert orders.lattice_discriminant(real) == 92
 
-    def test_patched_conjugation_entry_raises(self):
-        ctx = f23_context()
-        den, c = ctx.conj_int
-        c = [row[:] for row in c]
-        c[1][3] += 1  # the pi^3 coordinate of pibar, which sets the index of Z[pi, pibar]
-        ctx.conj_int = (den, c)
+    def test_patched_conjugation_entry_raises(self, monkeypatch):
+        # the HNF path, on a sextic and on a non-ordinary surface: a wrong
+        # top coordinate of pibar changes the index of the generated lattice
+        for f, q in [(SEXTIC, 2), ([9, 0, 3, 0, 1], 3)]:
+            ctx = orders.FieldContext(f, q)
+            assert orders._closed_form_order(ctx) is None
+            powers = ctx._powers
+
+            def patched(num, den, count, powers=powers):
+                d, rows = powers(num, den, count)
+                rows[1][-1] += 1
+                return d, rows
+
+            monkeypatch.setattr(ctx, "_powers", patched)
+            with pytest.raises(InternalError, match=r"disc Z\[pi, pibar\]"):
+                orders.minimal_order(ctx)
+
+    @pytest.mark.parametrize("column", [2, 3])
+    def test_patched_closed_form_entry_misses_pibar(self, monkeypatch, column):
+        closed = orders._closed_form_order
+
+        def patched(ctx):
+            den, rows = closed(ctx)
+            row = list(rows[1])
+            row[column] = (row[column] + 1) % den  # still a canonical HNF
+            return den, (rows[0], tuple(row), *rows[2:])
+
+        monkeypatch.setattr(orders, "_closed_form_order", patched)
+        with pytest.raises(InternalError, match=r"^closed form den=23 .* \(pibar = "):
+            orders.minimal_order(f23_context())
+
+    @pytest.mark.parametrize("f, q", [(F23, 23), ([2, -1, 1], 2)])
+    def test_patched_trace_det_fails_the_identity(self, f, q):
+        ctx = orders.FieldContext(f, q)
+        ctx.trace_det += 1
         with pytest.raises(InternalError, match=r"disc Z\[pi, pibar\]"):
             orders.minimal_order(ctx)
 
@@ -427,6 +473,7 @@ class TestMinimalOrderCertificate:
     @staticmethod
     def check(ctx):
         minimal = orders.minimal_order(ctx)
+        assert minimal == orders._minimal_order_by_hnf(ctx), ctx.poly
         assert orders.convenient_certificate(minimal) == orders.MINIMAL_ORDER_CERTIFICATE, ctx.poly
 
     def test_matches_general_certificate_on_every_small_field_surface(self):
@@ -451,7 +498,42 @@ class TestMinimalOrderCertificate:
 
     def test_matches_general_certificate_on_a_sextic(self):
         # x^6 + x^5 + x^3 + 4x + 8 over F_2: the proof holds in every degree
-        self.check(orders.FieldContext([8, 4, 0, 1, 0, 1, 1], 2))
+        self.check(orders.FieldContext(SEXTIC, 2))
+
+
+class TestClosedForm:
+    """The closed-form rows of Z[pi, pibar] against the HNF of its generators."""
+
+    def test_every_simple_ordinary_surface(self):
+        count = 0
+        for q in (2, 3, 4, 5, 7, 8, 9, 11, 23, 25, 27, 49):
+            for spec in simple_ordinary_surfaces(q):
+                ctx = orders.FieldContext(list(spec.f), q)
+                assert orders._closed_form_order(ctx) is not None
+                assert orders.minimal_order(ctx) == orders._minimal_order_by_hnf(ctx), spec.f
+                count += 1
+        assert count == 6473
+
+    def test_non_ordinary_surfaces_take_the_hnf(self):
+        # every separable Weil quartic over small fields, split ones too: a
+        # closed form iff b is invertible mod q, and for p | b the HNF,
+        # which the discriminant identity checks
+        paths = {True: 0, False: 0}
+        for q in (2, 3, 4, 5, 7, 8, 9):
+            s = isqrt(16 * q)
+            for a in range(-s, s + 1):
+                for b in range(-2 * q, 6 * q + 1):
+                    if not weil._quadratic_in_weil_region(b - 2 * q, a, q):
+                        continue
+                    try:
+                        ctx = orders.FieldContext([q * q, a * q, b, a, 1], q)
+                    except DomainError:  # a repeated factor
+                        continue
+                    closed = orders._closed_form_order(ctx) is not None
+                    assert closed == (gcd(b, q) == 1)
+                    assert orders.minimal_order(ctx) == orders._minimal_order_by_hnf(ctx)
+                    paths[closed] += 1
+        assert paths == {True: 658, False: 333}
 
 
 class TestDiscriminants:
